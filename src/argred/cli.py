@@ -11,6 +11,7 @@ host float, so results are platform-independent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -18,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .constgen import HypothesisViolation, audit, format_table, gen_constants, set_to_record
-from .realnum import Constant, RealEnclosure, round_rational
+from .realnum import AmbiguousRoundingError, Constant, RealEnclosure, round_rational
 from .reduction import ReductionRangeError, reduce
 from .softfp import TIES_AWAY, TIES_EVEN, Format, Fpn
 from .theorems import (
@@ -208,7 +209,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t != "")
+    values = tuple(int(t) for t in text.split(",") if t != "")
+    if not values:
+        # an empty --N or --q list would run no case and still pass
+        raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
+    return values
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -228,7 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         constant=args.const,
         fmt=args.format,
         r_step=args.r_step,
-        jobs=args.jobs,
+        jobs=default_jobs() if args.jobs is None else args.jobs,
     )
     try:
         res = run_check(cfg)
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=sorted(FORMATS), default="double")
     v.add_argument("--r-step", type=int, default=1)
     v.add_argument("--ties", choices=(TIES_EVEN, TIES_AWAY), default=TIES_EVEN)
-    v.add_argument("--jobs", type=int, default=default_jobs())
+    v.add_argument("--jobs", type=int, default=None, help="worker processes (default: $ARGRED_JOBS or 1)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
@@ -338,12 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so main() calls can share one
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError, AmbiguousRoundingError) as exc:
+        # input the library refuses exits 2, as usage errors; 1 is for failed checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .softfp import TIES_AWAY, TIES_EVEN, Format, Fpn, round_nearest
@@ -175,15 +176,31 @@ def ln2_enclosure(bits: int) -> RealEnclosure:
 
 @dataclass(frozen=True)
 class Constant:
-    """A named positive real constant given by an enclosure generator."""
+    """A named positive real constant given by an enclosure generator.
+
+    Equality and hashing see the name only, so constants with one name
+    and different enclosures compare equal: memos live on the instance.
+    """
 
     name: str
     enclosure: Callable[[int], RealEnclosure] = field(compare=False)
+    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_enclosure(cls, name: str, enc: RealEnclosure) -> "Constant":
         gen = enc.refine if enc.refine is not None else (lambda bits: enc)
         return cls(name, gen)
+
+    def scaled_enclosure(self, bits: int) -> tuple[int, int, int]:
+        """(lo, hi, den) with lo/den <= C <= hi/den from enclosure(bits),
+        computed once per bits on this instance."""
+        got = self._scaled.get(bits)
+        if got is None:
+            enc = self.enclosure(bits)
+            den = lcm(enc.lo.denominator, enc.hi.denominator)
+            got = (enc.lo * den).numerator, (enc.hi * den).numerator, den
+            self._scaled[bits] = got
+        return got
 
 
 PI = Constant("pi", pi_enclosure)

@@ -252,17 +252,31 @@ def residual_interval(
     """Bounds on |v1 + w - (x - z*C)| from the enclosure of C.
 
     The paper gives no accuracy theorem for the third step, so the
-    residual is measured, not asserted.
+    residual is measured, not asserted.  C's enclosure (6p bits by
+    default) comes from the constant's memo; both ends are computed as
+    integers over den * 2^-e0.
     """
     if cs.constant is None:
         raise ValueError("synthetic constant sets have no underlying C")
-    enc = cs.constant.enclosure(bits or 6 * cs.fmt.p)
-    base = v1.value + w.value - x.value
-    ends = (base + z.value * enc.lo, base + z.value * enc.hi)
-    lo, hi = min(ends), max(ends)
+    c_lo, c_hi, den = cs.constant.scaled_enclosure(bits or 6 * cs.fmt.p)
+    e0 = min(x.e, z.e, v1.e, w.e)
+    base = den * (
+        (v1.sign * v1.m << (v1.e - e0))
+        + (w.sign * w.m << (w.e - e0))
+        - (x.sign * x.m << (x.e - e0))
+    )
+    zn = z.sign * z.m << (z.e - e0)
+    lo, hi = sorted((base + zn * c_lo, base + zn * c_hi))
     if lo <= 0 <= hi:
-        return Fraction(0), max(abs(lo), abs(hi))
-    return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
+        lo, hi = 0, max(-lo, hi)
+    elif hi < 0:
+        lo, hi = -hi, -lo
+    return _over(lo, den, e0), _over(hi, den, e0)
+
+
+def _over(n: int, den: int, e0: int) -> Fraction:
+    """n * 2^e0 / den, exactly."""
+    return Fraction(n << e0, den) if e0 >= 0 else Fraction(n, den << -e0)
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,21 @@ class OpResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _rounded(sign: int, m: int, e: int, fmt: Format) -> Fpn:
+    """Fpn(sign, m, e, fmt) for a rounding result: a p-bit m with an
+    in-range e is already canonical and stored as is; anything else
+    (carry, digits < p, subnormal, zero, overflow) goes through Fpn()."""
+    p1 = fmt.p - 1
+    if m >> p1 == 1 and e >= fmt.e_min_q and p1 + e <= fmt.e_max:
+        x = object.__new__(Fpn)
+        x.sign = sign
+        x.m = m
+        x.e = e
+        x.fmt = fmt
+        return x
+    return Fpn(sign, m, e, fmt)
+
+
 def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[Fpn, bool]:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
@@ -338,19 +353,19 @@ def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[
         eq = fmt.e_min_q
     shift = e - eq
     if shift >= 0:
-        return Fpn(sign, a << shift, eq, fmt), True
+        return _rounded(sign, a << shift, eq, fmt), True
     s = -shift
     m = a >> s
     rem = a & ((1 << s) - 1)
     if rem == 0:
-        return Fpn(sign, m, eq, fmt), True
+        return _rounded(sign, m, eq, fmt), True
     half = 1 << (s - 1)
     if rem > half:
         m += 1
     elif rem == half:
         if ties == TIES_AWAY or (m & 1):
             m += 1
-    return Fpn(sign, m, eq, fmt), False
+    return _rounded(sign, m, eq, fmt), False
 
 
 def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> tuple[Fpn, bool]:
@@ -377,14 +392,14 @@ def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> tup
         d = den << eq
         q, r = divmod(a, d)
     if r == 0:
-        return Fpn(sign, q, eq, fmt), True
+        return _rounded(sign, q, eq, fmt), True
     twice = 2 * r
     if twice > d:
         q += 1
     elif twice == d:
         if ties == TIES_AWAY or (q & 1):
             q += 1
-    return Fpn(sign, q, eq, fmt), False
+    return _rounded(sign, q, eq, fmt), False
 
 
 def round_nearest(

@@ -558,7 +558,14 @@ def check_thm6(cfg: CheckConfig) -> CheckResult:
     return _check_thm6_exhaustive(cfg)
 
 
+def _check_trials(cfg: CheckConfig) -> None:
+    # a campaign of no trials would pass without running a case
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
+
+
 def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
+    _check_trials(cfg)
     chunk = 100_000
     jobs = max(1, cfg.jobs)
     q = cfg.q_values[0]
@@ -677,6 +684,7 @@ def _eft_chunk(args: tuple) -> tuple[int, list[dict]]:
 
 def check_eft(cfg: CheckConfig) -> CheckResult:
     """Random valid Fast2Sum/Fast2Mult calls recompose exactly."""
+    _check_trials(cfg)
     chunk = 100_000
     tasks = []
     remaining = cfg.trials

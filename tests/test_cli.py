@@ -176,3 +176,52 @@ def test_demo_codywaite_cli(capsys):
     code, out, _ = run(capsys, "demo-codywaite", "--json")
     rec = json.loads(out)
     assert rec["fma_exact"] is True and rec["two_round_product_inexact"] is True
+
+
+def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
+    # 1e400 overflows single precision while parsing --x
+    code, out, err = run(capsys, "reduce", "--x", "1e400", "--format", "single")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # an enclosure too wide to round R, with no way to refine it
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({"name": "wide", "lo": "3 * 2^0", "hi": "4 * 2^0", "bits": 2}))
+    code, out, err = run(capsys, "constants", "--const", str(f), "--format", "double")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_campaigns_without_trials(capsys):
+    for theorem, trials in (("thm6", "0"), ("eft", "-5")):
+        code, out, err = run(capsys, "verify", "--theorem", theorem, "--trials", trials)
+        assert code == 2 and "pass" not in out
+        assert "trials" in err
+    for option in ("--N", "--q"):
+        code, out, err = run(capsys, "verify", "--theorem", "thm6", "--trials", "10", option, ",")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_successive_main_calls_parse_independently(capsys):
+    # the parser is shared between calls; no option may leak into the next
+    code, out, _ = run(capsys, "reduce", "--x", "10.0", "--N", "5", "--json")
+    assert code == 0 and json.loads(out)["N"] == 5
+    code, out, _ = run(capsys, "constants", "--const", "ln2", "--json")
+    assert code == 0
+    rec = json.loads(out)[0]
+    assert rec["constant"] == "ln2" and rec["N"] == 0
+    code, out, _ = run(capsys, "reduce", "--x", "10.0", "--json")
+    assert code == 0 and json.loads(out)["N"] == 0
+
+
+def test_verify_jobs_default_follows_environment(monkeypatch, capsys):
+    # the shared parser must not freeze ARGRED_JOBS at its first use
+    import argred.cli as cli
+
+    seen = []
+    real = cli.run_check
+    monkeypatch.setattr(cli, "run_check", lambda cfg: seen.append(cfg.jobs) or real(cfg))
+    for jobs in ("1", "2"):
+        monkeypatch.setenv("ARGRED_JOBS", jobs)
+        code, _, _ = run(capsys, "verify", "--theorem", "thm7")
+        assert code == 0
+    assert seen == [1, 2]

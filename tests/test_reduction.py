@@ -1,12 +1,23 @@
 """Pipeline tests: z-extraction, the exact first/second steps, the third step."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from argred.softfp import DOUBLE, SINGLE, TIES_AWAY, TIES_EVEN, Fpn, Format, ulp
-from argred.realnum import LN2, PI
+from argred.softfp import (
+    DOUBLE,
+    DOUBLE_EXTENDED,
+    QUAD,
+    SINGLE,
+    TIES_AWAY,
+    TIES_EVEN,
+    Fpn,
+    Format,
+    ulp,
+)
+from argred.realnum import LN2, PI, Constant
 from argred.constgen import gen_constants, synthetic_set
 from argred.reduction import (
     ReductionRangeError,
@@ -228,3 +239,55 @@ def test_residual_interval_requires_constant():
         residual_interval(
             Fpn.from_int(1, fmt), Fpn.zero(fmt), Fpn.zero(fmt), Fpn.zero(fmt), cs
         )
+
+
+def residual_reference(x, z, v1, w, constant, bits):
+    """|v1 + w - (x - z*C)| bounds in plain Fractions from enclosure(bits)."""
+    enc = constant.enclosure(bits)
+    base = v1.value + w.value - x.value
+    lo, hi = sorted((base + z.value * enc.lo, base + z.value * enc.hi))
+    if lo <= 0 <= hi:
+        return Fraction(0), max(-lo, hi)
+    return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+def test_residual_interval_matches_fraction_reference(constant):
+    rng = random.Random(17)
+    branches = set()
+    for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
+        for n in (0, 5, 10):
+            cs = gen_constants(constant, fmt, n=n)
+            xs = [Fpn.zero(fmt)] + [
+                Fpn(rng.choice((1, -1)), rng.randrange(1 << (fmt.p - 1), 1 << fmt.p),
+                    rng.randrange(-n - 4 - fmt.p, -n - 3), fmt)
+                for _ in range(3)
+            ]
+            for ties in (TIES_EVEN, TIES_AWAY):
+                for x in xs:
+                    out = reduce(x, cs, ties=ties)
+                    args = (x, out.z, out.v1, out.w)
+                    want = residual_reference(*args, constant, 6 * fmt.p)
+                    assert (out.residual_lo, out.residual_hi) == want
+                    # an 8-bit enclosure is wider than the residual:
+                    # the interval then contains zero
+                    got = residual_interval(*args, cs, bits=8)
+                    assert got == residual_reference(*args, constant, 8)
+                    branches.add(got[0] == 0)
+                    branches.add(out.residual_lo == 0)
+    assert branches == {True, False}
+
+
+def test_residual_memo_is_per_constant_instance():
+    # same name, so the two constants compare and hash equal; the memo
+    # must still give each its own C (pi against 2*pi)
+    pi = Constant.from_enclosure("pi", PI.enclosure(64))
+    two_pi = Constant.from_enclosure("pi", PI.enclosure(64).scale2(1))
+    assert pi == two_pi and hash(pi) == hash(two_pi)
+    x = Fpn.from_int(10, DOUBLE)
+    out = reduce(x, CS_PI, measure_residual=False)
+    args = (x, out.z, out.v1, out.w)
+    got = [residual_interval(*args, dataclasses.replace(CS_PI, constant=c)) for c in (pi, two_pi, pi)]
+    assert got[0] == got[2] == residual_reference(*args, pi, 6 * DOUBLE.p)
+    assert got[1] == residual_reference(*args, two_pi, 6 * DOUBLE.p)
+    assert got[0] != got[1]

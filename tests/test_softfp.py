@@ -32,6 +32,8 @@ from argred.softfp import (
     ulp,
     ulp2,
 )
+from argred.softfp import _round_scaled
+from argred.realnum import round_rational
 
 P4 = Format(p=4, e_min_q=-20, e_max=40)
 P5 = Format(p=5, e_min_q=-20, e_max=40)
@@ -176,6 +178,38 @@ def test_round_overflow_raises():
     assert round_nearest(top.value, P4) == top
     with pytest.raises(OverflowError):
         round_nearest(top.value + ulp(top), P4)
+
+
+def test_rounding_results_match_checked_construction():
+    # rounding stores a result directly only when it is already
+    # canonical; every other shape must come out as Fpn(...) makes it
+    def same(got, sign, m, e):
+        want = Fpn(sign, m, e, P5)
+        assert (got.sign, got.m, got.e, got.fmt) == (want.sign, want.m, want.e, want.fmt)
+
+    same(round_nearest(Fraction(23, 4), P5), 1, 23, -2)           # p-bit normal
+    same(round_nearest(Fraction(-63, 2), P5), -1, 32, 0)          # carry to 2**p
+    same(round_nearest(63, P5), 1, 64, 0)                         # carry, integer path
+    same(round_nearest(Fraction(7, 3), P5, target_p=3), 1, 5, -1)  # digits < p
+    same(round_nearest(Fpn(1, 27, 0, P5), P5, target_p=2), 1, 3, 3)  # digits < p, Fpn path
+    same(round_nearest(Fraction(3, 1 << 21), P5), 1, 2, -20)      # subnormal
+    same(sub(Fpn(1, 17, -20, P5), Fpn(1, 16, -20, P5))[0], 1, 1, -20)
+    same(round_nearest(Fraction(1, 1 << 22), P5), 1, 0, P5.e_min_q)  # zero
+    top = Fpn(1, 31, P5.e_max - 4, P5)
+    with pytest.raises(OverflowError):
+        add(top, top)
+    with pytest.raises(OverflowError):
+        round_nearest(2 * top.value, P5)
+    # exhaustively at p = 5, against the oracle rounding, which builds
+    # its results with Fpn(...): every digits, both ties, subnormals
+    for digits in range(2, P5.p + 1):
+        for ties in (TIES_EVEN, TIES_AWAY):
+            for n in range(-(1 << 8), 1 << 8):
+                for e in (P5.e_min_q - 3, -5, 0):
+                    want = round_rational(n, 1 << -e, P5, digits, ties)
+                    assert round_nearest(Fraction(n, 1 << -e), P5, digits, ties) == want
+                    got, _ = _round_scaled(n, e, digits, P5, ties)
+                    assert got == want
 
 
 def test_subnormal_rounding_and_zero_ties():

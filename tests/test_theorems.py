@@ -154,3 +154,10 @@ def test_result_record_schema():
     rec = res.to_record()
     assert set(rec) == {"theorem", "config", "cases", "failures", "stats", "pass"}
     assert rec["pass"] is True
+
+
+def test_campaigns_refuse_zero_trials():
+    for theorem in ("thm6", "eft"):
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trials"):
+                run_check(CheckConfig(theorem=theorem, mode="randomized", trials=trials))
