@@ -47,6 +47,7 @@ __all__ = [
     "sigma_for",
     "third_step",
     "xr_bound",
+    "xr_in_bounds",
 ]
 
 
@@ -58,9 +59,19 @@ class TheoremViolation(ArithmeticError):
     """A theorem conclusion failed at runtime (kernel or hypothesis bug)."""
 
 
+_SIGMA: dict[tuple[Format, int], Fpn] = {}
+
+
 def sigma_for(fmt: Format, n: int) -> Fpn:
-    """The shift constant 3 * 2^(p-N-2) that places z's last bit at 2^-N."""
-    return Fpn(1, 3, fmt.p - n - 2, fmt)
+    """The shift constant 3 * 2^(p-N-2) that places z's last bit at 2^-N.
+
+    Built on first use for each (fmt, N) and shared afterwards; Fpn
+    values are immutable.
+    """
+    sigma = _SIGMA.get((fmt, n))
+    if sigma is None:
+        sigma = _SIGMA[fmt, n] = Fpn(1, 3, fmt.p - n - 2, fmt)
+    return sigma
 
 
 def xr_bound(fmt: Format, n: int) -> Fraction:
@@ -68,12 +79,35 @@ def xr_bound(fmt: Format, n: int) -> Fraction:
     return Fraction(2) ** (fmt.p - n - 2) - Fraction(2) ** (-n)
 
 
+def xr_in_bounds(x: Fpn, r: Fpn, n: int) -> bool:
+    """|x*R| <= 2^(p-N-2) - 2^-N, exactly.
+
+    Scaled by 2^N this is the integer inequality
+    |x.m*r.m| * 2^(x.e+r.e+N) <= 2^(p-2) - 1.
+    """
+    a = x.m * r.m
+    shift = x.e + r.e + n
+    top = (1 << (x.fmt.p - 2)) - 1
+    return (a << shift) <= top if shift >= 0 else a <= top << -shift
+
+
 class ZExtractInfo(NamedTuple):
     k: int                  # z * 2^N, an integer
     ell: int                # bit length of |k|
-    s: Fraction             # x*R - z, exactly
+    s_num: int              # x*R - z = s_num * 2^s_exp, exactly
+    s_exp: int
     in_thm_range: bool      # |z| >= 2^(1-N), where the z guarantees apply
     sigma: Fpn
+
+    @property
+    def s(self) -> Fraction:
+        """x*R - z as an exact Fraction."""
+        return _dyadic(self.s_num, self.s_exp)
+
+
+def _dyadic(num: int, exp: int) -> Fraction:
+    """num * 2^exp, exactly."""
+    return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
 
 
 def extract_z(
@@ -95,15 +129,7 @@ def extract_z(
         n = cs.n
     fmt = x.fmt
     r = cs.r
-    # exact |x*R| <= 2^(p-N-2) - 2^-N, scaled by 2^N to the integer
-    # inequality |x.m*r.m| * 2^(x.e+r.e+N) <= 2^(p-2) - 1
-    xr_num = (x.sign * x.m) * r.m
-    xr_exp = x.e + r.e
-    a = abs(xr_num)
-    shift = xr_exp + n
-    top = (1 << (fmt.p - 2)) - 1
-    in_bounds = (a << shift) <= top if shift >= 0 else a <= top << -shift
-    if not in_bounds:
+    if not xr_in_bounds(x, r, n):
         raise ReductionRangeError(
             f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; "
             f"x={x.to_text()}, R={r.to_text()}"
@@ -128,9 +154,14 @@ def extract_z(
             k = 0
         in_range = z.m.bit_length() - 1 + z.e >= 1 - n
     ell = abs(k).bit_length()
-    e0 = min(xr_exp, z.e)
-    s_num = (xr_num << (xr_exp - e0)) - ((z.sign * z.m) << (z.e - e0))
-    s = Fraction(s_num << e0) if e0 >= 0 else Fraction(s_num, 1 << -e0)
+    xr_exp = x.e + r.e
+    xr_num = x.sign * r.sign * x.m * r.m
+    if xr_exp >= z.e:
+        e0 = z.e
+        s_num = (xr_num << (xr_exp - e0)) - z.sign * z.m
+    else:
+        e0 = xr_exp
+        s_num = xr_num - (z.sign * z.m << (z.e - e0))
     if check and in_range:
         if not 2 <= ell <= fmt.p - 2:
             raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={z.to_text()}")
@@ -138,8 +169,8 @@ def extract_z(
         d = e0 + n + 1
         s_ok = (abs(s_num) << d) <= 1 if d >= 0 else abs(s_num) <= 1 << -d
         if not s_ok:
-            raise TheoremViolation(f"|x*R - z| = {abs(s)} > 2^-(N+1)")
-    return z, ZExtractInfo(k, ell, s, in_range, sigma)
+            raise TheoremViolation(f"|x*R - z| = {abs(_dyadic(s_num, e0))} > 2^-(N+1)")
+    return z, ZExtractInfo(k, ell, s_num, e0, in_range, sigma)
 
 
 def first_step(
@@ -196,18 +227,18 @@ def second_step(
     v2, ex3 = sub(d2, p2, ties, ops)
     last_line_exact = ex1 and ex2 and ex3
 
-    # v1 + v2 == x - z*C1 - z*C2, compared exactly in scaled integers
+    # v1 + v2 - x + z*C1 + z*C2 == 0, exactly, as integers over 2^e0
     c1 = cs.c1
+    zc1, zc2 = z.e + c1.e, z.e + c2.e
+    e0 = min(v1.e, v2.e, x.e, zc1, zc2)
     zm = z.sign * z.m
-    terms = (
-        (v1.sign * v1.m, v1.e),
-        (v2.sign * v2.m, v2.e),
-        (-(x.sign * x.m), x.e),
-        (zm * (c1.sign * c1.m), z.e + c1.e),
-        (zm * (c2.sign * c2.m), z.e + c2.e),
-    )
-    e0 = min(t[1] for t in terms)
-    exact = sum(num << (e - e0) for num, e in terms) == 0
+    exact = (
+        (v1.sign * v1.m << (v1.e - e0))
+        + (v2.sign * v2.m << (v2.e - e0))
+        - (x.sign * x.m << (x.e - e0))
+        + (zm * c1.sign * c1.m << (zc1 - e0))
+        + (zm * c2.sign * c2.m << (zc2 - e0))
+    ) == 0
 
     if check:
         if not last_line_exact:

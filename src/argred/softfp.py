@@ -10,6 +10,20 @@ error-free transformations (Fast2Sum / Fast2Mult).
 There are no infinities and no NaNs: overflow raises, because every
 result we ever want to check is finite and a silent infinity would mask
 a violated precondition.
+
+Trusted construction.  ``Fpn(...)`` checks and canonicalizes its fields;
+``_canonical`` stores fields that are canonical by construction and skips
+that work.  Only these results take the trusted path:
+
+- ``Fpn.zero``: (+1, 0, e_min_q) is the canonical zero;
+- ``-x`` and ``abs(x)``: flipping the sign of a canonical nonzero value
+  changes neither m nor e, and -0 and abs(0) return the zero itself;
+- rounding results (``_round_scaled``, ``_round_ratio``): an exact zero,
+  or a p-bit m with e_min_q <= e and e + p - 1 <= e_max (``_rounded``);
+  a carry, a short or subnormal m, or an overflow goes through ``Fpn()``.
+
+Everything else, ``round_rational`` (the oracle) included, goes through
+``Fpn(...)``.
 """
 
 from __future__ import annotations
@@ -150,7 +164,7 @@ class Fpn:
 
     @classmethod
     def zero(cls, fmt: Format) -> "Fpn":
-        return cls(1, 0, fmt.e_min_q, fmt)
+        return _canonical(1, 0, fmt.e_min_q, fmt)
 
     @classmethod
     def from_int(cls, k: int, fmt: Format) -> "Fpn":
@@ -218,11 +232,11 @@ class Fpn:
     def __neg__(self) -> "Fpn":
         if self.m == 0:
             return self
-        return Fpn(-self.sign, self.m, self.e, self.fmt)
+        return _canonical(-self.sign, self.m, self.e, self.fmt)
 
     def __abs__(self) -> "Fpn":
         if self.sign < 0:
-            return Fpn(1, self.m, self.e, self.fmt)
+            return _canonical(1, self.m, self.e, self.fmt)
         return self
 
     def scale2(self, k: int) -> "Fpn":
@@ -317,34 +331,46 @@ class OpResult(NamedTuple):
     exact: bool
 
 
+# OpResult(value, exact) without the namedtuple's Python-level __new__
+_op_result = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # Correct rounding
 # ---------------------------------------------------------------------------
 
 
+def _canonical(sign: int, m: int, e: int, fmt: Format) -> Fpn:
+    """An Fpn from fields that are already canonical, without Fpn.__init__.
+
+    Callers guarantee the invariant stated in the module docstring.
+    """
+    x = object.__new__(Fpn)
+    x.sign = sign
+    x.m = m
+    x.e = e
+    x.fmt = fmt
+    return x
+
+
 def _rounded(sign: int, m: int, e: int, fmt: Format) -> Fpn:
     """Fpn(sign, m, e, fmt) for a rounding result: a p-bit m with an
     in-range e is already canonical and stored as is; anything else
-    (carry, digits < p, subnormal, zero, overflow) goes through Fpn()."""
+    (carry, digits < p, subnormal, overflow) goes through Fpn()."""
     p1 = fmt.p - 1
     if m >> p1 == 1 and e >= fmt.e_min_q and p1 + e <= fmt.e_max:
-        x = object.__new__(Fpn)
-        x.sign = sign
-        x.m = m
-        x.e = e
-        x.fmt = fmt
-        return x
+        return _canonical(sign, m, e, fmt)
     return Fpn(sign, m, e, fmt)
 
 
-def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[Fpn, bool]:
+def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResult:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
     Returns the rounded number (re-expressed canonically at fmt's full
     precision) and whether the rounding was exact.
     """
     if n == 0:
-        return Fpn.zero(fmt), True
+        return _op_result(OpResult, (_canonical(1, 0, fmt.e_min_q, fmt), True))
     sign = 1 if n > 0 else -1
     a = n if n > 0 else -n
     top = a.bit_length() - 1 + e
@@ -353,25 +379,25 @@ def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[
         eq = fmt.e_min_q
     shift = e - eq
     if shift >= 0:
-        return _rounded(sign, a << shift, eq, fmt), True
+        return _op_result(OpResult, (_rounded(sign, a << shift, eq, fmt), True))
     s = -shift
     m = a >> s
     rem = a & ((1 << s) - 1)
     if rem == 0:
-        return _rounded(sign, m, eq, fmt), True
+        return _op_result(OpResult, (_rounded(sign, m, eq, fmt), True))
     half = 1 << (s - 1)
     if rem > half:
         m += 1
     elif rem == half:
         if ties == TIES_AWAY or (m & 1):
             m += 1
-    return _rounded(sign, m, eq, fmt), False
+    return _op_result(OpResult, (_rounded(sign, m, eq, fmt), False))
 
 
 def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> tuple[Fpn, bool]:
     """Round the exact rational num/den (den > 0) to digits bits."""
     if num == 0:
-        return Fpn.zero(fmt), True
+        return _canonical(1, 0, fmt.e_min_q, fmt), True
     sign = 1 if num > 0 else -1
     a = num if num > 0 else -num
     # floor(log2(a/den))
@@ -434,42 +460,44 @@ def round_nearest(
 # ---------------------------------------------------------------------------
 
 
-def _require_same_fmt(*xs: Fpn) -> Format:
-    fmt = xs[0].fmt
-    for x in xs[1:]:
-        if x.fmt is not fmt and x.fmt != fmt:
-            raise ValueError("operands must share a format")
-    return fmt
+_FMT_MISMATCH = "operands must share a format"
 
-
-def _count(counter: OpCounter | None) -> None:
-    if counter is not None:
-        counter.rounded += 1
+# The rounded ops below inline the format check and the counter bump, and
+# align the two addends by shifting only the one with the larger exponent:
+# they run a dozen times per reduction.
 
 
 def add(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
-    fmt = _require_same_fmt(a, b)
-    e = min(a.e, b.e)
-    n = (a.sign * a.m << (a.e - e)) + (b.sign * b.m << (b.e - e))
-    _count(counter)
-    fpn, exact = _round_scaled(n, e, fmt.p, fmt, ties)
-    return OpResult(fpn, exact)
+    fmt = a.fmt
+    if b.fmt is not fmt and b.fmt != fmt:
+        raise ValueError(_FMT_MISMATCH)
+    if counter is not None:
+        counter.rounded += 1
+    ea, eb = a.e, b.e
+    if ea >= eb:
+        return _round_scaled((a.sign * a.m << (ea - eb)) + b.sign * b.m, eb, fmt.p, fmt, ties)
+    return _round_scaled(a.sign * a.m + (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
 
 
 def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
-    fmt = _require_same_fmt(a, b)
-    e = min(a.e, b.e)
-    n = (a.sign * a.m << (a.e - e)) - (b.sign * b.m << (b.e - e))
-    _count(counter)
-    fpn, exact = _round_scaled(n, e, fmt.p, fmt, ties)
-    return OpResult(fpn, exact)
+    fmt = a.fmt
+    if b.fmt is not fmt and b.fmt != fmt:
+        raise ValueError(_FMT_MISMATCH)
+    if counter is not None:
+        counter.rounded += 1
+    ea, eb = a.e, b.e
+    if ea >= eb:
+        return _round_scaled((a.sign * a.m << (ea - eb)) - b.sign * b.m, eb, fmt.p, fmt, ties)
+    return _round_scaled(a.sign * a.m - (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
 
 
 def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
-    fmt = _require_same_fmt(a, b)
-    _count(counter)
-    fpn, exact = _round_scaled(a.sign * b.sign * a.m * b.m, a.e + b.e, fmt.p, fmt, ties)
-    return OpResult(fpn, exact)
+    fmt = a.fmt
+    if b.fmt is not fmt and b.fmt != fmt:
+        raise ValueError(_FMT_MISMATCH)
+    if counter is not None:
+        counter.rounded += 1
+    return _round_scaled(a.sign * b.sign * a.m * b.m, a.e + b.e, fmt.p, fmt, ties)
 
 
 def fma(
@@ -480,13 +508,17 @@ def fma(
     counter: OpCounter | None = None,
 ) -> OpResult:
     """The exact a*b + c after only one rounding."""
-    fmt = _require_same_fmt(a, b, c)
-    ep = a.e + b.e
-    e = min(ep, c.e)
-    n = (a.sign * b.sign * a.m * b.m << (ep - e)) + (c.sign * c.m << (c.e - e))
-    _count(counter)
-    fpn, exact = _round_scaled(n, e, fmt.p, fmt, ties)
-    return OpResult(fpn, exact)
+    fmt = a.fmt
+    if (b.fmt is not fmt and b.fmt != fmt) or (c.fmt is not fmt and c.fmt != fmt):
+        raise ValueError(_FMT_MISMATCH)
+    if counter is not None:
+        counter.rounded += 1
+    ep, ec = a.e + b.e, c.e
+    if ep >= ec:
+        n = (a.sign * b.sign * a.m * b.m << (ep - ec)) + c.sign * c.m
+        return _round_scaled(n, ec, fmt.p, fmt, ties)
+    n = a.sign * b.sign * a.m * b.m + (c.sign * c.m << (ec - ep))
+    return _round_scaled(n, ep, fmt.p, fmt, ties)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +588,8 @@ def fast2sum(
     some representations of a and b; raises PreconditionError otherwise
     rather than ever returning a wrong error term.
     """
-    _require_same_fmt(a, b)
+    if b.fmt is not a.fmt and b.fmt != a.fmt:
+        raise ValueError(_FMT_MISMATCH)
     if not _fast2sum_pre(a, b):
         raise PreconditionError(
             f"fast2sum precondition fails for {a!r}, {b!r}: "
@@ -587,8 +620,8 @@ def fast2mult(
     Raises UnderflowError when the error term is not representable
     (its quantum falls below 2**e_min_q).
     """
-    fmt = _require_same_fmt(a, b)
-    h, _ = mul(a, b, ties, counter)
+    fmt = a.fmt
+    h, _ = mul(a, b, ties, counter)  # raises on a format mismatch
     e0 = min(a.e + b.e, h.e)
     tail = (a.sign * b.sign * a.m * b.m << (a.e + b.e - e0)) - (h.sign * h.m << (h.e - e0))
     if tail != 0:

@@ -26,7 +26,7 @@ from .reduction import (
     extract_z,
     first_step,
     second_step,
-    xr_bound,
+    xr_in_bounds,
 )
 from .softfp import (
     DOUBLE,
@@ -182,12 +182,22 @@ def _strippable_to_digits(n: int, beta: int, digits: int) -> bool:
     return True
 
 
+def _kernel_format(beta: int, p: int, window: int) -> Format | None:
+    """A kernel format holding the window values (quantum 1), or None
+    when the radix or the precision is one the kernel does not take."""
+    if beta != 2 or p < 4:
+        return None
+    return Format(p=p, e_min_q=0, e_max=p + window)
+
+
 def check_sterbenz(cfg: CheckConfig) -> CheckResult:
     """y/2 <= x <= 2y implies x - y fits p radix-beta digits.
 
     Case space: all ordered pairs over the positive window values plus
     zero; pairs violating the condition are vacuous.  The condition
     forces x, y >= 0, so negative pairs add nothing (mirror symmetry).
+    In radix 2 at p >= 4 each condition pair is also subtracted by the
+    kernel under cfg.ties, which must be exact and equal to x - y.
     """
     beta, p, window = cfg.beta, cfg.p or 5, cfg.window
     if beta < 2 or p < 2:
@@ -196,8 +206,11 @@ def check_sterbenz(cfg: CheckConfig) -> CheckResult:
     total = len(vals) ** 2
     if total > EXHAUSTIVE_CAP:
         raise ValueError(f"case space {total} exceeds the exhaustive cap")
+    fmt = _kernel_format(beta, p, window)
+    fpns = {v: Fpn(1, v, 0, fmt) for v in vals} if fmt else None
     failures = []
     tested = 0
+    kernel_pairs = 0
     cases = 0
     for y in vals:
         y2 = 2 * y
@@ -205,17 +218,32 @@ def check_sterbenz(cfg: CheckConfig) -> CheckResult:
             cases += 1
             if y <= 2 * x and x <= y2:
                 tested += 1
-                if not _strippable_to_digits(x - y, beta, p):
+                ok = _strippable_to_digits(x - y, beta, p)
+                if fpns is not None:
+                    kernel_pairs += 1
+                    d, exact = sub(fpns[x], fpns[y], cfg.ties)
+                    ok = ok and exact and d.value == x - y
+                if not ok:
                     failures.append({"x": x, "y": y, "beta": beta, "p": p})
     expected = ((beta**p - beta ** (p - 1)) * window + beta ** (p - 1) - 1 + 1) ** 2
-    stats = {"condition_pairs": tested, "values": len(vals), "closed_form_cases": expected}
+    stats = {
+        "condition_pairs": tested,
+        "kernel_pairs": kernel_pairs,
+        "values": len(vals),
+        "closed_form_cases": expected,
+    }
     assert cases == expected
     return CheckResult("sterbenz", cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
 def check_sterbenz_approx2(cfg: CheckConfig) -> CheckResult:
     """y/(1+beta^(p2-p1)) <= x <= (1+beta^(p2-p1)) y implies x - y fits
-    p2 digits, for p1-digit inputs; p1 and p2 are not ordered."""
+    p2 digits, for p1-digit inputs; p1 and p2 are not ordered.
+
+    In radix 2 with max(p1, p2) >= 4 the kernel also rounds each
+    condition pair's x - y to p2 bits under cfg.ties, which must give
+    x - y back.
+    """
     beta, p1, p2, window = cfg.beta, cfg.p1 or 5, cfg.p2 or 3, cfg.window
     if beta < 2 or p1 < 2 or p2 < 2:
         raise ValueError("need beta >= 2 and p1, p2 >= 2")
@@ -226,8 +254,10 @@ def check_sterbenz_approx2(cfg: CheckConfig) -> CheckResult:
     # condition scaled by beta^p1: y*b1 <= x*(b1+b2) and x*b1 <= y*(b1+b2)
     b1 = beta**p1
     b12 = b1 + beta**p2
+    fmt = _kernel_format(beta, max(p1, p2), window)
     failures = []
     tested = 0
+    kernel_pairs = 0
     cases = 0
     for y in vals:
         yb1 = y * b1
@@ -236,9 +266,14 @@ def check_sterbenz_approx2(cfg: CheckConfig) -> CheckResult:
             cases += 1
             if yb1 <= x * b12 and x * b1 <= yb12:
                 tested += 1
-                if not _strippable_to_digits(x - y, beta, p2):
+                ok = _strippable_to_digits(x - y, beta, p2)
+                if fmt is not None:
+                    kernel_pairs += 1
+                    d = round_nearest(x - y, fmt, target_p=p2, ties=cfg.ties)
+                    ok = ok and d.value == x - y
+                if not ok:
                     failures.append({"x": x, "y": y, "beta": beta, "p1": p1, "p2": p2})
-    stats = {"condition_pairs": tested, "values": len(vals)}
+    stats = {"condition_pairs": tested, "kernel_pairs": kernel_pairs, "values": len(vals)}
     return CheckResult("sterbenz2", cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
@@ -278,14 +313,8 @@ def _sweep_xs(fmt: Format, window: int) -> list[Fpn]:
     return out
 
 
-def _xr_in_bounds(x: Fpn, r: Fpn, n: int) -> bool:
-    a = x.m * r.m
-    shift = x.e + r.e + n
-    top = (1 << (x.fmt.p - 2)) - 1
-    return (a << shift) <= top if shift >= 0 else a <= top << -shift
-
-
 def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> CheckResult:
+    _check_values(cfg, "n_values", "q_values")
     p = cfg.p or 8
     fmt = _sweep_format(p)
     xs = _sweep_xs(fmt, cfg.window if cfg.window != 8 else 12)
@@ -311,7 +340,7 @@ def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> Chec
             for n in cfg.n_values:
                 for x in xs:
                     candidates += 1
-                    if not _xr_in_bounds(x, r, n):
+                    if not xr_in_bounds(x, r, n):
                         continue
                     cases += 1
                     fail = {}
@@ -321,12 +350,9 @@ def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> Chec
                     elif not info.in_thm_range:
                         below_thm_range += 1
                     if want_thm3 and info.in_thm_range:
-                        if info.k is None:
-                            fail["k_integral"] = False
-                        else:
-                            ell_seen.add(info.ell)
-                            if not 2 <= info.ell <= p - 2:
-                                fail["ell"] = info.ell
+                        ell_seen.add(info.ell)
+                        if not 2 <= info.ell <= p - 2:
+                            fail["ell"] = info.ell
                         half = Fraction(1, 1 << (n + 1))
                         if abs(info.s) > half:
                             fail["s"] = str(info.s)
@@ -394,6 +420,7 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
     Set q_values=(1,) to mine for counterexamples outside q >= 2; the
     result then reports failures without implying sharpness either way.
     """
+    _check_values(cfg, "n_values", "q_values")
     p = cfg.p or 8
     fmt = _sweep_format(p)
     rs = _sweep_rs(fmt, cfg.r_step)
@@ -443,6 +470,7 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
 def check_correct2(cfg: CheckConfig) -> CheckResult:
     """Appendix variant: general q with R*C1 <= 1, z from the extraction
     algorithm; x - z*C1 is a p-bit FPN for every in-range x."""
+    _check_values(cfg, "n_values", "q_values")
     p = cfg.p or 8
     fmt = _sweep_format(p)
     xs = _sweep_xs(fmt, cfg.window if cfg.window != 8 else 12)
@@ -471,7 +499,7 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
                     continue
                 cs_stub = synthetic_set(r, n=n, q=q)
                 for x in xs:
-                    if not _xr_in_bounds(x, r, n):
+                    if not xr_in_bounds(x, r, n):
                         continue
                     cases += 1
                     z, _ = extract_z(x, cs_stub, n, cfg.ties, check=False)
@@ -505,7 +533,7 @@ def _random_in_range_x(rng: random.Random, fmt: Format, r: Fpn, n: int) -> Fpn:
             rng.randrange(e_lo, e_hi + 1),
             fmt,
         )
-        if _xr_in_bounds(x, r, n):
+        if xr_in_bounds(x, r, n):
             return x
 
 
@@ -564,8 +592,16 @@ def _check_trials(cfg: CheckConfig) -> None:
         raise ValueError(f"trials must be at least 1, got {cfg.trials}")
 
 
+def _check_values(cfg: CheckConfig, *names: str) -> None:
+    # an empty N or q list would pass without running a case
+    for name in names:
+        if not getattr(cfg, name):
+            raise ValueError(f"{name} is empty: the check would run no case")
+
+
 def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
     _check_trials(cfg)
+    _check_values(cfg, "n_values", "q_values")
     chunk = 100_000
     jobs = max(1, cfg.jobs)
     q = cfg.q_values[0]
@@ -594,6 +630,7 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
 
 
 def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
+    _check_values(cfg, "n_values")
     p = cfg.p or 8
     fmt = _sweep_format(p)
     xs = _sweep_xs(fmt, cfg.window if cfg.window != 8 else 10)
@@ -618,7 +655,7 @@ def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
                     skipped += 1
                     continue
                 for x in xs:
-                    if not _xr_in_bounds(x, r, n):
+                    if not xr_in_bounds(x, r, n):
                         continue
                     cases += 1
                     entry = _run_second_step_case(x, cs, n, cfg.ties)

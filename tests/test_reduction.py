@@ -15,12 +15,15 @@ from argred.softfp import (
     TIES_EVEN,
     Fpn,
     Format,
+    round_nearest,
     ulp,
 )
 from argred.realnum import LN2, PI, Constant
 from argred.constgen import gen_constants, synthetic_set
+import argred.reduction as reduction
 from argred.reduction import (
     ReductionRangeError,
+    TheoremViolation,
     extract_z,
     first_step,
     reduce,
@@ -29,6 +32,7 @@ from argred.reduction import (
     sigma_for,
     third_step,
     xr_bound,
+    xr_in_bounds,
 )
 
 CS_PI = gen_constants(PI, DOUBLE)
@@ -39,6 +43,69 @@ def test_sigma_and_bound():
     assert sigma_for(DOUBLE, 0).value == 3 * 2**51
     assert xr_bound(DOUBLE, 0) == 2**51 - 1
     assert xr_bound(DOUBLE, 3) == 2**48 - Fraction(1, 8)
+    # built once per (format, N)
+    assert sigma_for(QUAD, 7) is sigma_for(QUAD, 7)
+    assert sigma_for(QUAD, 7) == Fpn(1, 3, QUAD.p - 9, QUAD)
+    assert sigma_for(SINGLE, 7) != sigma_for(QUAD, 7)
+
+
+def test_sigma_memo_starts_empty():
+    # filled on first use, never at import
+    code = "import argred.reduction as r, argred.cli; assert r._SIGMA == {}, r._SIGMA"
+    import subprocess
+    import sys
+
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_xr_in_bounds_matches_exact_bound():
+    rng = random.Random(8)
+    for fmt in (SINGLE, DOUBLE):
+        for n in (0, 3, 10):
+            r = gen_constants(PI, fmt, n=n).r
+            bound = xr_bound(fmt, n)
+            x = round_nearest(bound / r.value, fmt)
+            for _ in range(4):
+                x = x.next_up()
+            for _ in range(9):
+                for v in (x, -x):
+                    assert xr_in_bounds(v, r, n) == (abs(v.value * r.value) <= bound)
+                x = x.next_down()
+            for _ in range(50):
+                v = Fpn(rng.choice((1, -1)), rng.randrange(1 << (fmt.p - 1), 1 << fmt.p),
+                        rng.randrange(-fmt.p - 30, -n + 3), fmt)
+                assert xr_in_bounds(v, r, n) == (abs(v.value * r.value) <= bound)
+
+
+@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+def test_extract_z_s_is_exact(constant):
+    rng = random.Random(13)
+    for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
+        for n in (0, 5, 10):
+            cs = gen_constants(constant, fmt, n=n)
+            xs = [Fpn.from_int(10, fmt), Fpn.from_int(-3, fmt)]
+            xs += [
+                Fpn(rng.choice((1, -1)), rng.randrange(1 << (fmt.p - 1), 1 << fmt.p),
+                    rng.randrange(-n - fmt.p - 20, -n - 2), fmt)
+                for _ in range(20)
+            ]
+            for x in xs:
+                z, info = extract_z(x, cs, n)
+                assert info.s == x.value * cs.r.value - z.value
+                assert info.s == Fraction(info.s_num) * Fraction(2) ** info.s_exp
+
+
+def test_extract_z_s_violation_reports_the_fraction(monkeypatch):
+    # a shift constant for the 2^0 grid under N = 1 leaves |s| up to 1/2,
+    # above the 2^-2 the theorem allows
+    x = Fpn.from_int(11, DOUBLE)
+    z0, _ = extract_z(x, CS_PI, n=0)
+    s = x.value * CS_PI.r.value - z0.value
+    assert abs(s) > Fraction(1, 4)
+    monkeypatch.setattr(reduction, "sigma_for", lambda fmt, n: Fpn(1, 3, fmt.p - 2, fmt))
+    with pytest.raises(TheoremViolation) as exc:
+        extract_z(x, CS_PI, n=1)
+    assert f"|x*R - z| = {abs(s)} > 2^-(N+1)" in str(exc.value)
 
 
 def test_extract_z_zero():

@@ -13,6 +13,7 @@ import pytest
 
 from argred.softfp import (
     DOUBLE,
+    QUAD,
     SINGLE,
     TIES_AWAY,
     TIES_EVEN,
@@ -285,6 +286,43 @@ def test_sterbenz_subtraction_exact_exhaustive():
 def test_mixed_format_rejected():
     with pytest.raises(ValueError):
         add(Fpn.from_int(1, P4), Fpn.from_int(1, P5))
+    # every operand position of every op
+    a, b = Fpn.from_int(3, P4), Fpn.from_int(5, P4)
+    other = Fpn.from_int(3, P5)
+    for op in (add, sub, mul):
+        for args in ((other, b), (a, other)):
+            with pytest.raises(ValueError, match="share a format"):
+                op(*args)
+    for args in ((other, a, b), (a, other, b), (a, b, other)):
+        with pytest.raises(ValueError, match="share a format"):
+            fma(*args)
+    for eft in (fast2sum, fast2mult):
+        for args in ((other, b), (a, other)):
+            with pytest.raises(ValueError, match="share a format"):
+                eft(*args)
+
+
+def test_exact_zero_results_are_canonical_zero():
+    # sums that cancel exactly give (+1, 0, e_min_q) under both tie modes,
+    # whatever the operands' signs and exponents
+    for fmt in (P5, DOUBLE):
+        zero = Fpn(1, 0, fmt.e_min_q, fmt)
+        x = Fpn(-1, 21, -3, fmt)
+        y = Fpn(1, 3, fmt.e_min_q, fmt)
+        for ties in (TIES_EVEN, TIES_AWAY):
+            results = [
+                add(x, -x, ties),
+                add(-y, y, ties),
+                sub(x, x, ties),
+                sub(-y, -y, ties),
+                fma(x, Fpn(1, 1, 2, fmt), Fpn(1, 21, -1, fmt), ties),
+                fma(-x, Fpn(1, 1, 2, fmt), Fpn(-1, 21, -1, fmt), ties),
+                fma(y, Fpn.from_int(-1, fmt), y, ties),
+            ]
+            for value, exact in results:
+                assert exact
+                assert (value.sign, value.m, value.e, value.fmt) == (zero.sign, zero.m, zero.e, zero.fmt)
+            assert round_nearest(Fraction(0), fmt, ties=ties) == zero
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +442,32 @@ def test_text_roundtrip_decimal_and_hex():
         assert Fpn.from_text(x.to_text(), DOUBLE) == x
         assert Fpn.from_text(x.to_text(hex_sig=True), DOUBLE) == x
     assert Fpn.from_text("-11464520 * 2^-45", SINGLE).sign == -1
+
+
+SWEEP_P8 = Format(p=8, e_min_q=-40, e_max=96)
+
+
+@pytest.mark.parametrize("fmt", [SINGLE, QUAD, SWEEP_P8], ids=["single", "quad", "p8"])
+def test_trusted_construction_matches_checked(fmt):
+    # -x, abs(x) and Fpn.zero skip Fpn.__init__; their fields must be
+    # exactly what the checking constructor makes of the same value
+    def fields(x):
+        return (x.sign, x.m, x.e, x.fmt)
+
+    p = fmt.p
+    values = [
+        Fpn(1, (1 << (p - 1)) + 5, -p, fmt),                 # normal
+        Fpn(1, 3, fmt.e_min_q, fmt),                          # subnormal
+        Fpn(1, 1, fmt.e_min_q, fmt),                          # smallest subnormal
+        Fpn(1, (1 << p) - 1, fmt.e_max - (p - 1), fmt),       # largest finite
+    ]
+    for x in values + [Fpn(-1, v.m, v.e, fmt) for v in values]:
+        assert fields(-x) == fields(Fpn(-x.sign, x.m, x.e, fmt))
+        assert fields(abs(x)) == fields(Fpn(1, x.m, x.e, fmt))
+        assert fields(-(-x)) == fields(x)
+    zero = Fpn.zero(fmt)
+    assert fields(zero) == fields(Fpn(1, 0, fmt.e_min_q, fmt)) == fields(Fpn(-1, 0, 0, fmt))
+    assert fields(-zero) == fields(abs(zero)) == fields(zero)
 
 
 def test_canonical_construction():

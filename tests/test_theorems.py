@@ -161,3 +161,59 @@ def test_campaigns_refuse_zero_trials():
         for trials in (0, -5):
             with pytest.raises(ValueError, match="trials"):
                 run_check(CheckConfig(theorem=theorem, mode="randomized", trials=trials))
+
+
+def test_checks_refuse_empty_n_and_q_lists():
+    cases = [
+        dict(theorem="thm6", mode="randomized", n_values=()),
+        dict(theorem="thm6", mode="randomized", q_values=()),
+        dict(theorem="thm6", mode="exhaustive", n_values=()),
+        dict(theorem="thm3", n_values=()),
+        dict(theorem="correct3", n_values=()),
+        dict(theorem="correct3", q_values=()),
+        dict(theorem="correct2", n_values=()),
+        dict(theorem="correct2", q_values=()),
+        dict(theorem="correct1", n_values=()),
+        dict(theorem="correct1", q_values=()),
+    ]
+    for fields in cases:
+        empty = "n_values" if "n_values" in fields else "q_values"
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            run_check(CheckConfig(p=8, r_step=64, trials=10, **fields))
+
+
+def test_sterbenz_runs_through_the_kernel_in_radix_2():
+    for ties in ("even", "away"):
+        res = check_sterbenz(CheckConfig(theorem="sterbenz", beta=2, p=4, ties=ties))
+        assert res.passed
+        assert res.stats["kernel_pairs"] == res.stats["condition_pairs"] > 0
+        res2 = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=2, p1=6, p2=3, ties=ties))
+        assert res2.passed
+        assert res2.stats["kernel_pairs"] == res2.stats["condition_pairs"] > 0
+    # radix 3, or a precision the kernel does not take: the lemma alone
+    assert check_sterbenz(CheckConfig(theorem="sterbenz", beta=3, p=3)).stats["kernel_pairs"] == 0
+    assert check_sterbenz(CheckConfig(theorem="sterbenz", beta=2, p=3)).stats["kernel_pairs"] == 0
+    res = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=2, p1=3, p2=2))
+    assert res.stats["kernel_pairs"] == 0
+
+
+def test_sterbenz_counts_a_wrong_kernel_result(monkeypatch):
+    import argred.theorems as theorems
+    from argred.softfp import OpResult
+
+    real_sub, real_round = theorems.sub, theorems.round_nearest
+
+    def inexact_away(a, b, ties="even"):
+        out = real_sub(a, b, ties)
+        return OpResult(out.value, out.exact and ties != "away")
+
+    def off_by_one_ulp_away(v, fmt, target_p=None, ties="even"):
+        out = real_round(v, fmt, target_p, ties)
+        return out.next_up() if ties == "away" and v else out
+
+    monkeypatch.setattr(theorems, "sub", inexact_away)
+    monkeypatch.setattr(theorems, "round_nearest", off_by_one_ulp_away)
+    for check, kw in ((check_sterbenz, dict(p=4)), (check_sterbenz_approx2, dict(p1=5, p2=4))):
+        assert check(CheckConfig(theorem="sterbenz", beta=2, **kw)).passed
+        res = check(CheckConfig(theorem="sterbenz", beta=2, ties="away", **kw))
+        assert not res.passed and res.failures
