@@ -14,7 +14,6 @@ from .softfp import (
     SINGLE,
     TIES_AWAY,
     TIES_EVEN,
-    ExactReal,
     Format,
     Fpn,
     OpCounter,
@@ -24,6 +23,7 @@ from .softfp import (
     add,
     fast2mult,
     fast2sum,
+    fits_scaled,
     fma,
     is_representable,
     mul,

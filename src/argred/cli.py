@@ -23,6 +23,7 @@ from .realnum import AmbiguousRoundingError, Constant, RealEnclosure, round_rati
 from .reduction import ReductionRangeError, reduce
 from .softfp import TIES_AWAY, TIES_EVEN, Format, Fpn
 from .theorems import (
+    _CHECKS,
     FORMATS,
     NAMED_CONSTANTS,
     CheckConfig,
@@ -314,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_reduce)
 
     v = sub.add_parser("verify", help="run a theorem check")
-    v.add_argument(
-        "--theorem",
-        required=True,
-        choices=("sterbenz", "sterbenz2", "thm3", "correct1", "correct2", "correct3", "thm6", "thm7", "eft"),
-    )
+    v.add_argument("--theorem", required=True, choices=tuple(_CHECKS))
     v.add_argument("--beta", type=int, default=2)
     v.add_argument("--p", type=int, default=None)
     v.add_argument("--p1", type=int, default=None)

@@ -29,6 +29,7 @@ __all__ = [
     "format_label",
     "format_table",
     "gen_constants",
+    "recip_ratio",
     "set_to_record",
 ]
 
@@ -77,7 +78,7 @@ class ConstantSet:
         return self.r.value * self.c1.value - 1
 
 
-def _recip_ratio(x: Fpn) -> tuple[int, int]:
+def recip_ratio(x: Fpn) -> tuple[int, int]:
     """1/x as an exact integer ratio (num, den), x > 0."""
     if x.e < 0:
         return 1 << -x.e, x.m
@@ -95,7 +96,7 @@ def _c2_grid_exp(c1: Fpn) -> int:
 
 
 def _build_first_terms(r: Fpn, fmt: Format, q: int) -> Fpn:
-    num, den = _recip_ratio(r)
+    num, den = recip_ratio(r)
     return round_rational(num, den, fmt, fmt.p - q)
 
 

@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 __all__ = [
-    "ExactReal",
     "Format",
     "Fpn",
     "OpCounter",
@@ -50,6 +49,7 @@ __all__ = [
     "add",
     "fast2mult",
     "fast2sum",
+    "fits_scaled",
     "fma",
     "is_representable",
     "mul",
@@ -58,9 +58,6 @@ __all__ = [
     "ulp",
     "ulp2",
 ]
-
-# Exact values are plain Fractions; dyadic numbers are the den == 2**k case.
-ExactReal = Fraction
 
 TIES_EVEN = "even"
 TIES_AWAY = "away"
@@ -213,9 +210,6 @@ class Fpn:
 
     def is_normal(self) -> bool:
         return self.m >= (1 << (self.fmt.p - 1))
-
-    def is_subnormal(self) -> bool:
-        return 0 < self.m < (1 << (self.fmt.p - 1))
 
     def to_text(self, hex_sig: bool = False) -> str:
         sig = -self.m if self.sign < 0 else self.m
@@ -541,19 +535,27 @@ def ulp2(x: Fpn) -> Fraction:
     return _pow2(max(k - (x.fmt.p - 1), x.fmt.e_min_q))
 
 
-def is_representable(v: Union[Fraction, int], digits: int, fmt: Format) -> bool:
-    """True iff v = m * 2**e with |m| < 2**digits and e >= e_min_q."""
-    v = Fraction(v)
-    if v == 0:
+def fits_scaled(num: int, exp: int, digits: int, fmt: Format) -> bool:
+    """True iff num * 2**exp = m * 2**e with |m| < 2**digits and e >= e_min_q:
+    num's odd part has at most digits bits, and exp plus its trailing zeros
+    reaches e_min_q."""
+    if num == 0:
         return True
-    num, den = v.numerator, v.denominator
+    a = num if num > 0 else -num
+    tz = _trailing_zeros(a)
+    return exp + tz >= fmt.e_min_q and (a >> tz).bit_length() <= digits
+
+
+def is_representable(v: Union[Fraction, int], digits: int, fmt: Format) -> bool:
+    """True iff v = m * 2**e with |m| < 2**digits and e >= e_min_q.
+
+    A dyadic v = num / 2**k delegates to fits_scaled(num, -k, digits, fmt).
+    """
+    v = Fraction(v)
+    den = v.denominator
     if den & (den - 1):
         return False
-    g = _trailing_zeros(abs(num)) - (den.bit_length() - 1)
-    if g < fmt.e_min_q:
-        return False
-    odd = abs(num) >> _trailing_zeros(abs(num))
-    return odd.bit_length() <= digits
+    return fits_scaled(v.numerator, 1 - den.bit_length(), digits, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ asserted as a converse.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
+from .constgen import ConstantSet, HypothesisViolation, gen_constants, recip_ratio, synthetic_set
 from .realnum import LN2, PI, round_rational
 from .reduction import (
     ReductionRangeError,
@@ -38,7 +39,7 @@ from .softfp import (
     Format,
     fast2mult,
     fast2sum,
-    is_representable,
+    fits_scaled,
     mul,
     round_nearest,
     sub,
@@ -110,23 +111,11 @@ class CheckConfig:
     jobs: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "beta": self.beta,
-            "p": self.p,
-            "p1": self.p1,
-            "p2": self.p2,
-            "window": self.window,
-            "n_values": list(self.n_values),
-            "q_values": list(self.q_values),
-            "mode": self.mode,
-            "seed": self.seed,
-            "trials": self.trials,
-            "ties": self.ties,
-            "constant": self.constant,
-            "fmt": self.fmt,
-            "r_step": self.r_step,
-        }
+        """Every field but jobs, which does not change a result."""
+        d = asdict(self)
+        del d["jobs"]
+        d["n_values"], d["q_values"] = list(self.n_values), list(self.q_values)
+        return d
 
 
 @dataclass
@@ -286,8 +275,29 @@ def sorted_failures(failures: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _sweep_format(p: int) -> Format:
+    """One instance per p, shared by every sweep value, set and sigma."""
     return Format(p=p, e_min_q=-5 * p, e_max=12 * p)
+
+
+def _sweep_space(cfg: CheckConfig, window: int, per_x_r_n: int) -> tuple[Format, list, list]:
+    """The format, x values and R values of a small-precision sweep.
+
+    `window` applies when cfg.window is left at 8.  The case space,
+    x values * R values * N values * per_x_r_n, is counted before anything
+    is built and must not exceed EXHAUSTIVE_CAP (ValueError).
+    """
+    p = cfg.p or 8
+    if cfg.window != 8:
+        window = cfg.window
+    half = 1 << (p - 1)
+    r_values = 2 * len(range(half, 2 * half, cfg.r_step))
+    space = 2 * window * half * r_values * len(cfg.n_values) * per_x_r_n
+    if space > EXHAUSTIVE_CAP:
+        raise ValueError(f"case space {space} exceeds the exhaustive cap")
+    fmt = _sweep_format(p)
+    return fmt, _sweep_xs(fmt, window), _sweep_rs(fmt, cfg.r_step)
 
 
 def _sweep_rs(fmt: Format, step: int) -> list[Fpn]:
@@ -313,15 +323,27 @@ def _sweep_xs(fmt: Format, window: int) -> list[Fpn]:
     return out
 
 
+def _s_within_half(s_num: int, s_exp: int, n: int) -> bool:
+    """|s_num * 2^s_exp| <= 2^(-N-1), i.e. |s_num| * 2^(s_exp+N+1) <= 1."""
+    a = s_num if s_num >= 0 else -s_num
+    d = s_exp + n + 1
+    return (a << d) <= 1 if d >= 0 else a <= 1 << -d
+
+
+def _x_minus_zc1(x: Fpn, z: Fpn, c1n: int, c1e: int) -> tuple[int, int]:
+    """x - z*C1 = num * 2^e0 exactly, as (num, e0); C1 = c1n * 2^c1e."""
+    zn = z.sign * z.m * c1n
+    ze = z.e + c1e
+    xn = x.sign * x.m
+    if x.e >= ze:
+        return (xn << (x.e - ze)) - zn, ze
+    return xn - (zn << (ze - x.e)), x.e
+
+
 def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> CheckResult:
     _check_values(cfg, "n_values", "q_values")
-    p = cfg.p or 8
-    fmt = _sweep_format(p)
-    xs = _sweep_xs(fmt, cfg.window if cfg.window != 8 else 12)
-    rs = _sweep_rs(fmt, cfg.r_step)
-    space = len(xs) * len(rs) * len(cfg.n_values) * len(cfg.q_values)
-    if space > EXHAUSTIVE_CAP:
-        raise ValueError(f"case space {space} exceeds the exhaustive cap")
+    fmt, xs, rs = _sweep_space(cfg, 12, len(cfg.q_values))
+    p = fmt.p
     failures = []
     cases = 0
     candidates = 0
@@ -337,6 +359,7 @@ def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> Chec
                 skipped_r += 1
                 continue
             c1 = cs.c1
+            c1n = c1.sign * c1.m
             for n in cfg.n_values:
                 for x in xs:
                     candidates += 1
@@ -353,13 +376,11 @@ def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> Chec
                         ell_seen.add(info.ell)
                         if not 2 <= info.ell <= p - 2:
                             fail["ell"] = info.ell
-                        half = Fraction(1, 1 << (n + 1))
-                        if abs(info.s) > half:
+                        if not _s_within_half(info.s_num, info.s_exp, n):
                             fail["s"] = str(info.s)
                     if want_first:
                         u, exact = first_step(x, z, cs, cfg.ties)
-                        expect = x.value - z.value * c1.value
-                        representable = is_representable(expect, p, fmt)
+                        representable = fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt)
                         if not exact or not representable:
                             fail["exact_first"] = exact
                             fail["representable"] = representable
@@ -431,12 +452,11 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
         if not 1 <= q < p - 1:
             raise ValueError(f"q={q} out of the checkable range")
         for r in rs:
-            num = 1 << -r.e if r.e < 0 else 1
-            den = r.m << r.e if r.e >= 0 else r.m
-            c1 = round_rational(num, den, fmt, p - q, cfg.ties)
+            c1 = round_rational(*recip_ratio(r), fmt, p - q, cfg.ties)
             if c1.m & (c1.m - 1) == 0:
                 skipped_r += 1
                 continue
+            c1n = c1.sign * c1.m
             for n in cfg.n_values:
                 bound1 = Fraction(2) ** (p - q + max(1, n - 1) + fmt.e_min_q)
                 if c1.value < bound1:
@@ -452,7 +472,7 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
                                 (zv - half) / r.value, (zv + half) / r.value, fmt
                             ):
                                 cases += 1
-                                if not is_representable(x.value - zv * c1.value, p, fmt):
+                                if not fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt):
                                     failures.append(
                                         {
                                             "x": x.to_text(),
@@ -471,28 +491,22 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
     """Appendix variant: general q with R*C1 <= 1, z from the extraction
     algorithm; x - z*C1 is a p-bit FPN for every in-range x."""
     _check_values(cfg, "n_values", "q_values")
-    p = cfg.p or 8
-    fmt = _sweep_format(p)
-    xs = _sweep_xs(fmt, cfg.window if cfg.window != 8 else 12)
-    rs = _sweep_rs(fmt, cfg.r_step)
-    space = len(xs) * len(rs) * len(cfg.n_values) * len(cfg.q_values)
-    if space > EXHAUSTIVE_CAP:
-        raise ValueError(f"case space {space} exceeds the exhaustive cap")
+    fmt, xs, rs = _sweep_space(cfg, 12, len(cfg.q_values))
+    p = fmt.p
     failures = []
     cases = 0
     skipped_r = 0
     rc1_filtered = 0
     for q in cfg.q_values:
         for r in rs:
-            num = 1 << -r.e if r.e < 0 else 1
-            den = r.m << r.e if r.e >= 0 else r.m
-            c1 = round_rational(num, den, fmt, p - q, cfg.ties)
+            c1 = round_rational(*recip_ratio(r), fmt, p - q, cfg.ties)
             if c1.m & (c1.m - 1) == 0:
                 skipped_r += 1
                 continue
             if r.value * c1.value > 1:
                 rc1_filtered += 1
                 continue
+            c1n = c1.sign * c1.m
             for n in cfg.n_values:
                 if c1.value < Fraction(2) ** (p - q + max(1, n - 1) + fmt.e_min_q):
                     skipped_r += 1
@@ -503,7 +517,7 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
                         continue
                     cases += 1
                     z, _ = extract_z(x, cs_stub, n, cfg.ties, check=False)
-                    if not is_representable(x.value - z.value * c1.value, p, fmt):
+                    if not fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt):
                         failures.append(
                             {
                                 "x": x.to_text(),
@@ -599,26 +613,29 @@ def _check_values(cfg: CheckConfig, *names: str) -> None:
             raise ValueError(f"{name} is empty: the check would run no case")
 
 
+def _chunks(trials: int, chunk: int = 100_000) -> list[tuple[int, int]]:
+    """(index, size) of each chunk of a campaign."""
+    return [(idx, min(chunk, trials - start)) for idx, start in enumerate(range(0, trials, chunk))]
+
+
+def _run_campaign(fn, tasks: list, jobs: int) -> list:
+    """fn over the tasks in order, on a process pool when jobs > 1."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
     _check_trials(cfg)
     _check_values(cfg, "n_values", "q_values")
-    chunk = 100_000
-    jobs = max(1, cfg.jobs)
     q = cfg.q_values[0]
-    tasks = []
-    for n in cfg.n_values:
-        remaining = cfg.trials
-        idx = 0
-        while remaining > 0:
-            take = min(chunk, remaining)
-            tasks.append((cfg.constant, cfg.fmt, n, q, cfg.seed + 7919 * idx + n, take, cfg.ties))
-            remaining -= take
-            idx += 1
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_thm6_chunk, tasks))
-    else:
-        parts = [_thm6_chunk(t) for t in tasks]
+    tasks = [
+        (cfg.constant, cfg.fmt, n, q, cfg.seed + 7919 * idx + n, take, cfg.ties)
+        for n in cfg.n_values
+        for idx, take in _chunks(cfg.trials)
+    ]
+    parts = _run_campaign(_thm6_chunk, tasks, cfg.jobs)
     cases = sum(p[0] for p in parts)
     failures = []
     ops_nine = True
@@ -631,10 +648,8 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
 
 def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
     _check_values(cfg, "n_values")
-    p = cfg.p or 8
-    fmt = _sweep_format(p)
-    xs = _sweep_xs(fmt, cfg.window if cfg.window != 8 else 10)
-    rs = _sweep_rs(fmt, cfg.r_step)
+    # up to 8 C2 multiples per (R, N)
+    fmt, xs, rs = _sweep_space(cfg, 10, 8)
     failures = []
     cases = 0
     skipped = 0
@@ -722,24 +737,10 @@ def _eft_chunk(args: tuple) -> tuple[int, list[dict]]:
 def check_eft(cfg: CheckConfig) -> CheckResult:
     """Random valid Fast2Sum/Fast2Mult calls recompose exactly."""
     _check_trials(cfg)
-    chunk = 100_000
-    tasks = []
-    remaining = cfg.trials
-    idx = 0
-    while remaining > 0:
-        take = min(chunk, remaining)
-        tasks.append((cfg.seed + 104729 * idx, take, cfg.ties))
-        remaining -= take
-        idx += 1
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = list(pool.map(_eft_chunk, tasks))
-    else:
-        parts = [_eft_chunk(t) for t in tasks]
+    tasks = [(cfg.seed + 104729 * idx, take, cfg.ties) for idx, take in _chunks(cfg.trials)]
+    parts = _run_campaign(_eft_chunk, tasks, cfg.jobs)
     cases = sum(p[0] for p in parts)
-    failures = []
-    for _, fails in parts:
-        failures.extend(fails)
+    failures = [f for _, fails in parts for f in fails]
     return CheckResult("eft", cfg.to_dict(), cases, sorted_failures(failures), {})
 
 
@@ -758,9 +759,7 @@ def demo_codywaite(max_scan: int = 10_000) -> dict:
     """
     fmt = DOUBLE
     cs = gen_constants(PI, fmt)
-    num = 1 << -cs.r.e if cs.r.e < 0 else 1
-    den = cs.r.m << cs.r.e if cs.r.e >= 0 else cs.r.m
-    c1_full = round_rational(num, den, fmt, fmt.p)
+    c1_full = round_rational(*recip_ratio(cs.r), fmt, fmt.p)
     for k in range(3, max_scan):
         x = Fpn.from_int(k, fmt)
         try:

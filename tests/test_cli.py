@@ -225,3 +225,9 @@ def test_verify_jobs_default_follows_environment(monkeypatch, capsys):
         code, _, _ = run(capsys, "verify", "--theorem", "thm7")
         assert code == 0
     assert seen == [1, 2]
+
+
+def test_verify_refuses_an_oversized_exhaustive_thm6(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "thm6", "--exhaustive", "--p", "14", "--window", "60")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exhaustive cap" in err

@@ -2,8 +2,9 @@
 fixed arguments and seeds, pinned by sha256.
 
 The digests were taken before the kernel's hot path was reworked (trusted
-construction, single-shift rounded ops, lazy z-extraction diagnostics);
-a performance change must leave every one of them as it is.  A change
+construction, single-shift rounded ops, lazy z-extraction diagnostics),
+and the thm3, correct2 and correct1 ones before the sweep conclusions
+moved from Fraction to scaled-integer arithmetic; a performance change must leave every one of them as it is.  A change
 that alters an output on purpose (a new stats field, a new JSON key)
 re-pins the affected digests and says why.  Runs in-process, in a few
 seconds.
@@ -42,6 +43,21 @@ VERIFY = [
         "thm6 exhaustive p=8",
         "verify --theorem thm6 --exhaustive --p 8 --r-step 64 --N 0,2 --window 4 --json",
         "2bd93e5312827cd2ffdcc4ccccd48e3a0b289a54d9dae43dd5ef25d29c0c4b7e",
+    ),
+    (
+        "thm3 p=8",
+        "verify --theorem thm3 --p 8 --r-step 16 --json",
+        "3dc0245a9edec89f4ada34f6e62cf1cfad9ae7b0678db1a24ba4c45ab546172b",
+    ),
+    (
+        "correct2 p=8 q=2,3",
+        "verify --theorem correct2 --p 8 --r-step 16 --N 0,1 --q 2,3 --json",
+        "12c64670cb7ac03579ef479d57002b9b3bf77454be9b105d1137a8f1c095e97e",
+    ),
+    (
+        "correct1 p=8 N=0,1",
+        "verify --theorem correct1 --p 8 --r-step 16 --N 0,1 --json",
+        "f76acafbf94f420dcfc56d3ccd1cfb087536eed030ae7ce1d8858aeb0fea4b15",
     ),
 ]
 

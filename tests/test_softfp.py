@@ -25,6 +25,7 @@ from argred.softfp import (
     add,
     fast2mult,
     fast2sum,
+    fits_scaled,
     fma,
     is_representable,
     mul,
@@ -346,6 +347,38 @@ def test_is_representable():
     assert is_representable(0, 2, DOUBLE)
     assert not is_representable(Fraction(1, 3), DOUBLE.p, DOUBLE)
     assert not is_representable(Fraction(1, 2 ** (-DOUBLE.e_min_q + 1)), DOUBLE.p, DOUBLE)
+
+
+def _fits_by_definition(v: Fraction, digits: int, fmt: Format) -> bool:
+    # v = m * 2^e for some integer m with |m| < 2^digits and e >= e_min_q
+    return v == 0 or any(
+        (v / Fraction(2) ** e).denominator == 1 and abs(v / Fraction(2) ** e) < 2**digits
+        for e in range(fmt.e_min_q, 32)
+    )
+
+
+def test_fits_scaled_matches_the_fraction_definition():
+    fmt = Format(p=8, e_min_q=-40, e_max=96)
+    lo = fmt.e_min_q
+    # odd parts of digits and digits + 1 bits, shifted; zero; both signs
+    wide = [(1 << d) + k for d in (7, 8) for k in (-1, 1)]
+    nums = list(range(-70, 71)) + [s * (w << t) for w in wide for t in (0, 3) for s in (1, -1)]
+    exps = list(range(lo - 4, lo + 4)) + list(range(-3, 4))
+    for digits in (7, 8):
+        for num in nums:
+            for exp in exps:
+                v = Fraction(num) * Fraction(2) ** exp
+                want = _fits_by_definition(v, digits, fmt)
+                assert fits_scaled(num, exp, digits, fmt) == want, (num, exp, digits)
+                assert is_representable(v, digits, fmt) == want, (num, exp, digits)
+    # the quantum floor: e0 + tz at e_min_q and at e_min_q - 1
+    assert fits_scaled(3, lo, 8, fmt) and fits_scaled(-3, lo, 8, fmt)
+    assert not fits_scaled(3, lo - 1, 8, fmt) and not fits_scaled(-3, lo - 1, 8, fmt)
+    assert fits_scaled(6, lo - 1, 8, fmt)
+    # the odd part at digits and at digits + 1 bits
+    assert fits_scaled(255 << 4, -2, 8, fmt) and not fits_scaled(257 << 4, -2, 8, fmt)
+    assert fits_scaled(0, lo - 100, 2, fmt)
+    assert not is_representable(Fraction(1, 3) * 2**lo, 8, fmt)
 
 
 # ---------------------------------------------------------------------------

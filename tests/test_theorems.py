@@ -217,3 +217,102 @@ def test_sterbenz_counts_a_wrong_kernel_result(monkeypatch):
         assert check(CheckConfig(theorem="sterbenz", beta=2, **kw)).passed
         res = check(CheckConfig(theorem="sterbenz", beta=2, ties="away", **kw))
         assert not res.passed and res.failures
+
+
+def test_sweep_format_is_one_instance_per_p():
+    from argred.theorems import _sweep_format
+
+    assert _sweep_format(8) is _sweep_format(8)
+    assert _sweep_format(9) is not _sweep_format(8)
+
+
+def test_s_bound_is_exact_at_the_half_quantum():
+    from fractions import Fraction
+
+    from argred.theorems import _s_within_half
+
+    for n in (0, 1, 2, 5):
+        half = Fraction(1, 2 ** (n + 1))
+        for k in range(7):
+            # |s| = 2^(-N-1) exactly, at several scalings, both signs
+            assert _s_within_half(1 << k, -n - 1 - k, n)
+            assert _s_within_half(-(1 << k), -n - 1 - k, n)
+            # the next dyadic value above it on the 2^(-N-1-k) grid
+            assert not _s_within_half((1 << k) + 1, -n - 1 - k, n)
+            assert not _s_within_half(-(1 << k) - 1, -n - 1 - k, n)
+        for s_num in range(-40, 41):
+            for s_exp in range(-n - 8, 3):
+                s = Fraction(s_num) * Fraction(2) ** s_exp
+                assert _s_within_half(s_num, s_exp, n) == (abs(s) <= half), (s_num, s_exp, n)
+
+
+def test_x_minus_zc1_is_exact():
+    import random
+    from fractions import Fraction
+
+    from argred.softfp import Fpn
+    from argred.theorems import _sweep_format, _x_minus_zc1
+
+    fmt = _sweep_format(8)
+    rng = random.Random(5)
+    for _ in range(2000):
+        x, z, c1 = (
+            Fpn(rng.choice((1, -1)), rng.randrange(0, 256), rng.randrange(-20, 20), fmt)
+            for _ in range(3)
+        )
+        num, e0 = _x_minus_zc1(x, z, c1.sign * c1.m, c1.e)
+        assert Fraction(num) * Fraction(2) ** e0 == x.value - z.value * c1.value
+
+
+def test_correct3_sweep_makes_no_format_comparisons(monkeypatch):
+    import argred.reduction as reduction
+    from argred.softfp import Format
+
+    calls = []
+    real_eq = Format.__eq__
+
+    def counting_eq(self, other):
+        calls.append((self, other))
+        return real_eq(self, other)
+
+    monkeypatch.setattr(Format, "__eq__", counting_eq)
+    # a fresh sigma memo: an equal Format instance that another caller
+    # stored first would otherwise hand the sweep its own sigma
+    monkeypatch.setattr(reduction, "_SIGMA", {})
+    res = check_correct3(CheckConfig(theorem="correct3", p=8, r_step=64, n_values=(0, 2)))
+    assert res.passed and res.cases > 1000
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(theorem="thm6", mode="exhaustive", p=14, window=60),
+        dict(theorem="correct3", p=14, window=60),
+        dict(theorem="thm3", p=14, window=60),
+        dict(theorem="correct2", p=14, window=60),
+    ],
+    ids=["thm6", "correct3", "thm3", "correct2"],
+)
+def test_sweeps_refuse_oversized_spaces_before_running(monkeypatch, fields):
+    import argred.theorems as theorems
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    for name in ("_sweep_format", "_sweep_xs", "_sweep_rs", "synthetic_set", "extract_z", "_run_second_step_case"):
+        monkeypatch.setattr(theorems, name, never)
+    with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
+        run_check(CheckConfig(**fields))
+
+
+def test_thm6_exhaustive_counts_c2_multiples_against_the_cap():
+    from argred.theorems import EXHAUSTIVE_CAP, _sweep_space
+
+    # p=9, 20 binades: 10 240 x values * 512 R values * 3 N values is
+    # 1.57e7 triples, under the cap once but not with 8 C2 multiples each
+    cfg = CheckConfig(theorem="thm6", mode="exhaustive", p=9, window=20)
+    fmt, xs, rs = _sweep_space(cfg, 10, 1)
+    assert len(xs) * len(rs) * 3 <= EXHAUSTIVE_CAP < len(xs) * len(rs) * 3 * 8
+    with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
+        _sweep_space(cfg, 10, 8)
