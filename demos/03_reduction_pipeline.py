@@ -48,5 +48,7 @@ except Exception as exc:
     print("\nhuge argument ->", type(exc).__name__, "-", exc)
 
 # A larger N trades range for a finer grid: z lands on multiples of 2^-N.
-out5 = reduce(Fpn.from_int(10, DOUBLE), cs, n=5)
+# N belongs to the constant set (its hypotheses are checked at that N);
+# R, C1, C2 and C3 themselves do not depend on it.
+out5 = reduce(Fpn.from_int(10, DOUBLE), gen_constants(PI, DOUBLE, n=5))
 print("\nwith N = 5: z =", float(out5.z.value), " |x*R - z| <=", float(Fraction(1, 64)))

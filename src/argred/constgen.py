@@ -29,6 +29,7 @@ __all__ = [
     "format_label",
     "format_table",
     "gen_constants",
+    "n_hypothesis_failure",
     "recip_ratio",
     "set_to_record",
 ]
@@ -100,25 +101,38 @@ def _build_first_terms(r: Fpn, fmt: Format, q: int) -> Fpn:
     return round_rational(num, den, fmt, fmt.p - q)
 
 
+def n_hypothesis_failure(c1: Fpn, n: int) -> str | None:
+    """The first N-dependent generation hypothesis that fails at N, or None.
+    Each bounds N from above, so one that holds at N holds below it."""
+    fmt = c1.fmt
+    p = fmt.p
+    if -n < fmt.e_min_q:
+        return "2^-N is a FPN"
+    top = c1.m.bit_length() - 1 + c1.e - fmt.e_min_q  # C1 >= 2^k*lambda <=> top >= k
+    if top < p + max(-1, n):
+        return "C1 >= 2^(p+max(-1,N)) * lambda (first step)"
+    if top < p + max(-1, p + n - 2):
+        return "C1 >= 2^(p+max(-1,p+N-2)) * lambda (second step)"
+    return None
+
+
 def _generate(
     constant: Optional[Constant],
     fmt: Format,
     n: int,
     q: int,
     r_override: Fpn | None = None,
-    enclosure_bits: int | None = None,
+    c2: Fpn | None = None,
 ) -> ConstantSet:
     p = fmt.p
     if p <= 4:
         raise HypothesisViolation("p > 4 (second-step theorem)")
     if not 2 <= q < p - 1:
         raise HypothesisViolation(f"2 <= q < p-1 fails for q={q}")
-    if -n < fmt.e_min_q:
-        raise HypothesisViolation(f"2^-N is a FPN fails for N={n}")
 
     enc = None
     if constant is not None:
-        enc = constant.enclosure(enclosure_bits or 3 * p)
+        enc = constant.enclosure(3 * p)
 
     if r_override is not None:
         r = r_override
@@ -135,28 +149,26 @@ def _generate(
     if not c1.is_normal() or c1.m & ((1 << q) - 1):
         raise HypothesisViolation(f"C1 has its last {q} significand bits at zero")
 
-    # underflow bounds, the second-step one being the binding one
-    lam_exp = fmt.e_min_q
-    if c1.value < Fraction(2) ** (p + max(-1, n) + lam_exp):
-        raise HypothesisViolation("C1 >= 2^(p+max(-1,N)) * lambda (first step)")
-    if c1.value < Fraction(2) ** (p + max(-1, p + n - 2) + lam_exp):
-        raise HypothesisViolation("C1 >= 2^(p+max(-1,p+N-2)) * lambda (second step)")
+    why = n_hypothesis_failure(c1, n)
+    if why is not None:
+        raise HypothesisViolation(f"{why} fails for N={n}")
 
-    if enc is None:
-        c2 = Fpn.zero(fmt)
-        c3 = Fpn.zero(fmt)
-    else:
+    if enc is not None:
         k8 = _c2_grid_exp(c1)
         k2 = round_to_int(enc.shift(c1.value).scale2(-k8))
         try:
             c2 = Fpn.from_fraction(Fraction(k2) * Fraction(2) ** k8, fmt)
         except (ValueError, OverflowError) as exc:
             raise HypothesisViolation("C2 is a FPN") from exc
-        if abs(c2.value) > 4 * ulp(c1):
-            raise HypothesisViolation("|C2| <= 4 ulp(C1)")
-        # C3 carries p-q significant bits, like C1: that is the only
-        # construction that reproduces all published table values.
-        c3 = safe_round(enc.shift(c1.value + c2.value), fmt, p - q)
+    elif c2 is None:
+        c2 = Fpn.zero(fmt)
+    elif (c2.value / Fraction(2) ** _c2_grid_exp(c1)).denominator != 1:
+        raise HypothesisViolation("C2 is an integer multiple of 8 ulp2(C1)")
+    if abs(c2.value) > 4 * ulp(c1):
+        raise HypothesisViolation("|C2| <= 4 ulp(C1)")
+    # C3 carries p-q significant bits, like C1: that is the only
+    # construction that reproduces all published table values.
+    c3 = Fpn.zero(fmt) if enc is None else safe_round(enc.shift(c1.value + c2.value), fmt, p - q)
 
     return ConstantSet(constant, fmt, n, q, r, c1, c2, c3)
 
@@ -183,16 +195,7 @@ def synthetic_set(
     C1 follows from R; C2 defaults to zero (a multiple of anything) and
     may be any FPN on the 8*ulp2(C1) grid with |C2| <= 4*ulp(C1).
     """
-    fmt = r.fmt
-    cs = _generate(None, fmt, n, q, r_override=r)
-    if c2 is not None:
-        grid = Fraction(2) ** _c2_grid_exp(cs.c1)
-        if (c2.value / grid).denominator != 1:
-            raise HypothesisViolation("C2 is an integer multiple of 8 ulp2(C1)")
-        if abs(c2.value) > 4 * ulp(cs.c1):
-            raise HypothesisViolation("|C2| <= 4 ulp(C1)")
-        cs = ConstantSet(None, fmt, n, q, cs.r, cs.c1, c2, cs.c3)
-    return cs
+    return _generate(None, r.fmt, n, q, r, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +239,16 @@ class AuditReport:
         return out
 
 
-def audit(cs: ConstantSet, n: int | None = None) -> AuditReport:
-    """Evaluate every static theorem hypothesis for the set, exactly.
+def audit(cs: ConstantSet) -> AuditReport:
+    """Evaluate every static theorem hypothesis for the set at N = cs.n,
+    exactly.
 
     Theorems stated for q = 2 (the q=2 first step, the second step, and
     the C - C1 bound) are marked not applicable when q != 2.  The
     appendix constraint R*C1 <= 1 is reported but informational: sets
     that fail it are still valid for the q = 2 theorems.
     """
-    if n is None:
-        n = cs.n
+    n = cs.n
     fmt = cs.fmt
     p = fmt.p
     lam = fmt.lam

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .constgen import ConstantSet
+from .constgen import ConstantSet, HypothesisViolation, n_hypothesis_failure
 from .softfp import (
     TIES_EVEN,
     Fpn,
@@ -43,6 +43,7 @@ __all__ = [
     "first_step",
     "reduce",
     "residual_interval",
+    "s_within_half",
     "second_step",
     "sigma_for",
     "third_step",
@@ -59,18 +60,19 @@ class TheoremViolation(ArithmeticError):
     """A theorem conclusion failed at runtime (kernel or hypothesis bug)."""
 
 
-_SIGMA: dict[tuple[Format, int], Fpn] = {}
+_SIGMA: dict[tuple[int, int], Fpn] = {}
 
 
 def sigma_for(fmt: Format, n: int) -> Fpn:
     """The shift constant 3 * 2^(p-N-2) that places z's last bit at 2^-N.
 
-    Built on first use for each (fmt, N) and shared afterwards; Fpn
-    values are immutable.
+    Built on first use for each (fmt instance, N) and shared afterwards;
+    keyed by id, not Format equality, so sigma.fmt is the caller's fmt
+    (and, held by the entry, keeps that id from being reused).
     """
-    sigma = _SIGMA.get((fmt, n))
+    sigma = _SIGMA.get((id(fmt), n))
     if sigma is None:
-        sigma = _SIGMA[fmt, n] = Fpn(1, 3, fmt.p - n - 2, fmt)
+        sigma = _SIGMA[id(fmt), n] = Fpn(1, 3, fmt.p - n - 2, fmt)
     return sigma
 
 
@@ -91,23 +93,24 @@ def xr_in_bounds(x: Fpn, r: Fpn, n: int) -> bool:
     return (a << shift) <= top if shift >= 0 else a <= top << -shift
 
 
+def s_within_half(s_num: int, s_exp: int, n: int) -> bool:
+    """|s_num * 2^s_exp| <= 2^(-N-1), i.e. |s_num| * 2^(s_exp+N+1) <= 1."""
+    a = s_num if s_num >= 0 else -s_num
+    d = s_exp + n + 1
+    return (a << d) <= 1 if d >= 0 else a <= 1 << -d
+
+
 class ZExtractInfo(NamedTuple):
     k: int                  # z * 2^N, an integer
     ell: int                # bit length of |k|
     s_num: int              # x*R - z = s_num * 2^s_exp, exactly
     s_exp: int
     in_thm_range: bool      # |z| >= 2^(1-N), where the z guarantees apply
-    sigma: Fpn
 
     @property
     def s(self) -> Fraction:
         """x*R - z as an exact Fraction."""
-        return _dyadic(self.s_num, self.s_exp)
-
-
-def _dyadic(num: int, exp: int) -> Fraction:
-    """num * 2^exp, exactly."""
-    return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
+        return _over(self.s_num, 1, self.s_exp)
 
 
 def extract_z(
@@ -120,6 +123,10 @@ def extract_z(
 ) -> tuple[Fpn, ZExtractInfo]:
     """Extract z = k * 2^-N ~ x*R via the fma-and-subtract trick.
 
+    N defaults to cs.n.  A set built at cs.n covers every n <= cs.n;
+    a larger n that fails the set's N-dependent hypotheses raises
+    HypothesisViolation.
+
     Raises ReductionRangeError when |x*R| > 2^(p-N-2) - 2^-N.  With
     check=True the extraction guarantees (k integral; for |z| >= 2^(1-N):
     2 <= ell <= p-2 and |x*R - z| <= 2^(-N-1)) are verified exactly and
@@ -127,6 +134,10 @@ def extract_z(
     """
     if n is None:
         n = cs.n
+    elif n > cs.n:
+        why = n_hypothesis_failure(cs.c1, n)
+        if why is not None:
+            raise HypothesisViolation(f"N={n} is above the set's N={cs.n} and fails {why}")
     fmt = x.fmt
     r = cs.r
     if not xr_in_bounds(x, r, n):
@@ -165,12 +176,9 @@ def extract_z(
     if check and in_range:
         if not 2 <= ell <= fmt.p - 2:
             raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={z.to_text()}")
-        # |s| <= 2^(-N-1)  <=>  |s_num| * 2^(e0+N+1) <= 1
-        d = e0 + n + 1
-        s_ok = (abs(s_num) << d) <= 1 if d >= 0 else abs(s_num) <= 1 << -d
-        if not s_ok:
-            raise TheoremViolation(f"|x*R - z| = {abs(_dyadic(s_num, e0))} > 2^-(N+1)")
-    return z, ZExtractInfo(k, ell, s_num, e0, in_range, sigma)
+        if not s_within_half(s_num, e0, n):
+            raise TheoremViolation(f"|x*R - z| = {abs(_over(s_num, 1, e0))} > 2^-(N+1)")
+    return z, ZExtractInfo(k, ell, s_num, e0, in_range)
 
 
 def first_step(
@@ -185,8 +193,7 @@ def first_step(
     Under the audited hypotheses exactness is a theorem, so an inexact
     flag here is a finding for the harness, not a runtime error.
     """
-    u, exact = fma(-z, cs.c1, x, ties, counter)
-    return u, exact
+    return fma(-z, cs.c1, x, ties, counter)
 
 
 class SecondStepResult(NamedTuple):
@@ -204,15 +211,15 @@ def second_step(
     cs: ConstantSet,
     ties: str = TIES_EVEN,
     counter: OpCounter | None = None,
-    check: bool = True,
 ) -> SecondStepResult:
     """The 9-flop exact second reduction step.
 
     Runs  v1 = o(u - z*C2); (p1,p2) = Fast2Mult(z, C2);
     (t1,t2) = Fast2Sum(u, -p1); v2 = o(o(o(t1-v1)+t2)-p2)  and verifies
-    the claimed exactness facts.  u comes from first_step, it is not
-    recomputed.  A Fast2Sum precondition failure raises TheoremViolation
-    (unreachable for audited constants).
+    the claimed exactness facts: a rounded last line, or t1 or v1 off the
+    2^(-N-1) * ulp2(C1) grid at N = cs.n, raises TheoremViolation.  u
+    comes from first_step, it is not recomputed.  A Fast2Sum precondition
+    failure raises TheoremViolation (unreachable for audited constants).
     """
     ops = OpCounter()
     c2 = cs.c2
@@ -240,20 +247,19 @@ def second_step(
         + (zm * c2.sign * c2.m << (zc2 - e0))
     ) == 0
 
-    if check:
-        if not last_line_exact:
+    if not last_line_exact:
+        raise TheoremViolation(
+            "second-step last line rounded: "
+            f"x={x.to_text()}, z={z.to_text()}"
+        )
+    # proof facts: t1 and v1 sit on the 2^(-N-1) * ulp2(C1) grid
+    fmt = x.fmt
+    g = -cs.n - 1 + max(c1.e - (fmt.p - 1), fmt.e_min_q)
+    for name, val in (("t1", t1), ("v1", v1)):
+        if not val.is_zero() and val.max_quantum() < g:
             raise TheoremViolation(
-                "second-step last line rounded: "
-                f"x={x.to_text()}, z={z.to_text()}"
+                f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {val.to_text()}"
             )
-        # proof facts: t1 and v1 sit on the 2^(-N-1) * ulp2(C1) grid
-        fmt = x.fmt
-        g = -cs.n - 1 + max(c1.e - (fmt.p - 1), fmt.e_min_q)
-        for name, val in (("t1", t1), ("v1", v1)):
-            if not val.is_zero() and val.max_quantum() < g:
-                raise TheoremViolation(
-                    f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {val.to_text()}"
-                )
     if counter is not None:
         counter.rounded += ops.rounded
     return SecondStepResult(v1, v2, exact, ops.rounded, last_line_exact)
@@ -268,8 +274,7 @@ def third_step(
     counter: OpCounter | None = None,
 ) -> Fpn:
     """w = o(v2 - z*C3); (v1, w) is the 2p-bit unevaluated reduced argument."""
-    w, _ = fma(-z, cs.c3, v2, ties, counter)
-    return w
+    return fma(-z, cs.c3, v2, ties, counter).value
 
 
 def residual_interval(
@@ -332,17 +337,14 @@ class ReductionOutput:
 def reduce(
     x: Fpn,
     cs: ConstantSet,
-    n: int | None = None,
     ties: str = TIES_EVEN,
-    check: bool = True,
     measure_residual: bool = True,
 ) -> ReductionOutput:
-    """Run the full pipeline: extract z, first, second, and third steps."""
-    if n is None:
-        n = cs.n
-    z, info = extract_z(x, cs, n, ties, check=check)
+    """Run the full pipeline at N = cs.n: extract z, first, second, and
+    third steps, with every runtime theorem check on."""
+    z, info = extract_z(x, cs, ties=ties)
     u, exact1 = first_step(x, z, cs, ties)
-    ss = second_step(x, z, u, cs, ties, check=check)
+    ss = second_step(x, z, u, cs, ties)
     w = third_step(ss.v1, ss.v2, z, cs, ties)
     res_lo = res_hi = None
     if measure_residual and cs.constant is not None:

@@ -626,12 +626,10 @@ def fast2mult(
     h, _ = mul(a, b, ties, counter)  # raises on a format mismatch
     e0 = min(a.e + b.e, h.e)
     tail = (a.sign * b.sign * a.m * b.m << (a.e + b.e - e0)) - (h.sign * h.m << (h.e - e0))
-    if tail != 0:
-        tz = _trailing_zeros(tail)
-        if e0 + tz < fmt.e_min_q or (abs(tail) >> tz).bit_length() > fmt.p:
-            raise UnderflowError(
-                f"fast2mult error term of {a!r}*{b!r} is not representable"
-            )
+    if not fits_scaled(tail, e0, fmt.p, fmt):
+        raise UnderflowError(
+            f"fast2mult error term of {a!r}*{b!r} is not representable"
+        )
     low, exact = fma(a, b, -h, ties, counter)
     if not exact:
         raise UnderflowError(f"fast2mult error term of {a!r}*{b!r} rounded")

@@ -26,6 +26,7 @@ from .reduction import (
     TheoremViolation,
     extract_z,
     first_step,
+    s_within_half,
     second_step,
     xr_in_bounds,
 )
@@ -284,10 +285,11 @@ def _sweep_format(p: int) -> Format:
 def _sweep_space(cfg: CheckConfig, window: int, per_x_r_n: int) -> tuple[Format, list, list]:
     """The format, x values and R values of a small-precision sweep.
 
-    `window` applies when cfg.window is left at 8.  The case space,
-    x values * R values * N values * per_x_r_n, is counted before anything
-    is built and must not exceed EXHAUSTIVE_CAP (ValueError).
+    `window` applies when cfg.window is left at 8; a window or r_step
+    below 1 is refused.  The case space, x values * R values * N values *
+    per_x_r_n, is counted first and must not exceed EXHAUSTIVE_CAP.
     """
+    _check_at_least_1(cfg, "window", "r_step")
     p = cfg.p or 8
     if cfg.window != 8:
         window = cfg.window
@@ -321,13 +323,6 @@ def _sweep_xs(fmt: Format, window: int) -> list[Fpn]:
             out.append(Fpn(1, m, e, fmt))
             out.append(Fpn(-1, m, e, fmt))
     return out
-
-
-def _s_within_half(s_num: int, s_exp: int, n: int) -> bool:
-    """|s_num * 2^s_exp| <= 2^(-N-1), i.e. |s_num| * 2^(s_exp+N+1) <= 1."""
-    a = s_num if s_num >= 0 else -s_num
-    d = s_exp + n + 1
-    return (a << d) <= 1 if d >= 0 else a <= 1 << -d
 
 
 def _x_minus_zc1(x: Fpn, z: Fpn, c1n: int, c1e: int) -> tuple[int, int]:
@@ -376,7 +371,7 @@ def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> Chec
                         ell_seen.add(info.ell)
                         if not 2 <= info.ell <= p - 2:
                             fail["ell"] = info.ell
-                        if not _s_within_half(info.s_num, info.s_exp, n):
+                        if not s_within_half(info.s_num, info.s_exp, n):
                             fail["s"] = str(info.s)
                     if want_first:
                         u, exact = first_step(x, z, cs, cfg.ties)
@@ -442,6 +437,7 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
     result then reports failures without implying sharpness either way.
     """
     _check_values(cfg, "n_values", "q_values")
+    _check_at_least_1(cfg, "r_step")
     p = cfg.p or 8
     fmt = _sweep_format(p)
     rs = _sweep_rs(fmt, cfg.r_step)
@@ -572,9 +568,9 @@ def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
 
 def _run_second_step_case(x: Fpn, cs: ConstantSet, n: int, ties: str) -> dict | None:
     try:
-        z, _ = extract_z(x, cs, n, ties, check=True)
+        z, _ = extract_z(x, cs, n, ties)
         u, exact1 = first_step(x, z, cs, ties)
-        ss = second_step(x, z, u, cs, ties, check=True)
+        ss = second_step(x, z, u, cs, ties)
     except (TheoremViolation, ReductionRangeError) as exc:
         return {"x": x.to_text(), "N": n, "error": str(exc)}
     if not exact1 or not ss.exact or ss.ops != 9:
@@ -600,10 +596,13 @@ def check_thm6(cfg: CheckConfig) -> CheckResult:
     return _check_thm6_exhaustive(cfg)
 
 
-def _check_trials(cfg: CheckConfig) -> None:
-    # a campaign of no trials would pass without running a case
-    if cfg.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
+def _check_at_least_1(cfg: CheckConfig, *names: str) -> None:
+    # no trials, an empty x window or an R stride below 1 would pass
+    # without running a case
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _check_values(cfg: CheckConfig, *names: str) -> None:
@@ -627,8 +626,10 @@ def _run_campaign(fn, tasks: list, jobs: int) -> list:
 
 
 def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
-    _check_trials(cfg)
+    _check_at_least_1(cfg, "trials")
     _check_values(cfg, "n_values", "q_values")
+    if len(cfg.q_values) > 1:
+        raise ValueError(f"randomized thm6 runs one q, got q_values={list(cfg.q_values)}")
     q = cfg.q_values[0]
     tasks = [
         (cfg.constant, cfg.fmt, n, q, cfg.seed + 7919 * idx + n, take, cfg.ties)
@@ -648,6 +649,8 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
 
 def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
     _check_values(cfg, "n_values")
+    if tuple(cfg.q_values) != (2,):
+        raise ValueError(f"exhaustive thm6 runs q=2 only, got q_values={list(cfg.q_values)}")
     # up to 8 C2 multiples per (R, N)
     fmt, xs, rs = _sweep_space(cfg, 10, 8)
     failures = []
@@ -736,7 +739,7 @@ def _eft_chunk(args: tuple) -> tuple[int, list[dict]]:
 
 def check_eft(cfg: CheckConfig) -> CheckResult:
     """Random valid Fast2Sum/Fast2Mult calls recompose exactly."""
-    _check_trials(cfg)
+    _check_at_least_1(cfg, "trials")
     tasks = [(cfg.seed + 104729 * idx, take, cfg.ties) for idx, take in _chunks(cfg.trials)]
     parts = _run_campaign(_eft_chunk, tasks, cfg.jobs)
     cases = sum(p[0] for p in parts)

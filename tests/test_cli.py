@@ -201,6 +201,18 @@ def test_verify_rejects_campaigns_without_trials(capsys):
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_verify_rejects_sweeps_and_q_lists_that_run_nothing_asked_for(capsys):
+    for argv in (
+        ("--theorem", "correct3", "--p", "8", "--r-step", "64", "--window", "0"),
+        ("--theorem", "correct1", "--p", "8", "--r-step=-1"),
+        ("--theorem", "thm6", "--trials", "10", "--q", "2,3"),
+        ("--theorem", "thm6", "--exhaustive", "--p", "8", "--r-step", "64", "--q", "5"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_successive_main_calls_parse_independently(capsys):
     # the parser is shared between calls; no option may leak into the next
     code, out, _ = run(capsys, "reduce", "--x", "10.0", "--N", "5", "--json")

@@ -49,7 +49,7 @@ def test_audit_passes_for_presets():
     for cname, flabel, cs in preset_sets():
         rep = audit(cs)
         assert rep.passed, (cname, flabel, [c.hypothesis for c in rep.failed_checks()])
-    rep = audit(gen_constants(LN2, QUAD, n=10), n=10)
+    rep = audit(gen_constants(LN2, QUAD, n=10))
     assert rep.passed
 
 

@@ -1,5 +1,6 @@
 """Byte-identity guard: `verify --json` and `reduce --json` output for
-fixed arguments and seeds, pinned by sha256.
+fixed arguments and seeds, plus the `constants --all --audit` text and
+`demo-codywaite --json`, pinned by sha256.
 
 The digests were taken before the kernel's hot path was reworked (trusted
 construction, single-shift rounded ops, lazy z-extraction diagnostics),
@@ -104,7 +105,19 @@ REDUCE = [
         "ff6e0c9f0a1feb49ce04b08ef3027d2cb9db2f79ccf35a25cbd8be1cc242cd92",
     ),
 ]
-CASES = [(name, argv.split(), digest) for name, argv, digest in VERIFY] + REDUCE
+OTHER = [
+    (
+        "constants all audit",
+        "constants --all --audit",
+        "5585e0980976aa973ae82faf0348ae8ffa2db8035691553df42416872d5c3b37",
+    ),
+    (
+        "demo-codywaite",
+        "demo-codywaite --json",
+        "4c175d4c26e026dcde214b9668761efae51bb2b5e065cc60d7333eda1a64eaa4",
+    ),
+]
+CASES = [(name, argv.split(), digest) for name, argv, digest in VERIFY + OTHER] + REDUCE
 
 
 @pytest.mark.parametrize("argv, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

@@ -19,7 +19,7 @@ from argred.softfp import (
     ulp,
 )
 from argred.realnum import LN2, PI, Constant
-from argred.constgen import gen_constants, synthetic_set
+from argred.constgen import HypothesisViolation, gen_constants, synthetic_set
 import argred.reduction as reduction
 from argred.reduction import (
     ReductionRangeError,
@@ -98,13 +98,14 @@ def test_extract_z_s_is_exact(constant):
 def test_extract_z_s_violation_reports_the_fraction(monkeypatch):
     # a shift constant for the 2^0 grid under N = 1 leaves |s| up to 1/2,
     # above the 2^-2 the theorem allows
+    cs = gen_constants(PI, DOUBLE, n=1)
     x = Fpn.from_int(11, DOUBLE)
-    z0, _ = extract_z(x, CS_PI, n=0)
-    s = x.value * CS_PI.r.value - z0.value
+    z0, _ = extract_z(x, cs, n=0)
+    s = x.value * cs.r.value - z0.value
     assert abs(s) > Fraction(1, 4)
     monkeypatch.setattr(reduction, "sigma_for", lambda fmt, n: Fpn(1, 3, fmt.p - 2, fmt))
     with pytest.raises(TheoremViolation) as exc:
-        extract_z(x, CS_PI, n=1)
+        extract_z(x, cs)
     assert f"|x*R - z| = {abs(s)} > 2^-(N+1)" in str(exc.value)
 
 
@@ -124,10 +125,35 @@ def test_extract_z_small_arguments():
 
 def test_extract_z_respects_n():
     # N = 3: z lands on the 2^-3 grid
-    z, info = extract_z(Fpn.from_int(10, DOUBLE), CS_PI, n=3)
+    cs = gen_constants(PI, DOUBLE, n=3)
+    z, info = extract_z(Fpn.from_int(10, DOUBLE), cs)
     assert info.k == z.value * 8
     assert abs(info.s) <= Fraction(1, 16)
-    assert abs(z.value - 10 * CS_PI.r.value) <= Fraction(1, 16)
+    assert abs(z.value - 10 * cs.r.value) <= Fraction(1, 16)
+
+
+def test_extract_z_refuses_an_n_the_set_does_not_cover():
+    # a set covers every N up to its own; above it, the N-dependent
+    # hypotheses are checked at the requested N
+    x = Fpn.from_int(10, DOUBLE)
+    cs3 = gen_constants(PI, DOUBLE, n=3)
+    for n in (0, 1, 3):
+        extract_z(x, cs3, n)
+    # N = 1000: C1 ~ pi is below 2^(p+max(-1,p+N-2)) * lambda, so the
+    # second step would underflow (a raw UnderflowError from fast2mult)
+    with pytest.raises(HypothesisViolation, match=r"N=1000 is above the set's N=0.*second step"):
+        extract_z(x, CS_PI, 1000)
+    # 2^-N below the quantum
+    with pytest.raises(HypothesisViolation, match=r"N=1075 is above the set's N=3.*2\^-N is a FPN"):
+        extract_z(x, cs3, 1075)
+    # the rule gen_constants applies: the largest N it accepts (971 for
+    # pi at double) is the largest extract_z accepts above the set's own
+    gen_constants(PI, DOUBLE, n=971)
+    extract_z(Fpn.zero(DOUBLE), CS_PI, 971)
+    with pytest.raises(HypothesisViolation):
+        gen_constants(PI, DOUBLE, n=972)
+    with pytest.raises(HypothesisViolation):
+        extract_z(Fpn.zero(DOUBLE), CS_PI, 972)
 
 
 def test_extract_z_negative_symmetric():
@@ -224,14 +250,15 @@ def test_boundary_x_near_half_quantum_times_r():
     # theorem covers this case and the pipeline must stay exact
     from argred.softfp import round_nearest
 
-    for cs in (CS_PI, CS_LN2):
+    for constant in (PI, LN2):
         for n in (0, 1, 4):
+            cs = gen_constants(constant, DOUBLE, n=n)
             center = round_nearest(cs.r.value * Fraction(1, 2 ** (n + 1)), DOUBLE)
             x = center
             for _ in range(40):
                 x = x.next_down()
             for _ in range(80):
-                out = reduce(x, cs, n=n, measure_residual=False)
+                out = reduce(x, cs, measure_residual=False)
                 assert out.exact_first, (cs.c_id, n, x)
                 assert out.exact_second, (cs.c_id, n, x)
                 x = x.next_up()
@@ -239,15 +266,16 @@ def test_boundary_x_near_half_quantum_times_r():
 
 def test_randomized_double_campaign_both_modes():
     rng = random.Random(20240501)
-    for cs in (CS_PI, CS_LN2):
+    for constant in (PI, LN2):
         for n in (0, 5):
+            cs = gen_constants(constant, DOUBLE, n=n)
             for _ in range(4000):
                 m = rng.randrange(1 << 52, 1 << 53)
                 e = rng.randrange(-70, -n - 4)
                 x = Fpn(rng.choice((1, -1)), m, e, DOUBLE)
                 for ties in (TIES_EVEN, TIES_AWAY):
                     try:
-                        out = reduce(x, cs, n=n, ties=ties, measure_residual=False)
+                        out = reduce(x, cs, ties=ties, measure_residual=False)
                     except ReductionRangeError:
                         break
                     assert out.exact_first and out.exact_second, (cs.c_id, n, ties, x)
@@ -263,8 +291,6 @@ def test_single_precision_pipeline():
 def test_first_step_exact_random_r_at_single_and_double():
     # the first-step exactness is generic in R, not a property of pi/ln2:
     # random normal R, random in-range x, exact fma every time
-    from argred.constgen import HypothesisViolation
-
     rng = random.Random(616)
     for fmt, trials in ((SINGLE, 4000), (DOUBLE, 4000)):
         p = fmt.p

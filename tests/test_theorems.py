@@ -229,7 +229,7 @@ def test_sweep_format_is_one_instance_per_p():
 def test_s_bound_is_exact_at_the_half_quantum():
     from fractions import Fraction
 
-    from argred.theorems import _s_within_half
+    from argred.reduction import s_within_half as _s_within_half
 
     for n in (0, 1, 2, 5):
         half = Fraction(1, 2 ** (n + 1))
@@ -266,7 +266,8 @@ def test_x_minus_zc1_is_exact():
 
 def test_correct3_sweep_makes_no_format_comparisons(monkeypatch):
     import argred.reduction as reduction
-    from argred.softfp import Format
+    from argred.constgen import synthetic_set
+    from argred.softfp import Format, Fpn
 
     calls = []
     real_eq = Format.__eq__
@@ -275,10 +276,14 @@ def test_correct3_sweep_makes_no_format_comparisons(monkeypatch):
         calls.append((self, other))
         return real_eq(self, other)
 
-    monkeypatch.setattr(Format, "__eq__", counting_eq)
-    # a fresh sigma memo: an equal Format instance that another caller
-    # stored first would otherwise hand the sweep its own sigma
+    # another caller's equal but separately built Format fills the sigma
+    # memo first; the sweep must still get a sigma of its own format
     monkeypatch.setattr(reduction, "_SIGMA", {})
+    other = Format(p=8, e_min_q=-40, e_max=96)
+    cs = synthetic_set(Fpn(1, 0b10100011, -8, other), n=2)
+    for n in (0, 2):
+        reduction.extract_z(Fpn.from_int(3, other), cs, n)
+    monkeypatch.setattr(Format, "__eq__", counting_eq)
     res = check_correct3(CheckConfig(theorem="correct3", p=8, r_step=64, n_values=(0, 2)))
     assert res.passed and res.cases > 1000
     assert calls == []
@@ -304,6 +309,38 @@ def test_sweeps_refuse_oversized_spaces_before_running(monkeypatch, fields):
         monkeypatch.setattr(theorems, name, never)
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
         run_check(CheckConfig(**fields))
+
+
+SWEEPS = [
+    dict(theorem="thm3"),
+    dict(theorem="correct1"),
+    dict(theorem="correct2"),
+    dict(theorem="correct3"),
+    dict(theorem="thm6", mode="exhaustive"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, bad",
+    [(f, b) for f in SWEEPS for b in (dict(r_step=0), dict(r_step=-1), dict(window=0), dict(window=-3))
+     if not (f["theorem"] == "correct1" and "window" in b)],
+    ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items() if k != "mode"),
+)
+def test_sweeps_refuse_a_window_or_r_step_below_1(fields, bad):
+    # either would enumerate no case and report a pass; correct1 reads
+    # no window (its x values follow from each z)
+    (name, value), = bad.items()
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        run_check(CheckConfig(p=8, **fields, **bad))
+
+
+def test_thm6_refuses_q_values_it_would_ignore():
+    # randomized runs one q; exhaustive runs q = 2 only
+    for mode, q_values in (("randomized", (2, 3)), ("exhaustive", (5,)), ("exhaustive", (2, 3))):
+        with pytest.raises(ValueError, match="q"):
+            run_check(CheckConfig(theorem="thm6", mode=mode, p=8, r_step=64, trials=10, q_values=q_values))
+    res = run_check(CheckConfig(theorem="thm6", mode="randomized", n_values=(0,), q_values=(3,), trials=50))
+    assert res.passed and res.cases == 50
 
 
 def test_thm6_exhaustive_counts_c2_multiples_against_the_cap():
