@@ -47,7 +47,6 @@ from .constgen import (
     AuditReport,
     ConstantSet,
     HypothesisViolation,
-    adjust_r_for_rc1_le_1,
     audit,
     format_table,
     gen_constants,

@@ -3,35 +3,40 @@
 A ConstantSet bundles, for one constant C and one format: R ~ 1/C at
 full precision, C1 ~ 1/R with its last q significand bits zeroed, C2 the
 rounded remainder of C - C1 on the 8*ulp2(C1) grid, and C3 mopping up
-C - C1 - C2.  Every generated set is checked against the exactness
-hypotheses it will be used under; violations raise with the offending
-hypothesis named, and ``audit`` re-evaluates all of them exactly in
-integer arithmetic for reporting.
+C - C1 - C2.  The theorems' hypotheses are stated once, in HYPOTHESES:
+generation raises on the first one a set fails, ``extract_z`` asks the
+N-dependent ones above a set's own N, ``audit`` reports every one, and
+the general-q sweeps ask the first step's rules on C1 of their own C1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .realnum import Constant, round_rational, round_to_int, safe_round
-from .softfp import Format, Fpn, ulp, ulp2
+from .softfp import Format, Fpn
 
 __all__ = [
-    "AdjustResult",
     "AuditReport",
+    "C1_BOUND_Q",
+    "C1_NOT_POW2",
     "ConstantSet",
+    "HYPOTHESES",
+    "Hypothesis",
     "HypothesisCheck",
     "HypothesisViolation",
-    "adjust_r_for_rc1_le_1",
+    "N_DEPENDENT",
+    "RC1_AT_MOST_1",
     "audit",
+    "first_failure",
     "format_label",
     "format_table",
     "gen_constants",
-    "n_hypothesis_failure",
     "recip_ratio",
     "set_to_record",
+    "synthetic_set",
 ]
 
 PRESET_LABELS = {
@@ -101,74 +106,170 @@ def _build_first_terms(r: Fpn, fmt: Format, q: int) -> Fpn:
     return round_rational(num, den, fmt, fmt.p - q)
 
 
-def n_hypothesis_failure(c1: Fpn, n: int) -> str | None:
-    """The first N-dependent generation hypothesis that fails at N, or None.
-    Each bounds N from above, so one that holds at N holds below it."""
-    fmt = c1.fmt
-    p = fmt.p
-    if -n < fmt.e_min_q:
-        return "2^-N is a FPN"
-    top = c1.m.bit_length() - 1 + c1.e - fmt.e_min_q  # C1 >= 2^k*lambda <=> top >= k
-    if top < p + max(-1, n):
-        return "C1 >= 2^(p+max(-1,N)) * lambda (first step)"
-    if top < p + max(-1, p + n - 2):
-        return "C1 >= 2^(p+max(-1,p+N-2)) * lambda (second step)"
+# ---------------------------------------------------------------------------
+# the hypotheses, and generation
+# ---------------------------------------------------------------------------
+
+# where audit applies an entry: the paper states some theorems for q = 2
+# only, and the C - C1 bound also needs a real constant
+ANY_Q, Q2, Q2_REAL = "any q", "q = 2", "q = 2, real C"
+# what generation has built when it asks an entry; BUILT entries state how
+# generation builds R and C1, so only audit asks them
+PARAMS, ON_C1, ON_C2, BUILT = "params", "C1", "C2", "built"
+
+
+class Hypothesis(NamedTuple):
+    """One hypothesis of the paper's theorems, stated once for every caller.
+
+    ``holds(cs, n)`` decides it exactly at N = n from the set's plain
+    values (fmt, q, r, c1, c2; the constant in scope Q2_REAL only).  An
+    entry with ``k`` states C1 >= 2^k(p, N, q) * lambda.  ``detail`` is
+    audit's note, a str.format template over p, n, q, c1 (its text),
+    delta (R*C1 - 1) and bound (k + e_min_q, the bound's exponent).
+    """
+
+    theorem: str                 # the theorem, as audit labels it
+    text: str
+    holds: Callable[[ConstantSet, int], bool]
+    stage: str = PARAMS
+    scope: str = ANY_Q
+    n_dependent: bool = False
+    required: bool = True
+    detail: str = ""
+    k: Optional[Callable[[int, int, int], int]] = None
+
+    def __str__(self) -> str:
+        return f"{self.text} ({self.theorem.replace('-', ' ')})"
+
+
+def _c1_at_least(theorem, text, k, scope=ANY_Q, detail="vs 2^{bound}", n_dependent=True) -> Hypothesis:
+    """The entry C1 >= 2^k * lambda.  lambda = 2^e_min_q, so C1 > 0 meets
+    it exactly when its leading bit is at 2^(k + e_min_q) or above."""
+
+    def holds(cs: ConstantSet, n: int) -> bool:
+        c1 = cs.c1
+        top = c1.m.bit_length() - 1 + c1.e - cs.fmt.e_min_q  # 2^top <= C1 / lambda < 2^(top+1)
+        return c1.sign > 0 and c1.m > 0 and top >= k(cs.fmt.p, n, cs.q)
+
+    return Hypothesis(theorem, text, holds, ON_C1, scope, n_dependent, detail=detail, k=k)
+
+
+def _pow2_minus_n_is_fpn(cs: ConstantSet, n: int) -> bool:
+    return -n >= cs.fmt.e_min_q
+
+
+def _c1_is_nearest(cs: ConstantSet, n: int) -> bool:
+    return cs.c1 == _build_first_terms(cs.r, cs.fmt, cs.q)
+
+
+def _c1_not_pow2(cs: ConstantSet, n: int) -> bool:
+    return not _is_pow2(cs.c1.m)
+
+
+def _c2_within_4_ulp(cs: ConstantSet, n: int) -> bool:
+    # |C2| = m * 2^e against 4 ulp(C1) = 2^k
+    c2, k = cs.c2, cs.c1.e + 2
+    return c2.m << max(c2.e - k, 0) <= 1 << max(k - c2.e, 0)
+
+
+def _c2_on_grid(cs: ConstantSet, n: int) -> bool:
+    # None: generation could not represent C2
+    c2 = cs.c2
+    return c2 is not None and (c2.is_zero() or c2.max_quantum() >= _c2_grid_exp(cs.c1))
+
+
+# The general-q first step's rules on C1, which the general-q sweeps also
+# ask of a C1 rounded under their own tie rule, and the appendix's extra
+# hypothesis R*C1 <= 1.
+C1_NOT_POW2 = Hypothesis("first-step(q)", "C1 is not exactly a power of 2", _c1_not_pow2, ON_C1)
+C1_BOUND_Q = _c1_at_least(
+    "first-step(q)", "C1 >= 2^(p-q+max(1,N-1)) * lambda", lambda p, n, q: p - q + max(1, n - 1),
+    detail="C1={c1} vs 2^{bound}",
+)
+RC1_AT_MOST_1 = Hypothesis(
+    "first-step(RC1<=1)", "R * C1 <= 1", lambda cs, n: cs.rc1_minus_1() <= 0, ON_C1,
+    required=False, detail="R*C1 - 1 = {delta}",
+)
+
+HYPOTHESES = (
+    Hypothesis("z-extraction", "p > 3", lambda cs, n: cs.fmt.p > 3, detail="p={p}"),
+    Hypothesis(
+        "z-extraction", "R is a positive normal p-bit FPN", lambda cs, n: cs.r.sign > 0 and cs.r.is_normal()
+    ),
+    Hypothesis("z-extraction", "2^-N is a FPN", _pow2_minus_n_is_fpn, n_dependent=True, detail="N={n}"),
+    Hypothesis("first-step(q)", "2 <= q < p-1", lambda cs, n: 2 <= cs.q < cs.fmt.p - 1, detail="q={q}"),
+    Hypothesis("first-step(q)", "C1 is nearest(1/R) at p-q bits", _c1_is_nearest, BUILT),
+    C1_NOT_POW2,
+    C1_BOUND_Q,
+    Hypothesis("first-step(q=2)", "C1 is nearest(1/R) at p-2 bits", _c1_is_nearest, BUILT, Q2),
+    Hypothesis("first-step(q=2)", "C1 is not exactly a power of 2", _c1_not_pow2, ON_C1, Q2),
+    _c1_at_least("first-step(q=2)", "C1 >= 2^(p+max(-1,N)) * lambda", lambda p, n, q: p + max(-1, n), Q2),
+    Hypothesis("first-step(q=2)", "2^-N is a FPN", _pow2_minus_n_is_fpn, scope=Q2, n_dependent=True),
+    Hypothesis("second-step", "p > 4", lambda cs, n: cs.fmt.p > 4, scope=Q2),
+    Hypothesis(
+        "second-step", "2^-N is a normal p-bit FPN", lambda cs, n: -n >= cs.fmt.e_min_q + cs.fmt.p - 1,
+        scope=Q2, n_dependent=True, detail="N={n}",
+    ),
+    _c1_at_least(
+        "second-step", "C1 >= 2^(p+max(-1,p+N-2)) * lambda", lambda p, n, q: p + max(-1, p + n - 2), Q2
+    ),
+    Hypothesis("second-step", "C2 is a FPN and an integer multiple of 8 ulp2(C1)", _c2_on_grid, ON_C2, Q2),
+    Hypothesis("second-step", "|C2| <= 4 ulp(C1)", _c2_within_4_ulp, ON_C2, Q2),
+    Hypothesis(
+        "c1-distance", "R is nearest(1/C) at p bits",
+        lambda cs, n: cs.r == safe_round(cs.constant.enclosure(3 * cs.fmt.p).recip(), cs.fmt), BUILT, Q2_REAL,
+    ),
+    _c1_at_least("c1-distance", "C1 >= 2^(p-1) * lambda", lambda p, n, q: p - 1, Q2_REAL, "", False),
+    RC1_AT_MOST_1,
+)
+# Each bounds N from above, so a set built at N covers every N' <= N.
+N_DEPENDENT = tuple(h for h in HYPOTHESES if h.required and h.n_dependent)
+# A generated set serves every step of the pipeline whatever its q, so the
+# q = 2 theorems' entries are required too (audit reports them n/a at
+# q != 2, where the paper does not state them).
+_REQUIRED = {s: tuple(h for h in HYPOTHESES if h.required and h.stage == s) for s in (PARAMS, ON_C1, ON_C2)}
+
+
+def first_failure(cs: ConstantSet, n: int, hypotheses) -> Hypothesis | None:
+    """The first of `hypotheses` that fails for the set at N = n, or None."""
+    for h in hypotheses:
+        if not h.holds(cs, n):
+            return h
     return None
 
 
-def _generate(
-    constant: Optional[Constant],
-    fmt: Format,
-    n: int,
-    q: int,
-    r_override: Fpn | None = None,
-    c2: Fpn | None = None,
-) -> ConstantSet:
-    p = fmt.p
-    if p <= 4:
-        raise HypothesisViolation("p > 4 (second-step theorem)")
-    if not 2 <= q < p - 1:
-        raise HypothesisViolation(f"2 <= q < p-1 fails for q={q}")
+def _require(cs: ConstantSet, stage: str) -> None:
+    h = first_failure(cs, cs.n, _REQUIRED[stage])
+    if h is not None:
+        raise HypothesisViolation(f"{h} fails for N={cs.n}, q={cs.q}")
 
+
+def _generate(
+    constant: Optional[Constant], fmt: Format, n: int, q: int, r: Fpn | None = None, c2: Fpn | None = None
+) -> ConstantSet:
+    # the parameters and R are checked before C1 and C2 are built from them
     enc = None
     if constant is not None:
-        enc = constant.enclosure(3 * p)
-
-    if r_override is not None:
-        r = r_override
-    else:
-        if enc is None:
-            raise ValueError("synthetic sets need an explicit R")
+        enc = constant.enclosure(3 * fmt.p)
         r = safe_round(enc.recip(), fmt)
-    if r.sign < 0 or not r.is_normal():
-        raise HypothesisViolation("R is a positive normal p-bit FPN")
+    _require(ConstantSet(constant, fmt, n, q, r, None, None, None), PARAMS)
 
     c1 = _build_first_terms(r, fmt, q)
-    if _is_pow2(c1.m):
-        raise HypothesisViolation("C1 is not exactly a power of 2")
-    if not c1.is_normal() or c1.m & ((1 << q) - 1):
-        raise HypothesisViolation(f"C1 has its last {q} significand bits at zero")
-
-    why = n_hypothesis_failure(c1, n)
-    if why is not None:
-        raise HypothesisViolation(f"{why} fails for N={n}")
-
     if enc is not None:
         k8 = _c2_grid_exp(c1)
         k2 = round_to_int(enc.shift(c1.value).scale2(-k8))
         try:
             c2 = Fpn.from_fraction(Fraction(k2) * Fraction(2) ** k8, fmt)
-        except (ValueError, OverflowError) as exc:
-            raise HypothesisViolation("C2 is a FPN") from exc
+        except (ValueError, OverflowError):
+            c2 = None  # not a FPN, which the C2 grid entry reports
     elif c2 is None:
         c2 = Fpn.zero(fmt)
-    elif (c2.value / Fraction(2) ** _c2_grid_exp(c1)).denominator != 1:
-        raise HypothesisViolation("C2 is an integer multiple of 8 ulp2(C1)")
-    if abs(c2.value) > 4 * ulp(c1):
-        raise HypothesisViolation("|C2| <= 4 ulp(C1)")
+    cs = ConstantSet(constant, fmt, n, q, r, c1, c2, None)
+    _require(cs, ON_C1)
+    _require(cs, ON_C2)
     # C3 carries p-q significant bits, like C1: that is the only
     # construction that reproduces all published table values.
-    c3 = Fpn.zero(fmt) if enc is None else safe_round(enc.shift(c1.value + c2.value), fmt, p - q)
+    c3 = Fpn.zero(fmt) if enc is None else safe_round(enc.shift(c1.value + c2.value), fmt, fmt.p - q)
 
     return ConstantSet(constant, fmt, n, q, r, c1, c2, c3)
 
@@ -179,17 +280,12 @@ def gen_constants(constant: Constant, fmt: Format, n: int = 0, q: int = 2) -> Co
     R = nearest(1/C) at p bits, C1 = nearest(1/R) at p-q bits, C2 on the
     8*ulp2(C1) grid with integer rounding ties-to-even, C3 = nearest
     (C - C1 - C2) at p bits.  Raises HypothesisViolation naming the
-    failed bullet if the set cannot support the exactness theorems.
+    first entry of HYPOTHESES the set fails.
     """
     return _generate(constant, fmt, n, q)
 
 
-def synthetic_set(
-    r: Fpn,
-    n: int = 0,
-    q: int = 2,
-    c2: Fpn | None = None,
-) -> ConstantSet:
+def synthetic_set(r: Fpn, n: int = 0, q: int = 2, c2: Fpn | None = None) -> ConstantSet:
     """A set with no underlying real constant, for small-precision sweeps.
 
     C1 follows from R; C2 defaults to zero (a multiple of anything) and
@@ -240,144 +336,32 @@ class AuditReport:
 
 
 def audit(cs: ConstantSet) -> AuditReport:
-    """Evaluate every static theorem hypothesis for the set at N = cs.n,
-    exactly.
+    """Evaluate every entry of HYPOTHESES for the set at N = cs.n, exactly.
 
-    Theorems stated for q = 2 (the q=2 first step, the second step, and
-    the C - C1 bound) are marked not applicable when q != 2.  The
-    appendix constraint R*C1 <= 1 is reported but informational: sets
-    that fail it are still valid for the q = 2 theorems.
+    Entries outside their scope (the q = 2 first step, the second step
+    and the C - C1 bound when q != 2; the C - C1 bound for a synthetic
+    set) are reported not applicable and not evaluated.  The appendix
+    constraint R*C1 <= 1 is reported but informational: sets that fail
+    it are still valid for the q = 2 theorems.
     """
-    n = cs.n
-    fmt = cs.fmt
-    p = fmt.p
-    lam = fmt.lam
-    q2 = cs.q == 2
-    checks: list[HypothesisCheck] = []
-
-    def chk(theorem, hypothesis, holds, detail="", applicable=True, required=True):
-        checks.append(HypothesisCheck(theorem, hypothesis, bool(holds), detail, applicable, required))
-
-    r_pos_normal = cs.r.sign > 0 and cs.r.is_normal()
-    c1_expected = _build_first_terms(cs.r, fmt, cs.q)
-    c1_ok = cs.c1 == c1_expected
-    c1_not_pow2 = not _is_pow2(cs.c1.m)
-
-    # z extraction
-    chk("z-extraction", "p > 3", p > 3, f"p={p}")
-    chk("z-extraction", "R is a positive normal p-bit FPN", r_pos_normal)
-    chk("z-extraction", "2^-N is a FPN", -n >= fmt.e_min_q, f"N={n}")
-
-    # first step, general q
-    chk("first-step(q)", "2 <= q < p-1", 2 <= cs.q < p - 1, f"q={cs.q}")
-    chk("first-step(q)", "C1 is nearest(1/R) at p-q bits", c1_ok)
-    chk("first-step(q)", "C1 is not exactly a power of 2", c1_not_pow2)
-    bound1 = Fraction(2) ** (p - cs.q + max(1, n - 1)) * lam
-    chk(
-        "first-step(q)",
-        "C1 >= 2^(p-q+max(1,N-1)) * lambda",
-        cs.c1.value >= bound1,
-        f"C1={cs.c1.to_text()} vs 2^{p - cs.q + max(1, n - 1) + fmt.e_min_q}",
-    )
-
-    # first step, q = 2
-    chk("first-step(q=2)", "C1 is nearest(1/R) at p-2 bits", c1_ok, applicable=q2)
-    chk("first-step(q=2)", "C1 is not exactly a power of 2", c1_not_pow2, applicable=q2)
-    bound3 = Fraction(2) ** (p + max(-1, n)) * lam
-    chk(
-        "first-step(q=2)",
-        "C1 >= 2^(p+max(-1,N)) * lambda",
-        cs.c1.value >= bound3,
-        f"vs 2^{p + max(-1, n) + fmt.e_min_q}",
-        applicable=q2,
-    )
-    chk("first-step(q=2)", "2^-N is a FPN", -n >= fmt.e_min_q, applicable=q2)
-
-    # second step
-    chk("second-step", "p > 4", p > 4, applicable=q2)
-    chk(
-        "second-step",
-        "2^-N is a normal p-bit FPN",
-        -n >= fmt.e_min_q + p - 1,
-        f"N={n}",
-        applicable=q2,
-    )
-    bound6 = Fraction(2) ** (p + max(-1, p + n - 2)) * lam
-    chk(
-        "second-step",
-        "C1 >= 2^(p+max(-1,p+N-2)) * lambda",
-        cs.c1.value >= bound6,
-        f"vs 2^{p + max(-1, p + n - 2) + fmt.e_min_q}",
-        applicable=q2,
-    )
-    grid = Fraction(2) ** _c2_grid_exp(cs.c1)
-    chk(
-        "second-step",
-        "C2 is a FPN and an integer multiple of 8 ulp2(C1)",
-        (cs.c2.value / grid).denominator == 1,
-        applicable=q2,
-    )
-    chk(
-        "second-step",
-        "|C2| <= 4 ulp(C1)",
-        abs(cs.c2.value) <= 4 * ulp(cs.c1),
-        applicable=q2,
-    )
-
-    # C - C1 bound hypotheses (the conclusion is checked by the harness)
-    thm7_app = q2 and cs.constant is not None
-    if thm7_app:
-        enc = cs.constant.enclosure(3 * p)
-        r_from_c = safe_round(enc.recip(), fmt)
-        chk("c1-distance", "R is nearest(1/C) at p bits", cs.r == r_from_c, applicable=True)
-    else:
-        chk("c1-distance", "R is nearest(1/C) at p bits", True, applicable=False)
-    chk(
-        "c1-distance",
-        "C1 >= 2^(p-1) * lambda",
-        cs.c1.value >= Fraction(2) ** (p - 1) * lam,
-        applicable=thm7_app,
-    )
-
-    # appendix add-on, informational
-    rc1 = cs.r.value * cs.c1.value
-    chk(
-        "first-step(RC1<=1)",
-        "R * C1 <= 1",
-        rc1 <= 1,
-        f"R*C1 - 1 = {rc1 - 1}",
-        required=False,
-    )
-
+    fmt, n, q = cs.fmt, cs.n, cs.q
+    in_scope = {ANY_Q: True, Q2: q == 2, Q2_REAL: q == 2 and cs.constant is not None}
+    values = {"p": fmt.p, "n": n, "q": q, "c1": cs.c1.to_text(), "delta": cs.rc1_minus_1()}
+    checks = []
+    for h in HYPOTHESES:
+        applicable = in_scope[h.scope]
+        bound = None if h.k is None else h.k(fmt.p, n, q) + fmt.e_min_q
+        checks.append(
+            HypothesisCheck(
+                h.theorem,
+                h.text,
+                not applicable or h.holds(cs, n),
+                h.detail.format(bound=bound, **values),
+                applicable,
+                h.required,
+            )
+        )
     return AuditReport(tuple(checks))
-
-
-class AdjustResult(NamedTuple):
-    constants: ConstantSet
-    ulps_moved: int
-
-
-def adjust_r_for_rc1_le_1(cs: ConstantSet) -> AdjustResult:
-    """Nudge R by the fewest ulps so that R*C1 <= 1 holds exactly.
-
-    The appendix first-step theorem for general q needs this extra
-    inequality; one-ulp moves of R regenerate C1 (and C2, C3 when a real
-    constant is attached).  Gives up after 8 ulps in either direction.
-    """
-    base_ulp = ulp(cs.r)
-    for k in range(0, 9):
-        for signed in ((k,) if k == 0 else (k, -k)):
-            candidate = cs.r.value + signed * base_ulp
-            if candidate <= 0:
-                continue
-            try:
-                r_new = Fpn.from_fraction(candidate, cs.fmt)
-                trial = _generate(cs.constant, cs.fmt, cs.n, cs.q, r_override=r_new)
-            except (HypothesisViolation, ValueError, OverflowError):
-                continue
-            if trial.r.value * trial.c1.value <= 1:
-                return AdjustResult(trial, signed)
-    raise HypothesisViolation("R * C1 <= 1 not reachable within 8 ulps of R")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .constgen import ConstantSet, HypothesisViolation, n_hypothesis_failure
+from .constgen import N_DEPENDENT, ConstantSet, HypothesisViolation, first_failure
 from .softfp import (
     TIES_EVEN,
     Fpn,
@@ -135,9 +135,9 @@ def extract_z(
     if n is None:
         n = cs.n
     elif n > cs.n:
-        why = n_hypothesis_failure(cs.c1, n)
-        if why is not None:
-            raise HypothesisViolation(f"N={n} is above the set's N={cs.n} and fails {why}")
+        failed = first_failure(cs, n, N_DEPENDENT)
+        if failed is not None:
+            raise HypothesisViolation(f"N={n} is above the set's N={cs.n} and fails {failed}")
     fmt = x.fmt
     r = cs.r
     if not xr_in_bounds(x, r, n):
@@ -216,8 +216,8 @@ def second_step(
 
     Runs  v1 = o(u - z*C2); (p1,p2) = Fast2Mult(z, C2);
     (t1,t2) = Fast2Sum(u, -p1); v2 = o(o(o(t1-v1)+t2)-p2)  and verifies
-    the claimed exactness facts: a rounded last line, or t1 or v1 off the
-    2^(-N-1) * ulp2(C1) grid at N = cs.n, raises TheoremViolation.  u
+    the claimed exactness facts: a rounded last line, or (z != 0) t1 or v1
+    off the 2^(-N-1) * ulp2(C1) grid at N = cs.n, raises TheoremViolation.  u
     comes from first_step, it is not recomputed.  A Fast2Sum precondition
     failure raises TheoremViolation (unreachable for audited constants).
     """
@@ -252,14 +252,16 @@ def second_step(
             "second-step last line rounded: "
             f"x={x.to_text()}, z={z.to_text()}"
         )
-    # proof facts: t1 and v1 sit on the 2^(-N-1) * ulp2(C1) grid
-    fmt = x.fmt
-    g = -cs.n - 1 + max(c1.e - (fmt.p - 1), fmt.e_min_q)
-    for name, val in (("t1", t1), ("v1", v1)):
-        if not val.is_zero() and val.max_quantum() < g:
-            raise TheoremViolation(
-                f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {val.to_text()}"
-            )
+    # proof facts: for z != 0, t1 and v1 sit on the 2^(-N-1) * ulp2(C1)
+    # grid (for z = 0 they are x itself, on x's grid only)
+    if not z.is_zero():
+        fmt = x.fmt
+        g = -cs.n - 1 + max(c1.e - (fmt.p - 1), fmt.e_min_q)
+        for name, val in (("t1", t1), ("v1", v1)):
+            if not val.is_zero() and val.max_quantum() < g:
+                raise TheoremViolation(
+                    f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {val.to_text()}"
+                )
     if counter is not None:
         counter.rounded += ops.rounded
     return SecondStepResult(v1, v2, exact, ops.rounded, last_line_exact)

@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .constgen import ConstantSet, HypothesisViolation, gen_constants, recip_ratio, synthetic_set
+from .constgen import C1_BOUND_Q, C1_NOT_POW2, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
+from .constgen import gen_constants, recip_ratio, synthetic_set
 from .realnum import LN2, PI, round_rational
 from .reduction import (
     ReductionRangeError,
@@ -429,6 +430,14 @@ def _fpns_in_interval(lo: Fraction, hi: Fraction, fmt: Format):
         x = x.next_up()
 
 
+def _general_q_set(r: Fpn, q: int, ties: str) -> ConstantSet | None:
+    """R and C1 = RN(1/R) at p-q bits under `ties`, which the general-q
+    sweeps ask C1_BOUND_Q about at each N; None when C1 fails C1_NOT_POW2."""
+    c1 = round_rational(*recip_ratio(r), r.fmt, r.fmt.p - q, ties)
+    cs = ConstantSet(None, r.fmt, 0, q, r, c1, None, None)
+    return cs if C1_NOT_POW2.holds(cs, 0) else None
+
+
 def check_correct1(cfg: CheckConfig) -> CheckResult:
     """General-q first step with a free z = k*2^-N, k an ell-bit integer,
     q <= ell <= p-1, |x*R - z| <= 2^(-N-1): x - z*C1 is a p-bit FPN.
@@ -448,14 +457,14 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
         if not 1 <= q < p - 1:
             raise ValueError(f"q={q} out of the checkable range")
         for r in rs:
-            c1 = round_rational(*recip_ratio(r), fmt, p - q, cfg.ties)
-            if c1.m & (c1.m - 1) == 0:
+            cs = _general_q_set(r, q, cfg.ties)
+            if cs is None:
                 skipped_r += 1
                 continue
+            c1 = cs.c1
             c1n = c1.sign * c1.m
             for n in cfg.n_values:
-                bound1 = Fraction(2) ** (p - q + max(1, n - 1) + fmt.e_min_q)
-                if c1.value < bound1:
+                if not C1_BOUND_Q.holds(cs, n):
                     skipped_r += 1
                     continue
                 half = Fraction(1, 1 << (n + 1))
@@ -495,16 +504,17 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
     rc1_filtered = 0
     for q in cfg.q_values:
         for r in rs:
-            c1 = round_rational(*recip_ratio(r), fmt, p - q, cfg.ties)
-            if c1.m & (c1.m - 1) == 0:
+            cs = _general_q_set(r, q, cfg.ties)
+            if cs is None:
                 skipped_r += 1
                 continue
-            if r.value * c1.value > 1:
+            if not RC1_AT_MOST_1.holds(cs, 0):
                 rc1_filtered += 1
                 continue
+            c1 = cs.c1
             c1n = c1.sign * c1.m
             for n in cfg.n_values:
-                if c1.value < Fraction(2) ** (p - q + max(1, n - 1) + fmt.e_min_q):
+                if not C1_BOUND_Q.holds(cs, n):
                     skipped_r += 1
                     continue
                 cs_stub = synthetic_set(r, n=n, q=q)

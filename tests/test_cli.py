@@ -8,6 +8,7 @@ import pytest
 from argred.cli import frac_sci, main, parse_decimal, parse_x
 from argred.realnum import round_rational
 from argred.softfp import DOUBLE, Fpn
+from argred.theorems import FORMATS
 
 
 def run(capsys, *argv):
@@ -112,6 +113,22 @@ def test_reduce_zero(capsys):
     code, out, _ = run(capsys, "reduce", "--x", "0")
     assert code == 0
     assert "z  = 0 * 2^-1074" in out
+
+
+@pytest.mark.parametrize("const", ["pi", "ln2"])
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_reduce_leaves_a_tiny_x_unreduced(capsys, const, fmt):
+    # x = 2^(-4p), a normal number at every preset whose quantum lies far
+    # below the second step's 2^(-N-1)*ulp2(C1) grid, which holds t1 and
+    # v1 only when z != 0
+    f = FORMATS[fmt]
+    x = f"{1 << (f.p - 1)} * 2^{1 - 5 * f.p}"
+    code, out, err = run(capsys, "reduce", "--x", x, "--const", const, "--format", fmt, "--json")
+    assert code == 0, err
+    rec = json.loads(out)
+    assert Fpn.from_text(rec["z"], f).is_zero()
+    assert rec["v1"] == x and Fpn.from_text(rec["v2"], f).is_zero()
+    assert rec["exact_first"] is True and rec["exact_second"] is True
 
 
 def test_reduce_ten_json(capsys):

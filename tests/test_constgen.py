@@ -1,6 +1,7 @@
-"""Constant-set generation, audit, and the one-ulp R adjustment."""
+"""Constant-set generation, audit, and the table of hypotheses both read."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,10 +9,11 @@ import pytest
 
 from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, Fpn, Format, ulp, ulp2
 from argred.realnum import LN2, PI
+from argred.reduction import extract_z
 from argred.constgen import (
+    HYPOTHESES,
     ConstantSet,
     HypothesisViolation,
-    adjust_r_for_rc1_le_1,
     audit,
     format_label,
     format_table,
@@ -123,6 +125,13 @@ def test_generation_rejects_underflow_bound():
     with pytest.raises(HypothesisViolation) as err:
         synthetic_set(r, n=2)
     assert "lambda" in str(err.value)
+    # with C1 >= 2^p (R below 2^-p) the second-step bound no longer implies
+    # that 2^-N is normal, which generation requires as audit does
+    deep = Format(p=8, e_min_q=-40, e_max=96)
+    r = Fpn(1, 0b10100011, -19, deep)
+    assert audit(synthetic_set(r, n=33)).passed
+    with pytest.raises(HypothesisViolation, match="2\\^-N is a normal p-bit FPN"):
+        synthetic_set(r, n=34)
 
 
 def test_synthetic_set_and_custom_c2():
@@ -136,24 +145,6 @@ def test_synthetic_set_and_custom_c2():
     assert cs2.c2.value == 3 * grid
     with pytest.raises(HypothesisViolation):
         synthetic_set(r, n=1, c2=Fpn.from_fraction(grid / 2, fmt))
-
-
-def test_adjust_r_for_rc1_le_1():
-    for cname, const in CONSTANTS.items():
-        for flabel, fmt in FORMATS.items():
-            cs = gen_constants(const, fmt)
-            adjusted, moved = adjust_r_for_rc1_le_1(cs)
-            assert adjusted.r.value * adjusted.c1.value <= 1, (cname, flabel)
-            assert abs(moved) <= 8
-            if cs.rc1_minus_1() <= 0:
-                assert moved == 0 and adjusted.r == cs.r
-            else:
-                assert moved != 0
-            # moving R can only invalidate the R = nearest(1/C) hypothesis
-            failed = audit(adjusted).failed_checks()
-            assert all(c.theorem == "c1-distance" for c in failed), (cname, flabel, failed)
-            if moved == 0:
-                assert not failed
 
 
 def test_q3_set_is_valid():
@@ -181,3 +172,67 @@ def test_rendering():
         "C3": "7744522442262976 * 2^-155",
     }
     assert format_label(Format(p=8, e_min_q=-40, e_max=40)) == "p8"
+
+
+def test_bound_entries_agree_with_the_inequality_they_cite():
+    # the Fraction inequality C1 >= 2^k * lambda, k read from the entry's
+    # own text, is the oracle for its integer predicate and its exponent
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cited = re.compile(r"C1 >= 2\^\((.+)\) \* lambda")
+    bounds = [h for h in HYPOTHESES if cited.fullmatch(h.text)]
+    assert len(bounds) == 4 and bounds == [h for h in HYPOTHESES if h.k is not None]
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(
+        p=st.integers(4, 120),
+        e_min_q=st.integers(-20000, -1),
+        n=st.integers(-5, 300),
+        q=st.integers(1, 120),
+        m=st.integers(0, (1 << 120) - 1),
+        sign=st.sampled_from((1, -1)),
+        shift=st.integers(-3, 3),
+    )
+    def agree(p, e_min_q, n, q, m, sign, shift):
+        fmt = Format(p=p, e_min_q=e_min_q, e_max=e_min_q + 40000)
+        for h in bounds:
+            k = eval(cited.fullmatch(h.text).group(1), {"max": max}, {"p": p, "q": q, "N": n})
+            assert h.k(p, n, q) == k
+            # C1 within a few binades of the bound, where the sides can differ
+            c1 = Fpn(sign, m % (1 << p), max(e_min_q, e_min_q + k - (p - 1) + shift), fmt)
+            cs = ConstantSet(None, fmt, n, q, None, c1, None, None)
+            assert h.holds(cs, n) == (c1.value >= Fraction(2) ** k * fmt.lam), (h.text, c1)
+
+    agree()
+
+
+def test_extract_z_refuses_above_the_set_n_exactly_when_generation_does():
+    # extract_z asks the N-dependent entries of a set built at N = 0;
+    # generation at N asks every entry, and the others do not depend on N.
+    # At e_min_q = -24 the largest N a set takes falls inside 0..20 (at
+    # -10 no set passes the second-step bound even at N = 0), and R from
+    # the smallest normal up reaches C1 >= 2^p, where 2^-N normal binds.
+    shallow = Format(p=8, e_min_q=-24, e_max=40)
+    x = Fpn.zero(shallow)
+    seen = set()
+    for e in range(shallow.e_min_q, 33):
+        for m in range(1 << 7, 1 << 8):
+            r = Fpn(1, m, e, shallow)
+            try:
+                base = synthetic_set(r, n=0)
+            except HypothesisViolation:
+                continue
+            for n in range(21):
+                try:
+                    synthetic_set(r, n=n)
+                    built = True
+                except HypothesisViolation:
+                    built = False
+                try:
+                    extract_z(x, base, n)
+                    extracted = True
+                except HypothesisViolation:
+                    extracted = False
+                assert extracted == built, (r, n)
+                seen.add((e, built))
+    assert {built for _, built in seen} == {True, False}
