@@ -113,9 +113,10 @@ def _build_first_terms(r: Fpn, fmt: Format, q: int) -> Fpn:
 # where audit applies an entry: the paper states some theorems for q = 2
 # only, and the C - C1 bound also needs a real constant
 ANY_Q, Q2, Q2_REAL = "any q", "q = 2", "q = 2, real C"
-# what generation has built when it asks an entry; BUILT entries state how
-# generation builds R and C1, so only audit asks them
-PARAMS, ON_C1, ON_C2, BUILT = "params", "C1", "C2", "built"
+# what generation has built when it asks an entry: the parameters and R,
+# or also the terms C1 and C2; BUILT entries state how generation builds R
+# and C1, so only audit asks them
+PARAMS, TERMS, BUILT = "params", "terms", "built"
 
 
 class Hypothesis(NamedTuple):
@@ -151,7 +152,7 @@ def _c1_at_least(theorem, text, k, scope=ANY_Q, detail="vs 2^{bound}", n_depende
         top = c1.m.bit_length() - 1 + c1.e - cs.fmt.e_min_q  # 2^top <= C1 / lambda < 2^(top+1)
         return c1.sign > 0 and c1.m > 0 and top >= k(cs.fmt.p, n, cs.q)
 
-    return Hypothesis(theorem, text, holds, ON_C1, scope, n_dependent, detail=detail, k=k)
+    return Hypothesis(theorem, text, holds, TERMS, scope, n_dependent, detail=detail, k=k)
 
 
 def _pow2_minus_n_is_fpn(cs: ConstantSet, n: int) -> bool:
@@ -181,13 +182,13 @@ def _c2_on_grid(cs: ConstantSet, n: int) -> bool:
 # The general-q first step's rules on C1, which the general-q sweeps also
 # ask of a C1 rounded under their own tie rule, and the appendix's extra
 # hypothesis R*C1 <= 1.
-C1_NOT_POW2 = Hypothesis("first-step(q)", "C1 is not exactly a power of 2", _c1_not_pow2, ON_C1)
+C1_NOT_POW2 = Hypothesis("first-step(q)", "C1 is not exactly a power of 2", _c1_not_pow2, TERMS)
 C1_BOUND_Q = _c1_at_least(
     "first-step(q)", "C1 >= 2^(p-q+max(1,N-1)) * lambda", lambda p, n, q: p - q + max(1, n - 1),
     detail="C1={c1} vs 2^{bound}",
 )
 RC1_AT_MOST_1 = Hypothesis(
-    "first-step(RC1<=1)", "R * C1 <= 1", lambda cs, n: cs.rc1_minus_1() <= 0, ON_C1,
+    "first-step(RC1<=1)", "R * C1 <= 1", lambda cs, n: cs.rc1_minus_1() <= 0, TERMS,
     required=False, detail="R*C1 - 1 = {delta}",
 )
 
@@ -202,7 +203,7 @@ HYPOTHESES = (
     C1_NOT_POW2,
     C1_BOUND_Q,
     Hypothesis("first-step(q=2)", "C1 is nearest(1/R) at p-2 bits", _c1_is_nearest, BUILT, Q2),
-    Hypothesis("first-step(q=2)", "C1 is not exactly a power of 2", _c1_not_pow2, ON_C1, Q2),
+    Hypothesis("first-step(q=2)", "C1 is not exactly a power of 2", _c1_not_pow2, TERMS, Q2),
     _c1_at_least("first-step(q=2)", "C1 >= 2^(p+max(-1,N)) * lambda", lambda p, n, q: p + max(-1, n), Q2),
     Hypothesis("first-step(q=2)", "2^-N is a FPN", _pow2_minus_n_is_fpn, scope=Q2, n_dependent=True),
     Hypothesis("second-step", "p > 4", lambda cs, n: cs.fmt.p > 4, scope=Q2),
@@ -213,8 +214,8 @@ HYPOTHESES = (
     _c1_at_least(
         "second-step", "C1 >= 2^(p+max(-1,p+N-2)) * lambda", lambda p, n, q: p + max(-1, p + n - 2), Q2
     ),
-    Hypothesis("second-step", "C2 is a FPN and an integer multiple of 8 ulp2(C1)", _c2_on_grid, ON_C2, Q2),
-    Hypothesis("second-step", "|C2| <= 4 ulp(C1)", _c2_within_4_ulp, ON_C2, Q2),
+    Hypothesis("second-step", "C2 is a FPN and an integer multiple of 8 ulp2(C1)", _c2_on_grid, TERMS, Q2),
+    Hypothesis("second-step", "|C2| <= 4 ulp(C1)", _c2_within_4_ulp, TERMS, Q2),
     Hypothesis(
         "c1-distance", "R is nearest(1/C) at p bits",
         lambda cs, n: cs.r == safe_round(cs.constant.enclosure(3 * cs.fmt.p).recip(), cs.fmt), BUILT, Q2_REAL,
@@ -227,15 +228,12 @@ N_DEPENDENT = tuple(h for h in HYPOTHESES if h.required and h.n_dependent)
 # A generated set serves every step of the pipeline whatever its q, so the
 # q = 2 theorems' entries are required too (audit reports them n/a at
 # q != 2, where the paper does not state them).
-_REQUIRED = {s: tuple(h for h in HYPOTHESES if h.required and h.stage == s) for s in (PARAMS, ON_C1, ON_C2)}
+_REQUIRED = {s: tuple(h for h in HYPOTHESES if h.required and h.stage == s) for s in (PARAMS, TERMS)}
 
 
 def first_failure(cs: ConstantSet, n: int, hypotheses) -> Hypothesis | None:
     """The first of `hypotheses` that fails for the set at N = n, or None."""
-    for h in hypotheses:
-        if not h.holds(cs, n):
-            return h
-    return None
+    return next((h for h in hypotheses if not h.holds(cs, n)), None)
 
 
 def _require(cs: ConstantSet, stage: str) -> None:
@@ -264,9 +262,7 @@ def _generate(
             c2 = None  # not a FPN, which the C2 grid entry reports
     elif c2 is None:
         c2 = Fpn.zero(fmt)
-    cs = ConstantSet(constant, fmt, n, q, r, c1, c2, None)
-    _require(cs, ON_C1)
-    _require(cs, ON_C2)
+    _require(ConstantSet(constant, fmt, n, q, r, c1, c2, None), TERMS)
     # C3 carries p-q significant bits, like C1: that is the only
     # construction that reproduces all published table values.
     c3 = Fpn.zero(fmt) if enc is None else safe_round(enc.shift(c1.value + c2.value), fmt, fmt.p - q)
