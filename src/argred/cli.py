@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int, default=None)
     v.add_argument("--p1", type=int, default=None)
     v.add_argument("--p2", type=int, default=None)
-    v.add_argument("--window", type=int, default=8)
+    v.add_argument("--window", type=int, default=None, help="binades (default: the check's own)")
     v.add_argument("--N", default=None, help="comma-separated list")
     v.add_argument("--q", default=None, help="comma-separated list")
     v.add_argument("--exhaustive", action="store_true")

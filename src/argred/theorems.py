@@ -16,7 +16,7 @@ import functools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
@@ -100,7 +100,7 @@ class CheckConfig:
     p: int | None = None
     p1: int | None = None
     p2: int | None = None
-    window: int = 8                      # binades of enumerated values
+    window: int | None = None            # binades of enumerated values; None: the check's own
     n_values: tuple[int, ...] = (0, 1, 2)
     q_values: tuple[int, ...] = (2,)
     mode: str = "exhaustive"
@@ -190,6 +190,7 @@ def check_sterbenz(cfg: CheckConfig) -> CheckResult:
     In radix 2 at p >= 4 each condition pair is also subtracted by the
     kernel under cfg.ties, which must be exact and equal to x - y.
     """
+    cfg = _own_window(cfg, 8)
     beta, p, window = cfg.beta, cfg.p or 5, cfg.window
     if beta < 2 or p < 2:
         raise ValueError("need beta >= 2 and p >= 2")
@@ -235,6 +236,7 @@ def check_sterbenz_approx2(cfg: CheckConfig) -> CheckResult:
     condition pair's x - y to p2 bits under cfg.ties, which must give
     x - y back.
     """
+    cfg = _own_window(cfg, 8)
     beta, p1, p2, window = cfg.beta, cfg.p1 or 5, cfg.p2 or 3, cfg.window
     if beta < 2 or p1 < 2 or p2 < 2:
         raise ValueError("need beta >= 2 and p1, p2 >= 2")
@@ -268,6 +270,11 @@ def check_sterbenz_approx2(cfg: CheckConfig) -> CheckResult:
     return CheckResult("sterbenz2", cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
+def _own_window(cfg: CheckConfig, window: int) -> CheckConfig:
+    """cfg with `window`, the check's own, when it names none."""
+    return replace(cfg, window=window) if cfg.window is None else cfg
+
+
 def sorted_failures(failures: list[dict]) -> list[dict]:
     return sorted(failures, key=lambda f: repr(sorted(f.items())))
 
@@ -283,24 +290,21 @@ def _sweep_format(p: int) -> Format:
     return Format(p=p, e_min_q=-5 * p, e_max=12 * p)
 
 
-def _sweep_space(cfg: CheckConfig, window: int, per_x_r_n: int) -> tuple[Format, list, list]:
+def _sweep_space(cfg: CheckConfig, per_x_r_n: int) -> tuple[Format, list, list]:
     """The format, x values and R values of a small-precision sweep.
 
-    `window` applies when cfg.window is left at 8; a window or r_step
-    below 1 is refused.  The case space, x values * R values * N values *
-    per_x_r_n, is counted first and must not exceed EXHAUSTIVE_CAP.
-    """
+    A window or r_step below 1 is refused.  The case space, x values * R
+    values * N values * per_x_r_n, is counted first and must not exceed
+    EXHAUSTIVE_CAP."""
     _check_at_least_1(cfg, "window", "r_step")
     p = cfg.p or 8
-    if cfg.window != 8:
-        window = cfg.window
     half = 1 << (p - 1)
     r_values = 2 * len(range(half, 2 * half, cfg.r_step))
-    space = 2 * window * half * r_values * len(cfg.n_values) * per_x_r_n
+    space = 2 * cfg.window * half * r_values * len(cfg.n_values) * per_x_r_n
     if space > EXHAUSTIVE_CAP:
         raise ValueError(f"case space {space} exceeds the exhaustive cap")
     fmt = _sweep_format(p)
-    return fmt, _sweep_xs(fmt, window), _sweep_rs(fmt, cfg.r_step)
+    return fmt, _sweep_xs(fmt, cfg.window), _sweep_rs(fmt, cfg.r_step)
 
 
 def _sweep_rs(fmt: Format, step: int) -> list[Fpn]:
@@ -338,7 +342,8 @@ def _x_minus_zc1(x: Fpn, z: Fpn, c1n: int, c1e: int) -> tuple[int, int]:
 
 def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> CheckResult:
     _check_values(cfg, "n_values", "q_values")
-    fmt, xs, rs = _sweep_space(cfg, 12, len(cfg.q_values))
+    cfg = _own_window(cfg, 12)
+    fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
     p = fmt.p
     failures = []
     cases = 0
@@ -496,7 +501,8 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
     """Appendix variant: general q with R*C1 <= 1, z from the extraction
     algorithm; x - z*C1 is a p-bit FPN for every in-range x."""
     _check_values(cfg, "n_values", "q_values")
-    fmt, xs, rs = _sweep_space(cfg, 12, len(cfg.q_values))
+    cfg = _own_window(cfg, 12)
+    fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
     p = fmt.p
     failures = []
     cases = 0
@@ -662,7 +668,8 @@ def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
     if tuple(cfg.q_values) != (2,):
         raise ValueError(f"exhaustive thm6 runs q=2 only, got q_values={list(cfg.q_values)}")
     # up to 8 C2 multiples per (R, N)
-    fmt, xs, rs = _sweep_space(cfg, 10, 8)
+    cfg = _own_window(cfg, 10)
+    fmt, xs, rs = _sweep_space(cfg, 8)
     failures = []
     cases = 0
     skipped = 0

@@ -242,6 +242,27 @@ def test_successive_main_calls_parse_independently(capsys):
     assert code == 0 and json.loads(out)["N"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, window, x_values",
+    [
+        (["--theorem", "correct3", "--p", "8", "--r-step", "64", "--window", "8"], 8, 2048),
+        (["--theorem", "correct3", "--p", "8", "--r-step", "64"], 12, 3072),
+        (["--theorem", "thm3", "--p", "8", "--r-step", "128", "--N", "0", "--window", "2"], 2, 512),
+        (["--theorem", "thm6", "--exhaustive", "--p", "8", "--r-step", "128", "--N", "0"], 10, None),
+        (["--theorem", "sterbenz", "--p", "4"], 8, None),
+        (["--theorem", "correct1", "--p", "8", "--r-step", "128", "--N", "0"], None, None),
+    ],
+)
+def test_verify_records_the_window_that_ran(capsys, argv, window, x_values):
+    # a check given no --window runs and records its own; one that reads
+    # no window records none
+    code, out, _ = run(capsys, "verify", *argv, "--json")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["config"]["window"] == window
+    assert rec["stats"].get("x_values") == x_values
+
+
 def test_verify_jobs_default_follows_environment(monkeypatch, capsys):
     # the shared parser must not freeze ARGRED_JOBS at its first use
     import argred.cli as cli

@@ -349,7 +349,7 @@ def test_thm6_exhaustive_counts_c2_multiples_against_the_cap():
     # p=9, 20 binades: 10 240 x values * 512 R values * 3 N values is
     # 1.57e7 triples, under the cap once but not with 8 C2 multiples each
     cfg = CheckConfig(theorem="thm6", mode="exhaustive", p=9, window=20)
-    fmt, xs, rs = _sweep_space(cfg, 10, 1)
+    fmt, xs, rs = _sweep_space(cfg, 1)
     assert len(xs) * len(rs) * 3 <= EXHAUSTIVE_CAP < len(xs) * len(rs) * 3 * 8
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
-        _sweep_space(cfg, 10, 8)
+        _sweep_space(cfg, 8)
