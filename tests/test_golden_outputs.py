@@ -63,6 +63,16 @@ VERIFY = [
         "verify --theorem correct1 --p 8 --r-step 16 --N 0,1 --json",
         "a28e938c72c221025006db2d35b6e763f6b05bcb77305b7f593dd0cb5f10789b",
     ),
+    (
+        "sterbenz beta=3 p=3",
+        "verify --theorem sterbenz --beta 3 --p 3 --json",
+        "dca632fb798dee7ff96892b4cf5e6605c1fea5098618dce2dee1d686da803870",
+    ),
+    (
+        "sterbenz2 p1=6 p2=3",
+        "verify --theorem sterbenz2 --beta 2 --p1 6 --p2 3 --json",
+        "e108310ff857476e5a7afedbf68620c877572e4bc2d599b647dde0f0f6348068",
+    ),
 ]
 
 REDUCE_X = ("10", "-3.25", "1e5", "123456789 * 2^-20")
