@@ -182,75 +182,43 @@ def _kernel_format(beta: int, p: int, window: int) -> Format | None:
 
 
 def check_sterbenz(cfg: CheckConfig) -> CheckResult:
-    """y/2 <= x <= 2y implies x - y fits p radix-beta digits.
-
-    Case space: all ordered pairs over the positive window values plus
-    zero; pairs violating the condition are vacuous.  The condition
-    forces x, y >= 0, so negative pairs add nothing (mirror symmetry).
-    In radix 2 at p >= 4 each condition pair is also subtracted by the
-    kernel under cfg.ties, which must be exact and equal to x - y.
-    """
-    cfg = _own_window(cfg, 8)
-    beta, p, window = cfg.beta, cfg.p or 5, cfg.window
-    if beta < 2 or p < 2:
-        raise ValueError("need beta >= 2 and p >= 2")
-    vals = [0] + _radix_values(beta, p, window)
-    total = len(vals) ** 2
-    if total > EXHAUSTIVE_CAP:
-        raise ValueError(f"case space {total} exceeds the exhaustive cap")
-    fmt = _kernel_format(beta, p, window)
-    fpns = {v: Fpn(1, v, 0, fmt) for v in vals} if fmt else None
-    failures = []
-    tested = 0
-    kernel_pairs = 0
-    cases = 0
-    for y in vals:
-        y2 = 2 * y
-        for x in vals:
-            cases += 1
-            if y <= 2 * x and x <= y2:
-                tested += 1
-                ok = _strippable_to_digits(x - y, beta, p)
-                if fpns is not None:
-                    kernel_pairs += 1
-                    d, exact = sub(fpns[x], fpns[y], cfg.ties)
-                    ok = ok and exact and d.value == x - y
-                if not ok:
-                    failures.append({"x": x, "y": y, "beta": beta, "p": p})
-    expected = ((beta**p - beta ** (p - 1)) * window + beta ** (p - 1) - 1 + 1) ** 2
-    stats = {
-        "condition_pairs": tested,
-        "kernel_pairs": kernel_pairs,
-        "values": len(vals),
-        "closed_form_cases": expected,
-    }
-    assert cases == expected
-    return CheckResult("sterbenz", cfg.to_dict(), cases, sorted_failures(failures), stats)
+    """y/2 <= x <= 2y implies x - y fits p radix-beta digits: Sterbenz's
+    lemma, the p1 = p2 = p case of check_sterbenz_approx2."""
+    p = cfg.p or 5
+    return _subtraction_sweep(cfg, "sterbenz", p, p, {"p": p})
 
 
 def check_sterbenz_approx2(cfg: CheckConfig) -> CheckResult:
     """y/(1+beta^(p2-p1)) <= x <= (1+beta^(p2-p1)) y implies x - y fits
-    p2 digits, for p1-digit inputs; p1 and p2 are not ordered.
+    p2 digits, for p1-digit inputs; p1 and p2 are not ordered."""
+    p1, p2 = cfg.p1 or 5, cfg.p2 or 3
+    return _subtraction_sweep(cfg, "sterbenz2", p1, p2, {"p1": p1, "p2": p2})
 
-    In radix 2 with max(p1, p2) >= 4 the kernel also rounds each
-    condition pair's x - y to p2 bits under cfg.ties, which must give
-    x - y back.
+
+def _subtraction_sweep(cfg: CheckConfig, name: str, p_in: int, p_out: int, labels: dict) -> CheckResult:
+    """The lemma over all ordered pairs of the p_in-digit window values
+    plus zero; pairs violating the condition are vacuous.  The condition
+    forces x, y >= 0, so negative pairs add nothing (mirror symmetry).
+
+    In radix 2 with max(p_in, p_out) >= 4 each condition pair is also
+    subtracted by the kernel under cfg.ties, which must be exact and equal
+    to x - y, and x - y rounded to p_out bits must give x - y back.
     """
     cfg = _own_window(cfg, 8)
-    beta, p1, p2, window = cfg.beta, cfg.p1 or 5, cfg.p2 or 3, cfg.window
-    if beta < 2 or p1 < 2 or p2 < 2:
-        raise ValueError("need beta >= 2 and p1, p2 >= 2")
-    vals = [0] + _radix_values(beta, p1, window)
+    beta, window = cfg.beta, cfg.window
+    if beta < 2 or p_in < 2 or p_out < 2:
+        raise ValueError(f"need beta >= 2 and {', '.join(labels)} >= 2")
+    vals = [0] + _radix_values(beta, p_in, window)
     total = len(vals) ** 2
     if total > EXHAUSTIVE_CAP:
         raise ValueError(f"case space {total} exceeds the exhaustive cap")
-    # condition scaled by beta^p1: y*b1 <= x*(b1+b2) and x*b1 <= y*(b1+b2)
-    b1 = beta**p1
-    b12 = b1 + beta**p2
-    fmt = _kernel_format(beta, max(p1, p2), window)
+    # condition scaled by beta^p_in: y*b1 <= x*(b1+b2) and x*b1 <= y*(b1+b2)
+    b1 = beta**p_in
+    b12 = b1 + beta**p_out
+    fmt = _kernel_format(beta, max(p_in, p_out), window)
+    fpns = {v: Fpn(1, v, 0, fmt) for v in vals} if fmt else None
     failures = []
     tested = 0
-    kernel_pairs = 0
     cases = 0
     for y in vals:
         yb1 = y * b1
@@ -259,15 +227,22 @@ def check_sterbenz_approx2(cfg: CheckConfig) -> CheckResult:
             cases += 1
             if yb1 <= x * b12 and x * b1 <= yb12:
                 tested += 1
-                ok = _strippable_to_digits(x - y, beta, p2)
-                if fmt is not None:
-                    kernel_pairs += 1
-                    d = round_nearest(x - y, fmt, target_p=p2, ties=cfg.ties)
-                    ok = ok and d.value == x - y
+                ok = _strippable_to_digits(x - y, beta, p_out)
+                if fpns is not None:
+                    d, exact = sub(fpns[x], fpns[y], cfg.ties)
+                    back = round_nearest(x - y, fmt, target_p=p_out, ties=cfg.ties)
+                    ok = ok and exact and d.value == x - y == back.value
                 if not ok:
-                    failures.append({"x": x, "y": y, "beta": beta, "p1": p1, "p2": p2})
-    stats = {"condition_pairs": tested, "kernel_pairs": kernel_pairs, "values": len(vals)}
-    return CheckResult("sterbenz2", cfg.to_dict(), cases, sorted_failures(failures), stats)
+                    failures.append({"x": x, "y": y, "beta": beta, **labels})
+    closed_form = ((beta**p_in - beta ** (p_in - 1)) * window + beta ** (p_in - 1)) ** 2
+    assert cases == closed_form
+    stats = {
+        "condition_pairs": tested,
+        "kernel_pairs": tested if fpns is not None else 0,
+        "values": len(vals),
+        "closed_form_cases": closed_form,
+    }
+    return CheckResult(name, cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
 def _own_window(cfg: CheckConfig, window: int) -> CheckConfig:

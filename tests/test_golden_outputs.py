@@ -11,7 +11,10 @@ re-pins the affected digests and says why.  The seven `verify` digests
 other than exhaustive thm6 were re-pinned when the config started to
 record the window a check ran (the sweeps' own 12, or null for a check
 that reads none) instead of the unread default 8; cases, failures and
-stats stayed byte-identical.  Runs in-process, in a few seconds.
+stats stayed byte-identical.  The sterbenz2 digest was re-pinned when
+one subtraction sweep took over both Sterbenz checks: its stats gained
+`closed_form_cases`, which sterbenz already reported.  Runs in-process,
+in a few seconds.
 """
 
 import hashlib
@@ -71,7 +74,7 @@ VERIFY = [
     (
         "sterbenz2 p1=6 p2=3",
         "verify --theorem sterbenz2 --beta 2 --p1 6 --p2 3 --json",
-        "e108310ff857476e5a7afedbf68620c877572e4bc2d599b647dde0f0f6348068",
+        "0ab3752ac7154d8f5ee4d64cd46fefb8ff560ea38cfedb6915a7fc3c7cba6bb3",
     ),
 ]
 
