@@ -21,10 +21,9 @@ from pathlib import Path
 from .constgen import HypothesisViolation, audit, format_table, gen_constants, set_to_record
 from .realnum import AmbiguousRoundingError, Constant, RealEnclosure, round_rational
 from .reduction import ReductionRangeError, reduce
-from .softfp import TIES_AWAY, TIES_EVEN, Format, Fpn
+from .softfp import FORMATS, TIES_AWAY, TIES_EVEN, Format, Fpn
 from .theorems import (
     _CHECKS,
-    FORMATS,
     NAMED_CONSTANTS,
     CheckConfig,
     default_jobs,
@@ -175,34 +174,41 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         print(f"range error: {exc}", file=sys.stderr)
         print("the admissible bound is |x*R| <= 2^(p-N-2) - 2^-N", file=sys.stderr)
         return 1
-    record = {
-        "x": x.to_text(),
-        "constant": constant.name,
-        "N": args.N,
-        "q": args.q,
-        "z": out.z.to_text(),
-        "u": out.u.to_text(),
-        "v1": out.v1.to_text(),
-        "v2": out.v2.to_text(),
-        "w": out.w.to_text(),
-        "ell": out.ell,
-        "s": str(out.s),
-        "exact_first": out.exact_first,
-        "exact_second": out.exact_second,
-        "rounding_ops_second": out.rounding_ops_second,
-        "residual_hi": str(out.residual_hi) if out.residual_hi is not None else None,
-    }
-    if args.json:
-        _emit_json(record)
-        return 0
-    print(f"x  = {record['x']}")
-    print(f"z  = {record['z']}   (ell={out.ell}, s={frac_sci(out.s)})")
-    print(f"u  = {record['u']}   exact={out.exact_first}")
-    print(f"v1 = {record['v1']}")
-    print(f"v2 = {record['v2']}   exact v1+v2={out.exact_second}, ops={out.rounding_ops_second}")
-    print(f"w  = {record['w']}")
-    if out.residual_hi is not None:
-        print(f"|v1 + w - (x - z*C)| in [{frac_sci(out.residual_lo)}, {frac_sci(out.residual_hi)}]")
+    # near the underflow threshold s and the residual carry thousands of
+    # decimal digits, above the interpreter's default limit for str(int)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        record = {
+            "x": x.to_text(),
+            "constant": constant.name,
+            "N": args.N,
+            "q": args.q,
+            "z": out.z.to_text(),
+            "u": out.u.to_text(),
+            "v1": out.v1.to_text(),
+            "v2": out.v2.to_text(),
+            "w": out.w.to_text(),
+            "ell": out.ell,
+            "s": str(out.s),
+            "exact_first": out.exact_first,
+            "exact_second": out.exact_second,
+            "rounding_ops_second": out.rounding_ops_second,
+            "residual_hi": str(out.residual_hi) if out.residual_hi is not None else None,
+        }
+        if args.json:
+            _emit_json(record)
+            return 0
+        print(f"x  = {record['x']}")
+        print(f"z  = {record['z']}   (ell={out.ell}, s={frac_sci(out.s)})")
+        print(f"u  = {record['u']}   exact={out.exact_first}")
+        print(f"v1 = {record['v1']}")
+        print(f"v2 = {record['v2']}   exact v1+v2={out.exact_second}, ops={out.rounding_ops_second}")
+        print(f"w  = {record['w']}")
+        if out.residual_hi is not None:
+            print(f"|v1 + w - (x - z*C)| in [{frac_sci(out.residual_lo)}, {frac_sci(out.residual_hi)}]")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

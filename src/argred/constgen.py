@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .realnum import Constant, round_rational, round_to_int, safe_round
-from .softfp import Format, Fpn
+from .softfp import FORMATS, Format, Fpn
 
 __all__ = [
     "AuditReport",
@@ -39,16 +39,10 @@ __all__ = [
     "synthetic_set",
 ]
 
-PRESET_LABELS = {
-    (24, -149): "single",
-    (53, -1074): "double",
-    (64, -16445): "double-extended",
-    (113, -16494): "quad",
-}
-
-
 def format_label(fmt: Format) -> str:
-    return PRESET_LABELS.get((fmt.p, fmt.e_min_q), f"p{fmt.p}")
+    """The name of the preset with fmt's p and e_min_q, else p<p>."""
+    key = (fmt.p, fmt.e_min_q)
+    return next((label for label, f in FORMATS.items() if (f.p, f.e_min_q) == key), f"p{fmt.p}")
 
 
 class HypothesisViolation(ValueError):

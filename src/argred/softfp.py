@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 __all__ = [
+    "FORMATS",
     "Format",
     "Fpn",
     "OpCounter",
@@ -101,6 +102,8 @@ SINGLE = Format(p=24, e_min_q=-149, e_max=127)
 DOUBLE = Format(p=53, e_min_q=-1074, e_max=1023)
 DOUBLE_EXTENDED = Format(p=64, e_min_q=-16445, e_max=16383)
 QUAD = Format(p=113, e_min_q=-16494, e_max=16383)
+# the presets by name, for the CLI, the harness and the constant tables
+FORMATS = {"single": SINGLE, "double": DOUBLE, "double-extended": DOUBLE_EXTENDED, "quad": QUAD}
 
 
 def _pow2(k: int) -> Fraction:
@@ -619,18 +622,12 @@ def fast2mult(
 ) -> tuple[Fpn, Fpn]:
     """Rounded product and its exact error, 2 flops.
 
-    Raises UnderflowError when the error term is not representable
-    (its quantum falls below 2**e_min_q).
+    The fma computing a*b - h is exact exactly when that error fits p bits
+    at or above 2**e_min_q, so an inexact fma raises UnderflowError (the
+    error's quantum fell below 2**e_min_q).
     """
-    fmt = a.fmt
     h, _ = mul(a, b, ties, counter)  # raises on a format mismatch
-    e0 = min(a.e + b.e, h.e)
-    tail = (a.sign * b.sign * a.m * b.m << (a.e + b.e - e0)) - (h.sign * h.m << (h.e - e0))
-    if not fits_scaled(tail, e0, fmt.p, fmt):
-        raise UnderflowError(
-            f"fast2mult error term of {a!r}*{b!r} is not representable"
-        )
     low, exact = fma(a, b, -h, ties, counter)
     if not exact:
-        raise UnderflowError(f"fast2mult error term of {a!r}*{b!r} rounded")
+        raise UnderflowError(f"fast2mult error term of {a!r}*{b!r} is not representable")
     return h, low

@@ -19,23 +19,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
-from .constgen import C1_BOUND_Q, C1_NOT_POW2, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
-from .constgen import gen_constants, recip_ratio, synthetic_set
+from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
+from .constgen import first_failure, gen_constants, recip_ratio, synthetic_set
 from .realnum import LN2, PI, round_rational
 from .reduction import (
     ReductionRangeError,
     TheoremViolation,
     extract_z,
     first_step,
-    s_within_half,
     second_step,
     xr_in_bounds,
 )
 from .softfp import (
     DOUBLE,
-    DOUBLE_EXTENDED,
-    QUAD,
-    SINGLE,
+    FORMATS,
     TIES_EVEN,
     Fpn,
     Format,
@@ -52,7 +49,6 @@ from .softfp import (
 __all__ = [
     "CheckConfig",
     "CheckResult",
-    "FORMATS",
     "NAMED_CONSTANTS",
     "check_correct1",
     "check_correct2",
@@ -68,12 +64,6 @@ __all__ = [
     "run_check",
 ]
 
-FORMATS = {
-    "single": SINGLE,
-    "double": DOUBLE,
-    "double-extended": DOUBLE_EXTENDED,
-    "quad": QUAD,
-}
 NAMED_CONSTANTS = {"pi": PI, "ln2": LN2}
 
 EXHAUSTIVE_CAP = 10**8
@@ -130,7 +120,9 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failure, and at least one case: a check that ran none
+        showed nothing."""
+        return self.cases > 0 and not self.failures
 
     def to_record(self) -> dict:
         return {
@@ -315,7 +307,7 @@ def _x_minus_zc1(x: Fpn, z: Fpn, c1n: int, c1e: int) -> tuple[int, int]:
     return xn - (zn << (ze - x.e)), x.e
 
 
-def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> CheckResult:
+def _pipeline_sweep(cfg: CheckConfig, want_first: bool) -> CheckResult:
     _check_values(cfg, "n_values", "q_values")
     cfg = _own_window(cfg, 12)
     fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
@@ -343,23 +335,23 @@ def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> Chec
                         continue
                     cases += 1
                     fail = {}
-                    z, info = extract_z(x, cs, n, cfg.ties, check=False)
-                    if z.is_zero():
-                        zero_z += 1
-                    elif not info.in_thm_range:
-                        below_thm_range += 1
-                    if want_thm3 and info.in_thm_range:
-                        ell_seen.add(info.ell)
-                        if not 2 <= info.ell <= p - 2:
-                            fail["ell"] = info.ell
-                        if not s_within_half(info.s_num, info.s_exp, n):
-                            fail["s"] = str(info.s)
-                    if want_first:
-                        u, exact = first_step(x, z, cs, cfg.ties)
-                        representable = fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt)
-                        if not exact or not representable:
-                            fail["exact_first"] = exact
-                            fail["representable"] = representable
+                    try:
+                        z, info = extract_z(x, cs, n, cfg.ties)
+                    except TheoremViolation as exc:
+                        fail["error"] = str(exc)
+                    else:
+                        if z.is_zero():
+                            zero_z += 1
+                        elif info.in_thm_range:
+                            ell_seen.add(info.ell)
+                        else:
+                            below_thm_range += 1
+                        if want_first:
+                            u, exact = first_step(x, z, cs, cfg.ties)
+                            representable = fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt)
+                            if not exact or not representable:
+                                fail["exact_first"] = exact
+                                fail["representable"] = representable
                     if fail:
                         fail.update(
                             {"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, "p": p}
@@ -374,20 +366,21 @@ def _pipeline_sweep(cfg: CheckConfig, want_thm3: bool, want_first: bool) -> Chec
         "below_thm_range": below_thm_range,
         "ell_values": sorted(ell_seen),
     }
-    name = "thm3" if want_thm3 and not want_first else "correct3"
+    name = "correct3" if want_first else "thm3"
     return CheckResult(name, cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
 def check_thm3(cfg: CheckConfig) -> CheckResult:
-    """z-extraction guarantees: z*2^N integral, ell in [2, p-2],
-    |x*R - z| <= 2^(-N-1), for all in-range x."""
-    return _pipeline_sweep(cfg, want_thm3=True, want_first=False)
+    """z-extraction guarantees, as extract_z verifies them: z*2^N
+    integral for every z; ell in [2, p-2] and |x*R - z| <= 2^(-N-1) for
+    |z| >= 2^(1-N).  A raised TheoremViolation is a failure."""
+    return _pipeline_sweep(cfg, want_first=False)
 
 
 def check_correct3(cfg: CheckConfig) -> CheckResult:
     """q = 2 first step: x - z*C1 is a p-bit FPN and the fma is exact,
     swept together with the z-extraction guarantees."""
-    return _pipeline_sweep(cfg, want_thm3=True, want_first=True)
+    return _pipeline_sweep(cfg, want_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +465,15 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
     return CheckResult("correct1", cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
+# what check_correct2 asks at each N: z extraction's hypotheses, and the
+# general-q first step's bound on C1
+_CORRECT2_HYPOTHESES = tuple(h for h in HYPOTHESES if h.theorem == "z-extraction") + (C1_BOUND_Q,)
+
+
 def check_correct2(cfg: CheckConfig) -> CheckResult:
     """Appendix variant: general q with R*C1 <= 1, z from the extraction
-    algorithm; x - z*C1 is a p-bit FPN for every in-range x."""
+    algorithm; x - z*C1 is a p-bit FPN for every in-range x.  An N that
+    fails _CORRECT2_HYPOTHESES counts in skipped_r."""
     _check_values(cfg, "n_values", "q_values")
     cfg = _own_window(cfg, 12)
     fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
@@ -495,25 +494,23 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
             c1 = cs.c1
             c1n = c1.sign * c1.m
             for n in cfg.n_values:
-                if not C1_BOUND_Q.holds(cs, n):
+                if first_failure(cs, n, _CORRECT2_HYPOTHESES) is not None:
                     skipped_r += 1
                     continue
-                cs_stub = synthetic_set(r, n=n, q=q)
+                cs_n = replace(cs, n=n)
                 for x in xs:
                     if not xr_in_bounds(x, r, n):
                         continue
                     cases += 1
-                    z, _ = extract_z(x, cs_stub, n, cfg.ties, check=False)
-                    if not fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt):
-                        failures.append(
-                            {
-                                "x": x.to_text(),
-                                "z": z.to_text(),
-                                "R": r.to_text(),
-                                "N": n,
-                                "q": q,
-                            }
-                        )
+                    try:
+                        z, _ = extract_z(x, cs_n, n, cfg.ties)
+                    except TheoremViolation as exc:
+                        fail = {"error": str(exc)}
+                    else:
+                        if fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt):
+                            continue
+                        fail = {"z": z.to_text()}
+                    failures.append({"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, **fail})
     stats = {"r_values": len(rs), "skipped_r": skipped_r, "rc1_filtered": rc1_filtered}
     return CheckResult("correct2", cfg.to_dict(), cases, sorted_failures(failures), stats)
 

@@ -247,10 +247,10 @@ def test_successive_main_calls_parse_independently(capsys):
     [
         (["--theorem", "correct3", "--p", "8", "--r-step", "64", "--window", "8"], 8, 2048),
         (["--theorem", "correct3", "--p", "8", "--r-step", "64"], 12, 3072),
-        (["--theorem", "thm3", "--p", "8", "--r-step", "128", "--N", "0", "--window", "2"], 2, 512),
-        (["--theorem", "thm6", "--exhaustive", "--p", "8", "--r-step", "128", "--N", "0"], 10, None),
+        (["--theorem", "thm3", "--p", "8", "--r-step", "64", "--N", "0", "--window", "2"], 2, 512),
+        (["--theorem", "thm6", "--exhaustive", "--p", "8", "--r-step", "64", "--N", "0"], 10, None),
         (["--theorem", "sterbenz", "--p", "4"], 8, None),
-        (["--theorem", "correct1", "--p", "8", "--r-step", "128", "--N", "0"], None, None),
+        (["--theorem", "correct1", "--p", "8", "--r-step", "64", "--N", "0"], None, None),
     ],
 )
 def test_verify_records_the_window_that_ran(capsys, argv, window, x_values):
@@ -281,3 +281,65 @@ def test_verify_refuses_an_oversized_exhaustive_thm6(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "thm6", "--exhaustive", "--p", "14", "--window", "60")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exhaustive cap" in err
+
+
+def test_verify_correct2_extracts_with_its_own_set(capsys):
+    # at N = 33 the q = 2 first step's C1 bound fails but the general-q one
+    # holds; no x of the two-binade window is in range there, so the run
+    # counts what the N = 0 run counts
+    argv = ("verify", "--theorem", "correct2", "--p", "8", "--r-step", "4", "--q", "3", "--window", "2", "--json")
+    code, out, err = run(capsys, *argv, "--N", "0,33")
+    assert code == 0, err
+    both = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--N", "0")
+    assert code == 0
+    assert both["cases"] == json.loads(out)["cases"] == 15360
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--theorem", "correct3", "--p", "8", "--N", "30", "--window", "2", "--r-step", "64"),
+        ("--theorem", "thm6", "--exhaustive", "--p", "8", "--N", "30", "--window", "2", "--r-step", "64"),
+    ],
+    ids=["correct3", "thm6"],
+)
+def test_verify_fails_a_check_that_ran_no_case(capsys, argv):
+    # no x of the window is in range at N = 30, or every R is skipped
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 1 and out.startswith(f"{argv[1]}: FAIL (0 cases)")
+    code, out, _ = run(capsys, "verify", *argv, "--json")
+    rec = json.loads(out)
+    assert code == 1 and rec["cases"] == 0 and rec["pass"] is False
+
+
+@pytest.mark.parametrize("fmt", ["double-extended", "quad"])
+def test_reduce_prints_a_reduction_at_the_smallest_normal(capsys, fmt):
+    # s = x*R - z has a denominator of about 5000 decimal digits, above
+    # the interpreter's default limit on int-to-str conversion
+    import sys
+
+    from argred.constgen import gen_constants
+    from argred.realnum import PI
+
+    f = FORMATS[fmt]
+    x = f"{1 << (f.p - 1)} * 2^{f.e_min_q}"
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "reduce", "--x", x, "--format", fmt, "--json")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    rec = json.loads(out)
+    sys.set_int_max_str_digits(0)
+    try:
+        s = Fraction(rec["s"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    xf, z = Fpn.from_text(rec["x"], f), Fpn.from_text(rec["z"], f)
+    assert s == xf.value * gen_constants(PI, f).r.value - z.value
+    code, out, err = run(capsys, "reduce", "--x", x, "--format", fmt)
+    assert code == 0, err
+    assert "|v1 + w - (x - z*C)|" in out
+    assert sys.get_int_max_str_digits() == limit
+    # --x parsing keeps the limit
+    code, out, err = run(capsys, "reduce", "--x", "1" * (limit + 1), "--format", fmt)
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -452,6 +452,25 @@ def test_fast2mult_tail_underflow_raises():
         fast2mult(a, b)
 
 
+def test_fast2mult_raises_exactly_when_the_error_is_not_representable():
+    # the fma's exact flag is fast2mult's one check: it fails exactly when
+    # a*b - RN(a*b) does not fit p bits at or above 2^e_min_q
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(20_000):
+        a, b = (Fpn(rng.choice((1, -1)), rng.randrange(64), rng.randrange(-20, -5), P6) for _ in range(2))
+        prod = a.value * b.value
+        err = prod - round_rational(prod.numerator, prod.denominator, P6).value
+        try:
+            h, low = fast2mult(a, b)
+        except UnderflowError:
+            raised += 1
+            assert not is_representable(err, P6.p, P6), (a, b)
+        else:
+            assert is_representable(err, P6.p, P6) and low.value == err, (a, b)
+    assert 0 < raised < 20_000
+
+
 def test_op_counter_counts_rounded_ops():
     c = OpCounter()
     one = Fpn.from_int(1, DOUBLE)

@@ -16,6 +16,7 @@ from argred.theorems import (
     demo_codywaite,
     run_check,
 )
+from argred.theorems import CheckResult
 
 
 def test_sterbenz_exhaustive_small():
@@ -36,9 +37,18 @@ def test_sterbenz_approx2_both_directions():
     r2 = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=2, p1=3, p2=6))
     r3 = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=3, p1=3, p2=2))
     assert r1.passed and r2.passed and r3.passed
-    # p1 == p2 specializes to a Sterbenz-like band
-    r4 = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=2, p1=4, p2=4))
-    assert r4.passed and r4.stats["condition_pairs"] > 0
+    # p1 == p2 == p is Sterbenz's lemma: the same cases, failures and stats
+    # (sterbenz2's stats lack only the closed-form count)
+    for beta in (2, 3):
+        for p in range(2, 6):
+            for ties in ("even", "away"):
+                a = check_sterbenz(CheckConfig(theorem="sterbenz", beta=beta, p=p, ties=ties))
+                b = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=beta, p1=p, p2=p, ties=ties))
+                assert a.passed and b.passed and a.stats["condition_pairs"] > 0
+                assert (a.cases, a.failures) == (b.cases, b.failures)
+                assert {k: v for k, v in a.stats.items() if k != "closed_form_cases"} == {
+                    k: v for k, v in b.stats.items() if k != "closed_form_cases"
+                }
 
 
 def test_thm3_and_correct3_sweep():
@@ -353,3 +363,31 @@ def test_thm6_exhaustive_counts_c2_multiples_against_the_cap():
     assert len(xs) * len(rs) * 3 <= EXHAUSTIVE_CAP < len(xs) * len(rs) * 3 * 8
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
         _sweep_space(cfg, 8)
+
+
+def test_thm3_records_a_small_z_off_the_grid(monkeypatch):
+    # z*2^N must be an integer for every z, below the theorem's range too:
+    # move z = +-2^-N (ell = 1) one ulp off the 2^-N grid
+    import argred.reduction as reduction
+    from argred.softfp import Fpn, OpResult
+
+    real_sub = reduction.sub
+
+    def off_grid(a, b, ties="even", counter=None):
+        out = real_sub(a, b, ties, counter)
+        z = out.value
+        # b is sigma = 3 * 2^(p-N-2), stored with e = -N
+        if z.m == 1 << (z.fmt.p - 1) and z.e == b.e - (z.fmt.p - 1):
+            return OpResult(Fpn(z.sign, z.m + 1, z.e, z.fmt), False)
+        return out
+
+    monkeypatch.setattr(reduction, "sub", off_grid)
+    res = check_thm3(CheckConfig(theorem="thm3", p=8, r_step=64))
+    assert not res.passed and res.failures
+    assert all("z*2^N is not an integer" in f["error"] for f in res.failures)
+
+
+def test_a_check_that_ran_no_case_does_not_pass():
+    assert not CheckResult("thm3", {}, 0).passed
+    assert CheckResult("thm3", {}, 1).passed
+    assert not CheckResult("thm3", {}, 1, [{"x": 1}]).passed
