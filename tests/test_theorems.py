@@ -4,6 +4,7 @@ import pytest
 
 from argred.theorems import (
     CheckConfig,
+    CheckResult,
     check_correct1,
     check_correct2,
     check_correct3,
@@ -16,7 +17,6 @@ from argred.theorems import (
     demo_codywaite,
     run_check,
 )
-from argred.theorems import CheckResult
 
 
 def test_sterbenz_exhaustive_small():
@@ -38,17 +38,13 @@ def test_sterbenz_approx2_both_directions():
     r3 = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=3, p1=3, p2=2))
     assert r1.passed and r2.passed and r3.passed
     # p1 == p2 == p is Sterbenz's lemma: the same cases, failures and stats
-    # (sterbenz2's stats lack only the closed-form count)
     for beta in (2, 3):
         for p in range(2, 6):
             for ties in ("even", "away"):
-                a = check_sterbenz(CheckConfig(theorem="sterbenz", beta=beta, p=p, ties=ties))
-                b = check_sterbenz_approx2(CheckConfig(theorem="sterbenz2", beta=beta, p1=p, p2=p, ties=ties))
-                assert a.passed and b.passed and a.stats["condition_pairs"] > 0
-                assert (a.cases, a.failures) == (b.cases, b.failures)
-                assert {k: v for k, v in a.stats.items() if k != "closed_form_cases"} == {
-                    k: v for k, v in b.stats.items() if k != "closed_form_cases"
-                }
+                a = run_check(CheckConfig(theorem="sterbenz", beta=beta, p=p, ties=ties))
+                b = run_check(CheckConfig(theorem="sterbenz2", beta=beta, p1=p, p2=p, ties=ties))
+                assert a.passed and a.stats["condition_pairs"] > 0
+                assert (a.cases, a.failures, a.stats) == (b.cases, b.failures, b.stats)
 
 
 def test_thm3_and_correct3_sweep():
