@@ -31,6 +31,7 @@ from .softfp import (
     sub,
     ulp,
     ulp2,
+    ulp2_exp,
 )
 from .realnum import (
     LN2,

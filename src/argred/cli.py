@@ -19,9 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .constgen import HypothesisViolation, audit, format_table, gen_constants, set_to_record
-from .realnum import AmbiguousRoundingError, Constant, RealEnclosure, round_rational
+from .realnum import AmbiguousRoundingError, Constant, RealEnclosure
 from .reduction import ReductionRangeError, reduce
-from .softfp import FORMATS, TIES_AWAY, TIES_EVEN, Format, Fpn
+from .softfp import FORMATS, TIES_AWAY, TIES_EVEN, Format, Fpn, round_nearest
 from .theorems import (
     _CHECKS,
     NAMED_CONSTANTS,
@@ -54,8 +54,7 @@ def parse_x(text: str, fmt: Format, ties: str) -> Fpn:
     """Accept the textual FPN form (contains '*') or an exact decimal."""
     if "*" in text:
         return Fpn.from_text(text, fmt)
-    v = parse_decimal(text)
-    return round_rational(v.numerator, v.denominator, fmt, ties=ties)
+    return round_nearest(parse_decimal(text), fmt, ties=ties)
 
 
 def _parse_dyadic(text: str) -> Fraction:

@@ -4,9 +4,10 @@ A ConstantSet bundles, for one constant C and one format: R ~ 1/C at
 full precision, C1 ~ 1/R with its last q significand bits zeroed, C2 the
 rounded remainder of C - C1 on the 8*ulp2(C1) grid, and C3 mopping up
 C - C1 - C2.  The theorems' hypotheses are stated once, in HYPOTHESES:
-generation raises on the first one a set fails, ``extract_z`` asks the
-N-dependent ones above a set's own N, ``audit`` reports every one, and
-the general-q sweeps ask the first step's rules on C1 of their own C1.
+generation raises on the first one a set fails, ``extract_z`` and
+``second_step`` ask the N-dependent ones above a set's own N, ``audit``
+reports every one, and the general-q sweeps ask the first step's rules
+on C1 of their own C1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .realnum import Constant, round_rational, round_to_int, safe_round
-from .softfp import FORMATS, Format, Fpn
+from .softfp import FORMATS, TIES_EVEN, Format, Fpn, round_nearest, ulp2_exp
 
 __all__ = [
     "AuditReport",
@@ -34,15 +35,15 @@ __all__ = [
     "format_label",
     "format_table",
     "gen_constants",
+    "nearest_c1",
     "recip_ratio",
     "set_to_record",
     "synthetic_set",
 ]
 
 def format_label(fmt: Format) -> str:
-    """The name of the preset with fmt's p and e_min_q, else p<p>."""
-    key = (fmt.p, fmt.e_min_q)
-    return next((label for label, f in FORMATS.items() if (f.p, f.e_min_q) == key), f"p{fmt.p}")
+    """The name of the preset equal to fmt, else p<p>."""
+    return next((label for label, f in FORMATS.items() if f == fmt), f"p{fmt.p}")
 
 
 class HypothesisViolation(ValueError):
@@ -89,15 +90,11 @@ def _is_pow2(m: int) -> bool:
     return m & (m - 1) == 0
 
 
-def _c2_grid_exp(c1: Fpn) -> int:
-    """log2 of 8*ulp2(C1)."""
-    fmt = c1.fmt
-    return 3 + max(c1.e - (fmt.p - 1), fmt.e_min_q)
-
-
-def _build_first_terms(r: Fpn, fmt: Format, q: int) -> Fpn:
-    num, den = recip_ratio(r)
-    return round_rational(num, den, fmt, fmt.p - q)
+def nearest_c1(r: Fpn, q: int, ties: str = TIES_EVEN) -> Fpn:
+    """1/R rounded to nearest at p - q bits under `ties`, by the oracle
+    round_rational: audit and the sweeps ask this of C1, while generation
+    rounds C1 with the kernel."""
+    return round_rational(*recip_ratio(r), r.fmt, r.fmt.p - q, ties)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,7 @@ def _pow2_minus_n_is_fpn(cs: ConstantSet, n: int) -> bool:
 
 
 def _c1_is_nearest(cs: ConstantSet, n: int) -> bool:
-    return cs.c1 == _build_first_terms(cs.r, cs.fmt, cs.q)
+    return cs.c1 == nearest_c1(cs.r, cs.q)
 
 
 def _c1_not_pow2(cs: ConstantSet, n: int) -> bool:
@@ -170,7 +167,7 @@ def _c2_within_4_ulp(cs: ConstantSet, n: int) -> bool:
 def _c2_on_grid(cs: ConstantSet, n: int) -> bool:
     # None: generation could not represent C2
     c2 = cs.c2
-    return c2 is not None and (c2.is_zero() or c2.max_quantum() >= _c2_grid_exp(cs.c1))
+    return c2 is not None and (c2.is_zero() or c2.max_quantum() >= 3 + ulp2_exp(cs.c1))
 
 
 # The general-q first step's rules on C1, which the general-q sweeps also
@@ -246,9 +243,9 @@ def _generate(
         r = safe_round(enc.recip(), fmt)
     _require(ConstantSet(constant, fmt, n, q, r, None, None, None), PARAMS)
 
-    c1 = _build_first_terms(r, fmt, q)
+    c1 = round_nearest(Fraction(*recip_ratio(r)), fmt, fmt.p - q)
     if enc is not None:
-        k8 = _c2_grid_exp(c1)
+        k8 = 3 + ulp2_exp(c1)  # log2 of 8*ulp2(C1)
         k2 = round_to_int(enc.shift(c1.value).scale2(-k8))
         try:
             c2 = Fpn.from_fraction(Fraction(k2) * Fraction(2) ** k8, fmt)

@@ -217,33 +217,26 @@ def safe_round(
     ties: str = TIES_EVEN,
 ) -> Fpn:
     """Round the enclosed constant, refining until the answer is unique."""
-    for _ in range(_REFINE_CAP):
-        a = round_nearest(enc.lo, fmt, target_p, ties)
-        b = round_nearest(enc.hi, fmt, target_p, ties)
-        if a == b:
-            return a
-        if enc.refine is None:
-            raise AmbiguousRoundingError(
-                f"enclosure of width {enc.width} cannot be refined further"
-            )
-        enc = enc.refine(enc.bits * 2)
-    raise AmbiguousRoundingError(
-        "rounding still ambiguous after refinement cap; "
-        "is the constant representable or exactly a tie?"
-    )
+    return _refined(enc, lambda v: round_nearest(v, fmt, target_p, ties))
 
 
 def round_to_int(enc: RealEnclosure, ties: str = TIES_EVEN) -> int:
     """Round the enclosed value to an integer, refining across ties."""
+    return _refined(enc, lambda v: _int_nearest(v, ties))
+
+
+def _refined(enc: RealEnclosure, rounded: Callable):
+    """rounded(C) from enc's endpoints, refining enc until they agree."""
     for _ in range(_REFINE_CAP):
-        a = _int_nearest(enc.lo, ties)
-        b = _int_nearest(enc.hi, ties)
-        if a == b:
+        a = rounded(enc.lo)
+        if a == rounded(enc.hi):
             return a
         if enc.refine is None:
-            raise AmbiguousRoundingError("integer rounding is ambiguous")
+            raise AmbiguousRoundingError(f"enclosure of width {enc.width} cannot be refined further")
         enc = enc.refine(enc.bits * 2)
-    raise AmbiguousRoundingError("integer rounding still ambiguous after refinement cap")
+    raise AmbiguousRoundingError(
+        "rounding still ambiguous after refinement cap; is the constant representable or exactly a tie?"
+    )
 
 
 def _int_nearest(v: Fraction, ties: str) -> int:

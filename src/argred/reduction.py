@@ -32,6 +32,7 @@ from .softfp import (
     fast2sum,
     fma,
     sub,
+    ulp2_exp,
 )
 
 __all__ = [
@@ -100,6 +101,13 @@ def s_within_half(s_num: int, s_exp: int, n: int) -> bool:
     return (a << d) <= 1 if d >= 0 else a <= 1 << -d
 
 
+def _require_covered(cs: ConstantSet, n: int) -> None:
+    """Raise HypothesisViolation unless the N-dependent hypotheses hold at n > cs.n."""
+    failed = first_failure(cs, n, N_DEPENDENT)
+    if failed is not None:
+        raise HypothesisViolation(f"N={n} is above the set's N={cs.n} and fails {failed}")
+
+
 class ZExtractInfo(NamedTuple):
     k: int                  # z * 2^N, an integer
     ell: int                # bit length of |k|
@@ -135,9 +143,7 @@ def extract_z(
     if n is None:
         n = cs.n
     elif n > cs.n:
-        failed = first_failure(cs, n, N_DEPENDENT)
-        if failed is not None:
-            raise HypothesisViolation(f"N={n} is above the set's N={cs.n} and fails {failed}")
+        _require_covered(cs, n)
     fmt = x.fmt
     r = cs.r
     if not xr_in_bounds(x, r, n):
@@ -217,9 +223,11 @@ def second_step(
     Runs  v1 = o(u - z*C2); (p1,p2) = Fast2Mult(z, C2);
     (t1,t2) = Fast2Sum(u, -p1); v2 = o(o(o(t1-v1)+t2)-p2)  and verifies
     the claimed exactness facts: a rounded last line, or (z != 0) t1 or v1
-    off the 2^(-N-1) * ulp2(C1) grid at N = cs.n, raises TheoremViolation.  u
-    comes from first_step, it is not recomputed.  A Fast2Sum precondition
-    failure raises TheoremViolation (unreachable for audited constants).
+    off the 2^(-N-1) * ulp2(C1) grid, raises TheoremViolation.  N is cs.n,
+    or z's own N' > cs.n, which the set's N-dependent hypotheses must
+    cover (else HypothesisViolation).  u comes from first_step, it is not
+    recomputed.  A Fast2Sum precondition failure raises TheoremViolation
+    (unreachable for audited constants).
     """
     ops = OpCounter()
     c2 = cs.c2
@@ -253,10 +261,14 @@ def second_step(
             f"x={x.to_text()}, z={z.to_text()}"
         )
     # proof facts: for z != 0, t1 and v1 sit on the 2^(-N-1) * ulp2(C1)
-    # grid (for z = 0 they are x itself, on x's grid only)
+    # grid (for z = 0 they are x itself, on x's grid only).  A z on the
+    # 2^-N' grid with N' > cs.n is also what extraction at N' gives, as
+    # |x*R - z| <= 2^(-N'-1), so the facts hold at N' if the set's do.
     if not z.is_zero():
-        fmt = x.fmt
-        g = -cs.n - 1 + max(c1.e - (fmt.p - 1), fmt.e_min_q)
+        n = max(-z.max_quantum(), cs.n)
+        if n > cs.n:
+            _require_covered(cs, n)
+        g = -n - 1 + ulp2_exp(c1)
         for name, val in (("t1", t1), ("v1", v1)):
             if not val.is_zero() and val.max_quantum() < g:
                 raise TheoremViolation(

@@ -18,9 +18,10 @@ that work.  Only these results take the trusted path:
 - ``Fpn.zero``: (+1, 0, e_min_q) is the canonical zero;
 - ``-x`` and ``abs(x)``: flipping the sign of a canonical nonzero value
   changes neither m nor e, and -0 and abs(0) return the zero itself;
-- rounding results (``_round_scaled``, ``_round_ratio``): an exact zero,
-  or a p-bit m with e_min_q <= e and e + p - 1 <= e_max (``_rounded``);
-  a carry, a short or subnormal m, or an overflow goes through ``Fpn()``.
+- rounding results of ``_round_scaled`` (``_round_ratio`` ends there):
+  an exact zero, or a p-bit m with e_min_q <= e and e + p - 1 <= e_max
+  (``_rounded``); a carry, a short or subnormal m, or an overflow goes
+  through ``Fpn()``.
 
 Everything else, ``round_rational`` (the oracle) included, goes through
 ``Fpn(...)``.
@@ -58,6 +59,7 @@ __all__ = [
     "sub",
     "ulp",
     "ulp2",
+    "ulp2_exp",
 ]
 
 TIES_EVEN = "even"
@@ -236,12 +238,6 @@ class Fpn:
             return _canonical(1, self.m, self.e, self.fmt)
         return self
 
-    def scale2(self, k: int) -> "Fpn":
-        """Exact multiplication by 2**k; raises if the quantum underflows."""
-        if self.m == 0:
-            return self
-        return Fpn(self.sign, self.m, self.e + k, self.fmt)
-
     def max_quantum(self) -> int:
         """Largest e' such that self = n * 2**e' for an integer n (self != 0)."""
         if self.m == 0:
@@ -264,16 +260,7 @@ class Fpn:
     def next_down(self) -> "Fpn":
         return -((-self).next_up())
 
-    # -- comparisons (by value; equality is structural == by value,
-    #    since representations are canonical) -------------------------
-
-    def _scaled_pair(self, other: "Fpn") -> tuple[int, int]:
-        a = self.sign * self.m
-        b = other.sign * other.m
-        d = self.e - other.e
-        if d >= 0:
-            return a << d, b
-        return a, b << -d
+    # -- equality: structural, and so by value (canonical form) ------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fpn):
@@ -287,22 +274,6 @@ class Fpn:
 
     def __hash__(self) -> int:
         return hash((self.sign, self.m, self.e, self.fmt))
-
-    def __lt__(self, other: "Fpn") -> bool:
-        a, b = self._scaled_pair(other)
-        return a < b
-
-    def __le__(self, other: "Fpn") -> bool:
-        a, b = self._scaled_pair(other)
-        return a <= b
-
-    def __gt__(self, other: "Fpn") -> bool:
-        a, b = self._scaled_pair(other)
-        return a > b
-
-    def __ge__(self, other: "Fpn") -> bool:
-        a, b = self._scaled_pair(other)
-        return a >= b
 
 
 _TEXT_RE = re.compile(
@@ -391,38 +362,22 @@ def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResu
     return _op_result(OpResult, (_rounded(sign, m, eq, fmt), False))
 
 
-def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> tuple[Fpn, bool]:
-    """Round the exact rational num/den (den > 0) to digits bits."""
-    if num == 0:
-        return _canonical(1, 0, fmt.e_min_q, fmt), True
-    sign = 1 if num > 0 else -1
+def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> OpResult:
+    """Round the exact rational num/den (den > 0) to digits bits.
+
+    The quotient at the result's quantum goes to _round_scaled with two
+    sticky bits below it: 00 exact, 01 below half, 10 half, 11 above.
+    """
     a = num if num > 0 else -num
-    # floor(log2(a/den))
-    t = a.bit_length() - den.bit_length()
-    if t >= 0:
-        if a < den << t:
-            t -= 1
-    else:
-        if a << -t < den:
-            t -= 1
-    eq = t - digits + 1
-    if eq < fmt.e_min_q:
-        eq = fmt.e_min_q
-    if eq <= 0:
-        q, r = divmod(a << -eq, den)
-        d = den
-    else:
-        d = den << eq
-        q, r = divmod(a, d)
-    if r == 0:
-        return _rounded(sign, q, eq, fmt), True
-    twice = 2 * r
-    if twice > d:
-        q += 1
-    elif twice == d:
-        if ties == TIES_AWAY or (q & 1):
-            q += 1
-    return _rounded(sign, q, eq, fmt), False
+    t = a.bit_length() - den.bit_length()  # floor(log2(a/den)), or one above it
+    if (a < den << t) if t >= 0 else (a << -t < den):
+        t -= 1
+    eq = max(t - digits + 1, fmt.e_min_q)
+    a, d = (a << -eq, den) if eq <= 0 else (a, den << eq)
+    q, r = divmod(a, d)
+    half, rest = divmod(r << 1, d)
+    n = q << 2 | half << 1 | (rest != 0)
+    return _round_scaled(n if num > 0 else -n, eq - 2, digits, fmt, ties)
 
 
 def round_nearest(
@@ -443,13 +398,10 @@ def round_nearest(
     if not 2 <= digits <= fmt.p:
         raise ValueError(f"target precision must be in [2, {fmt.p}], got {digits}")
     if isinstance(v, Fpn):
-        fpn, _ = _round_scaled(v.sign * v.m, v.e, digits, fmt, ties)
-        return fpn
+        return _round_scaled(v.sign * v.m, v.e, digits, fmt, ties).value
     if isinstance(v, int):
-        fpn, _ = _round_scaled(v, 0, digits, fmt, ties)
-        return fpn
-    fpn, _ = _round_ratio(v.numerator, v.denominator, digits, fmt, ties)
-    return fpn
+        return _round_scaled(v, 0, digits, fmt, ties).value
+    return _round_ratio(v.numerator, v.denominator, digits, fmt, ties).value
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +484,14 @@ def ulp(x: Fpn) -> Fraction:
     return _pow2(x.e)
 
 
+def ulp2_exp(x: Fpn) -> int:
+    """log2 of ulp2(x)."""
+    return max(x.e - (x.fmt.p - 1), x.fmt.e_min_q)
+
+
 def ulp2(x: Fpn) -> Fraction:
     """ulp(ulp(x)): the quantum of x's quantum."""
-    k = x.e
-    return _pow2(max(k - (x.fmt.p - 1), x.fmt.e_min_q))
+    return _pow2(ulp2_exp(x))
 
 
 def fits_scaled(num: int, exp: int, digits: int, fmt: Format) -> bool:

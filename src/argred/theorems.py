@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
-from .constgen import first_failure, gen_constants, recip_ratio, synthetic_set
-from .realnum import LN2, PI, round_rational
+from .constgen import first_failure, gen_constants, nearest_c1, synthetic_set
+from .realnum import LN2, PI
 from .reduction import (
     ReductionRangeError,
     TheoremViolation,
@@ -390,14 +390,9 @@ def check_correct3(cfg: CheckConfig) -> CheckResult:
 
 def _fpns_in_interval(lo: Fraction, hi: Fraction, fmt: Format):
     """Canonical FPNs x with lo <= x <= hi, ascending."""
-    x = round_nearest(lo, fmt)
-    while x.value < lo:
+    x = round_nearest(lo, fmt)  # a neighbour of lo
+    if x.value < lo:
         x = x.next_up()
-    while x.value > lo:
-        prev = x.next_down()
-        if prev.value < lo:
-            break
-        x = prev
     while x.value <= hi:
         yield x
         x = x.next_up()
@@ -406,8 +401,7 @@ def _fpns_in_interval(lo: Fraction, hi: Fraction, fmt: Format):
 def _general_q_set(r: Fpn, q: int, ties: str) -> ConstantSet | None:
     """R and C1 = RN(1/R) at p-q bits under `ties`, which the general-q
     sweeps ask C1_BOUND_Q about at each N; None when C1 fails C1_NOT_POW2."""
-    c1 = round_rational(*recip_ratio(r), r.fmt, r.fmt.p - q, ties)
-    cs = ConstantSet(None, r.fmt, 0, q, r, c1, None, None)
+    cs = ConstantSet(None, r.fmt, 0, q, r, nearest_c1(r, q, ties), None, None)
     return cs if C1_NOT_POW2.holds(cs, 0) else None
 
 
@@ -451,16 +445,8 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
                             ):
                                 cases += 1
                                 if not fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt):
-                                    failures.append(
-                                        {
-                                            "x": x.to_text(),
-                                            "z": z.to_text(),
-                                            "R": r.to_text(),
-                                            "N": n,
-                                            "q": q,
-                                            "ell": ell,
-                                        }
-                                    )
+                                    fail = {"x": x.to_text(), "z": z.to_text(), "ell": ell}
+                                    failures.append({**fail, "R": r.to_text(), "N": n, "q": q})
     stats = {"r_values": len(rs), "skipped_r": skipped_r}
     return CheckResult("correct1", cfg.to_dict(), cases, sorted_failures(failures), stats)
 
@@ -535,23 +521,17 @@ def _random_in_range_x(rng: random.Random, fmt: Format, r: Fpn, n: int) -> Fpn:
             return x
 
 
-def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
+def _thm6_chunk(args: tuple) -> tuple[int, list[dict]]:
     constant, fmt_label, n, q, seed, trials, ties = args
     fmt = FORMATS[fmt_label]
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
     rng = random.Random(seed)
     failures = []
-    ops_are_nine = True
-    cases = 0
     for _ in range(trials):
-        x = _random_in_range_x(rng, fmt, cs.r, n)
-        cases += 1
-        entry = _run_second_step_case(x, cs, n, ties)
+        entry = _run_second_step_case(_random_in_range_x(rng, fmt, cs.r, n), cs, n, ties)
         if entry is not None:
             failures.append(entry)
-            if entry.get("ops") not in (None, 9):
-                ops_are_nine = False
-    return cases, failures, {"ops_always_9": ops_are_nine}
+    return trials, failures
 
 
 def _run_second_step_case(x: Fpn, cs: ConstantSet, n: int, ties: str) -> dict | None:
@@ -600,17 +580,23 @@ def _check_values(cfg: CheckConfig, *names: str) -> None:
             raise ValueError(f"{name} is empty: the check would run no case")
 
 
-def _chunks(trials: int, chunk: int = 100_000) -> list[tuple[int, int]]:
+_CHUNK = 100_000
+
+
+def _chunks(trials: int) -> list[tuple[int, int]]:
     """(index, size) of each chunk of a campaign."""
-    return [(idx, min(chunk, trials - start)) for idx, start in enumerate(range(0, trials, chunk))]
+    return [(idx, min(_CHUNK, trials - start)) for idx, start in enumerate(range(0, trials, _CHUNK))]
 
 
-def _run_campaign(fn, tasks: list, jobs: int) -> list:
-    """fn over the tasks in order, on a process pool when jobs > 1."""
+def _run_campaign(fn, tasks: list, jobs: int) -> tuple[int, list[dict]]:
+    """fn over the tasks in order, on a process pool when jobs > 1; each
+    task gives (cases, failures), and the sums come back."""
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            parts = list(pool.map(fn, tasks))
+    else:
+        parts = [fn(t) for t in tasks]
+    return sum(p[0] for p in parts), [f for _, fails in parts for f in fails]
 
 
 def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
@@ -624,14 +610,8 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
         for n in cfg.n_values
         for idx, take in _chunks(cfg.trials)
     ]
-    parts = _run_campaign(_thm6_chunk, tasks, cfg.jobs)
-    cases = sum(p[0] for p in parts)
-    failures = []
-    ops_nine = True
-    for _, fails, st in parts:
-        failures.extend(fails)
-        ops_nine = ops_nine and st["ops_always_9"]
-    stats = {"ops_always_9": ops_nine, "chunks": len(tasks)}
+    cases, failures = _run_campaign(_thm6_chunk, tasks, cfg.jobs)
+    stats = {"ops_always_9": all(f.get("ops") in (None, 9) for f in failures), "chunks": len(tasks)}
     return CheckResult("thm6", cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
@@ -730,9 +710,7 @@ def check_eft(cfg: CheckConfig) -> CheckResult:
     """Random valid Fast2Sum/Fast2Mult calls recompose exactly."""
     _check_at_least_1(cfg, "trials")
     tasks = [(cfg.seed + 104729 * idx, take, cfg.ties) for idx, take in _chunks(cfg.trials)]
-    parts = _run_campaign(_eft_chunk, tasks, cfg.jobs)
-    cases = sum(p[0] for p in parts)
-    failures = [f for _, fails in parts for f in fails]
+    cases, failures = _run_campaign(_eft_chunk, tasks, cfg.jobs)
     return CheckResult("eft", cfg.to_dict(), cases, sorted_failures(failures), {})
 
 
@@ -741,7 +719,10 @@ def check_eft(cfg: CheckConfig) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def demo_codywaite(max_scan: int = 10_000) -> dict:
+_CODYWAITE_SCAN = 10_000
+
+
+def demo_codywaite() -> dict:
     """Find a double x where the classic two-rounding first step
     o(x - o(z*C1_full)) commits a rounding error while the fma step is
     exact, with C1_full the full-precision nearest to 1/R.
@@ -751,8 +732,8 @@ def demo_codywaite(max_scan: int = 10_000) -> dict:
     """
     fmt = DOUBLE
     cs = gen_constants(PI, fmt)
-    c1_full = round_rational(*recip_ratio(cs.r), fmt, fmt.p)
-    for k in range(3, max_scan):
+    c1_full = nearest_c1(cs.r, 0)
+    for k in range(3, _CODYWAITE_SCAN):
         x = Fpn.from_int(k, fmt)
         try:
             z, _ = extract_z(x, cs)

@@ -34,6 +34,13 @@ def test_parse_x_forms():
     assert parse_x("0.1", DOUBLE, "even") == round_rational(1, 10, DOUBLE)
 
 
+def test_constants_names_a_preset_only_for_an_identical_format(capsys):
+    # --e-max defaults to 16383, so p=53 with e_min_q=-1074 alone is not double
+    for extra, label in (((), "p53"), (("--e-max", "1023"), "double")):
+        code, out, _ = run(capsys, "constants", "--p", "53", "--e-min-q", "-1074", *extra, "--json")
+        assert code == 0 and json.loads(out)[0]["precision"] == label
+
+
 def test_frac_sci():
     assert frac_sci(Fraction(0)) == "0"
     assert frac_sci(Fraction(1, 3)).startswith("3.33333e-1")

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, Fpn, Format, ulp, ulp2
+import argred.constgen as constgen
+from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, TIES_EVEN, Fpn, Format, ulp, ulp2
 from argred.realnum import LN2, PI
 from argred.reduction import extract_z
 from argred.constgen import (
@@ -172,6 +173,31 @@ def test_rendering():
         "C3": "7744522442262976 * 2^-155",
     }
     assert format_label(Format(p=8, e_min_q=-40, e_max=40)) == "p8"
+    # a preset's name needs the whole format, e_max included
+    assert format_label(Format(p=53, e_min_q=-1074)) == "p53"
+    assert format_label(Format(p=53, e_min_q=-1074, e_max=1023)) == "double"
+
+
+def test_audit_catches_a_c1_the_kernel_rounded_wrong(monkeypatch):
+    # generation rounds C1 with the kernel and audit asks the oracle, so a
+    # kernel C1 one unit off at p - 2 bits fails both C1 entries; the step
+    # goes toward C, which keeps |C2| <= 4 ulp(C1) and generation passing
+    good = gen_constants(PI, DOUBLE)
+    step = 4 if PI.enclosure(200).lo > good.c1.value else -4
+    kernel = constgen.round_nearest
+
+    def one_unit_off(v, fmt, target_p=None, ties=TIES_EVEN):
+        c1 = kernel(v, fmt, target_p, ties)
+        return Fpn.from_fraction(c1.value + step * ulp(c1), fmt)
+
+    monkeypatch.setattr(constgen, "round_nearest", one_unit_off)
+    bad = gen_constants(PI, DOUBLE)
+    assert bad.c1.value == good.c1.value + step * ulp(good.c1)
+    assert [c.hypothesis for c in audit(bad).failed_checks()] == [
+        "C1 is nearest(1/R) at p-q bits",
+        "C1 is nearest(1/R) at p-2 bits",
+    ]
+    assert audit(good).passed
 
 
 def test_bound_entries_agree_with_the_inequality_they_cite():

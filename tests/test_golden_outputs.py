@@ -13,8 +13,11 @@ record the window a check ran (the sweeps' own 12, or null for a check
 that reads none) instead of the unread default 8; cases, failures and
 stats stayed byte-identical.  The sterbenz2 digest was re-pinned when
 one subtraction sweep took over both Sterbenz checks: its stats gained
-`closed_form_cases`, which sterbenz already reported.  Runs in-process,
-in a few seconds.
+`closed_form_cases`, which sterbenz already reported.  The correct1 p=7
+digest (114 888 cases through the free-z interval walk) and the ln2 quad
+q=3 audit text were pinned before that walk, the kernel's rational
+rounding and C1 generation (now by the kernel, not the oracle) changed.
+Runs in-process, in a few seconds.
 """
 
 import hashlib
@@ -76,6 +79,11 @@ VERIFY = [
         "verify --theorem sterbenz2 --beta 2 --p1 6 --p2 3 --json",
         "0ab3752ac7154d8f5ee4d64cd46fefb8ff560ea38cfedb6915a7fc3c7cba6bb3",
     ),
+    (
+        "correct1 p=7 N=0,2 q=1,2,3 away",
+        "verify --theorem correct1 --p 7 --r-step 4 --N 0,2 --q 1,2,3 --ties away --json",
+        "648c7e54d3c4cbfe94308749586b2ce10af48506ede07a8faa36e73aff0e60d3",
+    ),
 ]
 
 REDUCE_X = ("10", "-3.25", "1e5", "123456789 * 2^-20")
@@ -131,6 +139,11 @@ OTHER = [
         "demo-codywaite",
         "demo-codywaite --json",
         "4c175d4c26e026dcde214b9668761efae51bb2b5e065cc60d7333eda1a64eaa4",
+    ),
+    (
+        "constants ln2 quad q=3 N=5 audit",
+        "constants --const ln2 --format quad --q 3 --N 5 --audit",
+        "fb98657041abc83dae2ec9c2752635ac447c669faa0afc42fc5a4add4117a37d",
     ),
 ]
 CASES = [(name, argv.split(), digest) for name, argv, digest in VERIFY + OTHER] + REDUCE

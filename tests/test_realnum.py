@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from argred.softfp import DOUBLE, SINGLE, TIES_AWAY, round_nearest
+from argred.softfp import DOUBLE, SINGLE, TIES_AWAY, TIES_EVEN, round_nearest
 from argred.realnum import (
     LN2,
     PI,
@@ -130,6 +130,33 @@ def test_round_rational_agrees_with_kernel_rounding():
         a = round_rational(num, den, DOUBLE, 51, ties=TIES_AWAY)
         b = round_nearest(Fraction(num, den), DOUBLE, 51, ties=TIES_AWAY)
         assert a == b, (num, den)
+    for fmt in (SINGLE, DOUBLE):
+        for ties in (TIES_EVEN, TIES_AWAY):
+            for _ in range(2000):
+                # |v| below 2^(e_min_q + k): quotients clamped at e_min_q,
+                # and for k <= 0 values below the smallest quantum
+                k = rng.randrange(-4, fmt.p + 4)
+                num = rng.randrange(-(1 << 40), 1 << 40)
+                den = rng.randrange(1 << 39, 1 << 40) << (-fmt.e_min_q - k)
+                digits = rng.randrange(2, fmt.p + 1)
+                a = round_rational(num, den, fmt, digits, ties)
+                assert a == round_nearest(Fraction(num, den), fmt, digits, ties), (num, den, digits)
+            for _ in range(2000):
+                # exact ties (2m + 1) * 2^(e-1): m of `digits` bits, or any
+                # m at the clamped quantum e_min_q; the oracle gets the
+                # ratio unreduced, with a common factor g
+                digits = rng.randrange(2, fmt.p + 1)
+                e = rng.choice((fmt.e_min_q, rng.randrange(fmt.e_min_q, 64)))
+                lo = 0 if e == fmt.e_min_q else 1 << (digits - 1)
+                m = rng.randrange(lo, 1 << digits)
+                g = rng.randrange(1, 1000)
+                sign = rng.choice((1, -1))
+                num = sign * (2 * m + 1) * g << max(e - 1, 0)
+                den = g << max(1 - e, 0)
+                a = round_rational(num, den, fmt, digits, ties)
+                assert a == round_nearest(Fraction(num, den), fmt, digits, ties), (num, den, digits)
+                want = m + 1 if ties == TIES_AWAY or m & 1 else m
+                assert a.value == sign * want * Fraction(2) ** e
 
 
 def test_user_constant_interface():

@@ -216,6 +216,44 @@ def test_second_step_zero_z():
     assert ss.v1 == u and ss.v2.is_zero() and ss.exact and ss.ops == 9
 
 
+@pytest.mark.parametrize("cs", [CS_PI, CS_LN2], ids=["pi", "ln2"])
+def test_second_step_checks_its_grid_at_the_n_of_z(cs):
+    # extraction at N = 10 off the N = 0 set: z sits on the 2^-10 grid,
+    # and t1, v1 on the 2^-11 * ulp2(C1) grid, finer than the set's own
+    for k in [*range(1, 4096), *range(2**40, 2**40 + 500)]:
+        x = round_nearest(Fraction(k, 1 << 10) * cs.c1.value, DOUBLE)
+        z, _ = extract_z(x, cs, 10)
+        u, exact_first = first_step(x, z, cs)
+        ss = second_step(x, z, u, cs)
+        assert exact_first and ss.exact, k
+
+
+def test_second_step_refuses_a_z_finer_than_the_set_covers():
+    # C2 = 0, so the step stays exact at any z; the set covers N <= 971
+    cs = synthetic_set(CS_PI.r)
+    for n, covered in ((971, True), (972, False)):
+        z = Fpn(1, 1, -n, DOUBLE)
+        x = round_nearest(z.value * cs.c1.value, DOUBLE)
+        u, _ = first_step(x, z, cs)
+        if covered:
+            assert second_step(x, z, u, cs).exact
+        else:
+            with pytest.raises(HypothesisViolation, match=r"N=972 is above the set's N=0"):
+                second_step(x, z, u, cs)
+
+
+def test_second_step_grid_violation_raises():
+    # a u that no first step gives, off the grid: with C2 = 0, t1 = v1 = u
+    # and the last line is exact, so only the grid check can object
+    cs = synthetic_set(CS_PI.r)
+    x = Fpn.from_int(10, DOUBLE)
+    for z, on_grid_exp in ((Fpn.from_int(3, DOUBLE), -104), (Fpn(1, 3, -5, DOUBLE), -109)):
+        # 2^(-N-1) * ulp2(C1) = 2^(-N-1-103), at N = 0 for z = 3, at N = 5 for z = 3 * 2^-5
+        second_step(x, z, Fpn(1, 1, on_grid_exp, DOUBLE), cs)
+        with pytest.raises(TheoremViolation, match="t1 is not a multiple"):
+            second_step(x, z, Fpn(1, 1, on_grid_exp - 1, DOUBLE), cs)
+
+
 def test_third_step_and_residual():
     x = Fpn.from_int(10, DOUBLE)
     out = reduce(x, CS_PI)

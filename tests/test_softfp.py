@@ -158,7 +158,7 @@ def test_round_monotone():
         for v in probes:
             cur = round_nearest(v, fmt, ties=ties)
             if prev is not None:
-                assert prev <= cur
+                assert prev.value <= cur.value
             prev = cur
     assert vals == sorted(vals)
 
