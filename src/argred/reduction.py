@@ -22,14 +22,20 @@ from typing import NamedTuple, Optional
 
 from .constgen import N_DEPENDENT, ConstantSet, HypothesisViolation, first_failure
 from .softfp import (
+    _FMT_MISMATCH,
     TIES_EVEN,
     Fpn,
     Format,
     OpCounter,
+    OpResult,
     PreconditionError,
-    add,
-    fast2mult,
-    fast2sum,
+    UnderflowError,
+    _fast2mult_scaled,
+    _fast2sum_scaled,
+    _op_result,
+    _round_int,
+    _rounded,
+    _trailing_zeros,
     fma,
     sub,
     ulp2_exp,
@@ -188,18 +194,23 @@ def extract_z(
 
 
 def first_step(
-    x: Fpn,
-    z: Fpn,
-    cs: ConstantSet,
-    ties: str = TIES_EVEN,
-    counter: OpCounter | None = None,
+    x: Fpn, z: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, counter: OpCounter | None = None
 ) -> tuple[Fpn, bool]:
     """u = fma(x - z*C1); exact is True when no rounding occurred.
 
     Under the audited hypotheses exactness is a theorem, so an inexact
     flag here is a finding for the harness, not a runtime error.
     """
-    return fma(-z, cs.c1, x, ties, counter)
+    fmt, c1 = z.fmt, cs.c1
+    if (c1.fmt is not fmt and c1.fmt != fmt) or (x.fmt is not fmt and x.fmt != fmt):
+        raise ValueError(_FMT_MISMATCH)
+    if counter is not None:
+        counter.rounded += 1
+    ep, ex = z.e + c1.e, x.e
+    e0 = ep if ep < ex else ex
+    n = (x.sign * x.m << (ex - e0)) - (z.sign * c1.sign * z.m * c1.m << (ep - e0))
+    m, e, exact = _round_int(n, e0, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
 class SecondStepResult(NamedTuple):
@@ -211,12 +222,7 @@ class SecondStepResult(NamedTuple):
 
 
 def second_step(
-    x: Fpn,
-    z: Fpn,
-    u: Fpn,
-    cs: ConstantSet,
-    ties: str = TIES_EVEN,
-    counter: OpCounter | None = None,
+    x: Fpn, z: Fpn, u: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, counter: OpCounter | None = None
 ) -> SecondStepResult:
     """The 9-flop exact second reduction step.
 
@@ -226,56 +232,64 @@ def second_step(
     off the 2^(-N-1) * ulp2(C1) grid, raises TheoremViolation.  N is cs.n,
     or z's own N' > cs.n, which the set's N-dependent hypotheses must
     cover (else HypothesisViolation).  u comes from first_step, it is not
-    recomputed.  A Fast2Sum precondition failure raises TheoremViolation
-    (unreachable for audited constants).
+    recomputed.  A failed Fast2Sum precondition, or a Fast2Mult error term
+    below the quantum 2^e_min_q, raises TheoremViolation.  The nine
+    roundings run on (n, e) integer pairs (see softfp); only v1 and v2
+    become Fpn.
     """
+    fmt, c2 = z.fmt, cs.c2
+    if (c2.fmt is not fmt and c2.fmt != fmt) or (u.fmt is not fmt and u.fmt != fmt):
+        raise ValueError(_FMT_MISMATCH)
     ops = OpCounter()
-    c2 = cs.c2
-    v1, _ = fma(-z, c2, u, ties, ops)
+    zn, ze, un, ue = z.sign * z.m, z.e, u.sign * u.m, u.e
+    c2n, ze2 = c2.sign * c2.m, ze + c2.e
+    ops.rounded += 1
+    e0 = ze2 if ze2 < ue else ue
+    v1n, v1e, _ = _round_int((un << (ue - e0)) - (zn * c2n << (ze2 - e0)), e0, fmt.p, fmt, ties)
     try:
-        p1, p2 = fast2mult(z, c2, ties, ops)
-        t1, t2 = fast2sum(u, -p1, ties, ops)
-    except PreconditionError as exc:
+        p1n, p1e, p2n, p2e = _fast2mult_scaled(zn, ze, c2n, c2.e, fmt, ties, ops)
+        t1n, t1e, t2n, t2e = _fast2sum_scaled(un, ue, -p1n, p1e, fmt, ties, ops)
+    except (PreconditionError, UnderflowError) as exc:
         raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
-    d1, ex1 = sub(t1, v1, ties, ops)
-    d2, ex2 = add(d1, t2, ties, ops)
-    v2, ex3 = sub(d2, p2, ties, ops)
+    ops.rounded += 3
+    e0 = t1e if t1e < v1e else v1e
+    d1n, d1e, ex1 = _round_int((t1n << (t1e - e0)) - (v1n << (v1e - e0)), e0, fmt.p, fmt, ties)
+    e0 = d1e if d1e < t2e else t2e
+    d2n, d2e, ex2 = _round_int((d1n << (d1e - e0)) + (t2n << (t2e - e0)), e0, fmt.p, fmt, ties)
+    e0 = d2e if d2e < p2e else p2e
+    v2n, v2e, ex3 = _round_int((d2n << (d2e - e0)) - (p2n << (p2e - e0)), e0, fmt.p, fmt, ties)
     last_line_exact = ex1 and ex2 and ex3
 
     # v1 + v2 - x + z*C1 + z*C2 == 0, exactly, as integers over 2^e0
-    c1 = cs.c1
-    zc1, zc2 = z.e + c1.e, z.e + c2.e
-    e0 = min(v1.e, v2.e, x.e, zc1, zc2)
-    zm = z.sign * z.m
+    c1, ze1 = cs.c1, ze + cs.c1.e
+    e0 = min(v1e, v2e, x.e, ze1, ze2)
     exact = (
-        (v1.sign * v1.m << (v1.e - e0))
-        + (v2.sign * v2.m << (v2.e - e0))
+        (v1n << (v1e - e0))
+        + (v2n << (v2e - e0))
         - (x.sign * x.m << (x.e - e0))
-        + (zm * c1.sign * c1.m << (zc1 - e0))
-        + (zm * c2.sign * c2.m << (zc2 - e0))
+        + (zn * c1.sign * c1.m << (ze1 - e0))
+        + (zn * c2n << (ze2 - e0))
     ) == 0
 
     if not last_line_exact:
-        raise TheoremViolation(
-            "second-step last line rounded: "
-            f"x={x.to_text()}, z={z.to_text()}"
-        )
+        raise TheoremViolation(f"second-step last line rounded: x={x.to_text()}, z={z.to_text()}")
     # proof facts: for z != 0, t1 and v1 sit on the 2^(-N-1) * ulp2(C1)
     # grid (for z = 0 they are x itself, on x's grid only).  A z on the
     # 2^-N' grid with N' > cs.n is also what extraction at N' gives, as
     # |x*R - z| <= 2^(-N'-1), so the facts hold at N' if the set's do.
-    if not z.is_zero():
+    if zn:
         n = max(-z.max_quantum(), cs.n)
         if n > cs.n:
             _require_covered(cs, n)
         g = -n - 1 + ulp2_exp(c1)
-        for name, val in (("t1", t1), ("v1", v1)):
-            if not val.is_zero() and val.max_quantum() < g:
+        for name, vn, ve in (("t1", t1n, t1e), ("v1", v1n, v1e)):
+            if vn and ve + _trailing_zeros(vn) < g:
                 raise TheoremViolation(
-                    f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {val.to_text()}"
+                    f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {_rounded(vn, ve, fmt).to_text()}"
                 )
     if counter is not None:
         counter.rounded += ops.rounded
+    v1, v2 = _rounded(v1n, v1e, fmt), _rounded(v2n, v2e, fmt)
     return SecondStepResult(v1, v2, exact, ops.rounded, last_line_exact)
 
 

@@ -18,13 +18,18 @@ that work.  Only these results take the trusted path:
 - ``Fpn.zero``: (+1, 0, e_min_q) is the canonical zero;
 - ``-x`` and ``abs(x)``: flipping the sign of a canonical nonzero value
   changes neither m nor e, and -0 and abs(0) return the zero itself;
-- rounding results of ``_round_scaled`` (``_round_ratio`` ends there):
-  an exact zero, or a p-bit m with e_min_q <= e and e + p - 1 <= e_max
-  (``_rounded``); a carry, a short or subnormal m, or an overflow goes
-  through ``Fpn()``.
+- rounding results, which only ``_rounded`` builds, from a ``_round_int``
+  result: zero, or a p-bit m (``_round_int`` has already kept e at or
+  above e_min_q and raised on overflow); a carry, a short or subnormal m
+  goes through ``Fpn()``.
 
 Everything else, ``round_rational`` (the oracle) included, goes through
 ``Fpn(...)``.
+
+The lane.  ``_round_int`` rounds a signed integer pair (n, e), the exact
+value n * 2**e, to another; the EFT cores and the reduction's first and
+second steps chain pairs and build an ``Fpn`` only for what they return.
+A pair is an exact value, not a canonical form (a carry leaves m = 2**p).
 """
 
 from __future__ import annotations
@@ -257,9 +262,6 @@ class Fpn:
             return Fpn.zero(fmt)
         return Fpn(-1, self.m - 1, self.e, fmt)
 
-    def next_down(self) -> "Fpn":
-        return -((-self).next_up())
-
     # -- equality: structural, and so by value (canonical form) ------
 
     def __eq__(self, other: object) -> bool:
@@ -321,45 +323,54 @@ def _canonical(sign: int, m: int, e: int, fmt: Format) -> Fpn:
     return x
 
 
-def _rounded(sign: int, m: int, e: int, fmt: Format) -> Fpn:
-    """Fpn(sign, m, e, fmt) for a rounding result: a p-bit m with an
-    in-range e is already canonical and stored as is; anything else
-    (carry, digits < p, subnormal, overflow) goes through Fpn()."""
-    p1 = fmt.p - 1
-    if m >> p1 == 1 and e >= fmt.e_min_q and p1 + e <= fmt.e_max:
-        return _canonical(sign, m, e, fmt)
-    return Fpn(sign, m, e, fmt)
-
-
-def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResult:
+def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int, int, bool]:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
-    Returns the rounded number (re-expressed canonically at fmt's full
-    precision) and whether the rounding was exact.
+    Returns (m, eq, exact): the rounded value is m * 2**eq, m signed like
+    n, eq >= e_min_q, and |m| < 2**digits or, after a carry, 2**digits;
+    zero is (0, e_min_q).  The kernel's only tie rule.  A result above
+    fmt's range raises OverflowError, exact or not, as Fpn() does.
     """
     if n == 0:
-        return _op_result(OpResult, (_canonical(1, 0, fmt.e_min_q, fmt), True))
-    sign = 1 if n > 0 else -1
+        return 0, fmt.e_min_q, True
     a = n if n > 0 else -n
     top = a.bit_length() - 1 + e
     eq = top - digits + 1
     if eq < fmt.e_min_q:
         eq = fmt.e_min_q
-    shift = e - eq
-    if shift >= 0:
-        return _op_result(OpResult, (_rounded(sign, a << shift, eq, fmt), True))
-    s = -shift
-    m = a >> s
-    rem = a & ((1 << s) - 1)
-    if rem == 0:
-        return _op_result(OpResult, (_rounded(sign, m, eq, fmt), True))
-    half = 1 << (s - 1)
-    if rem > half:
-        m += 1
-    elif rem == half:
-        if ties == TIES_AWAY or (m & 1):
-            m += 1
-    return _op_result(OpResult, (_rounded(sign, m, eq, fmt), False))
+    s = eq - e
+    if s <= 0:
+        m, exact = a << -s, True
+    else:
+        m, rem = a >> s, a & ((1 << s) - 1)
+        exact = rem == 0
+        if not exact:
+            half = 1 << (s - 1)
+            if rem > half or (rem == half and (ties == TIES_AWAY or m & 1)):
+                m += 1
+    if top >= fmt.e_max and m.bit_length() - 1 + eq > fmt.e_max:
+        Fpn(1, m, eq, fmt)  # raises Fpn()'s OverflowError
+    return (m if n > 0 else -m), eq, exact
+
+
+def _rounded(m: int, e: int, fmt: Format) -> Fpn:
+    """The Fpn of a _round_int result m * 2**e: zero and a p-bit |m| are
+    already canonical and stored as is; a carry, a short or subnormal m
+    goes through Fpn()."""
+    if not m:
+        return _canonical(1, 0, fmt.e_min_q, fmt)
+    sign = 1
+    if m < 0:
+        sign, m = -1, -m
+    if m >> (fmt.p - 1) == 1:
+        return _canonical(sign, m, e, fmt)
+    return Fpn(sign, m, e, fmt)
+
+
+def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResult:
+    """_round_int's result as an OpResult: the canonical Fpn and the exact flag."""
+    m, eq, exact = _round_int(n, e, digits, fmt, ties)
+    return _op_result(OpResult, (_rounded(m, eq, fmt), exact))
 
 
 def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> OpResult:
@@ -424,8 +435,10 @@ def add(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         counter.rounded += 1
     ea, eb = a.e, b.e
     if ea >= eb:
-        return _round_scaled((a.sign * a.m << (ea - eb)) + b.sign * b.m, eb, fmt.p, fmt, ties)
-    return _round_scaled(a.sign * a.m + (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
+        m, e, exact = _round_int((a.sign * a.m << (ea - eb)) + b.sign * b.m, eb, fmt.p, fmt, ties)
+    else:
+        m, e, exact = _round_int(a.sign * a.m + (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
 def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
@@ -436,8 +449,10 @@ def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         counter.rounded += 1
     ea, eb = a.e, b.e
     if ea >= eb:
-        return _round_scaled((a.sign * a.m << (ea - eb)) - b.sign * b.m, eb, fmt.p, fmt, ties)
-    return _round_scaled(a.sign * a.m - (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
+        m, e, exact = _round_int((a.sign * a.m << (ea - eb)) - b.sign * b.m, eb, fmt.p, fmt, ties)
+    else:
+        m, e, exact = _round_int(a.sign * a.m - (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
 def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
@@ -446,7 +461,8 @@ def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         raise ValueError(_FMT_MISMATCH)
     if counter is not None:
         counter.rounded += 1
-    return _round_scaled(a.sign * b.sign * a.m * b.m, a.e + b.e, fmt.p, fmt, ties)
+    m, e, exact = _round_int(a.sign * b.sign * a.m * b.m, a.e + b.e, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
 def fma(
@@ -464,10 +480,11 @@ def fma(
         counter.rounded += 1
     ep, ec = a.e + b.e, c.e
     if ep >= ec:
-        n = (a.sign * b.sign * a.m * b.m << (ep - ec)) + c.sign * c.m
-        return _round_scaled(n, ec, fmt.p, fmt, ties)
-    n = a.sign * b.sign * a.m * b.m + (c.sign * c.m << (ec - ep))
-    return _round_scaled(n, ep, fmt.p, fmt, ties)
+        n, e0 = (a.sign * b.sign * a.m * b.m << (ep - ec)) + c.sign * c.m, ec
+    else:
+        n, e0 = a.sign * b.sign * a.m * b.m + (c.sign * c.m << (ec - ep)), ep
+    m, e, exact = _round_int(n, e0, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
 # ---------------------------------------------------------------------------
@@ -522,68 +539,87 @@ def is_representable(v: Union[Fraction, int], digits: int, fmt: Format) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fast2sum_pre(a: Fpn, b: Fpn) -> bool:
-    # x = 0, or y = 0, or |x| >= |y|, or x and y admit representations
-    # n_x*2^(e_x), n_y*2^(e_y) with p-bit n and e_x >= e_y; the widest
-    # exponent of a is a.e + tz(a.m) and the narrowest of b is b.e.
-    if a.m == 0 or b.m == 0:
-        return True
-    da, db = a.e, b.e
-    if da >= db:
-        if a.m << (da - db) >= b.m:
-            return True
-    elif a.m >= b.m << (db - da):
-        return True
-    return a.e + _trailing_zeros(a.m) >= b.e
+def _fast2sum_scaled(
+    an: int, ae: int, bn: int, be: int, fmt: Format, ties: str, counter: OpCounter | None
+) -> tuple[int, int, int, int]:
+    """Fast2Sum of the pairs (an, ae), (bn, be): (sn, se, en, ee) with
+    s = o(a + b) and err = b - o(o(a + b) - a), exact; see fast2sum."""
+    p = fmt.p
+    if an and bn:
+        # |a| >= |b|, or a's widest exponent, ae + tz(a), reaches b's
+        # narrowest, its canonical one: p-bit representations with e_a >= e_b
+        a, b = (an if an > 0 else -an), (bn if bn > 0 else -bn)
+        if (a << (ae - be) < b) if ae >= be else (a < b << (be - ae)):
+            if ae + _trailing_zeros(a) < max(b.bit_length() - p + be, fmt.e_min_q):
+                raise PreconditionError(
+                    f"fast2sum precondition fails for {_rounded(an, ae, fmt)!r}, "
+                    f"{_rounded(bn, be, fmt)!r}: no representations with e_a >= e_b and |a| < |b|"
+                )
+    if counter is not None:
+        counter.rounded += 1
+    e0 = ae if ae < be else be
+    sn, se, _ = _round_int((an << (ae - e0)) + (bn << (be - e0)), e0, p, fmt, ties)
+    if counter is not None:
+        counter.rounded += 1
+    e0 = se if se < ae else ae
+    zn, ze, _ = _round_int((sn << (se - e0)) - (an << (ae - e0)), e0, p, fmt, ties)
+    if counter is not None:
+        counter.rounded += 1
+    e0 = be if be < ze else ze
+    en, ee, _ = _round_int((bn << (be - e0)) - (zn << (ze - e0)), e0, p, fmt, ties)
+    # The three-op sequence is exact under the precondition; verify anyway.
+    e0 = min(ae, be, se, ee)
+    if (sn << (se - e0)) + (en << (ee - e0)) != (an << (ae - e0)) + (bn << (be - e0)):
+        raise PreconditionError(
+            f"fast2sum produced a wrong error term for {_rounded(an, ae, fmt)!r}, {_rounded(bn, be, fmt)!r}"
+        )
+    return sn, se, en, ee
 
 
-def fast2sum(
-    a: Fpn,
-    b: Fpn,
-    ties: str = TIES_EVEN,
-    counter: OpCounter | None = None,
-) -> tuple[Fpn, Fpn]:
+def _fast2mult_scaled(
+    an: int, ae: int, bn: int, be: int, fmt: Format, ties: str, counter: OpCounter | None
+) -> tuple[int, int, int, int]:
+    """Fast2Mult of the pairs (an, ae), (bn, be): (hn, he, ln, le) with
+    h = o(a*b) and low = fma(a, b, -h), exact; see fast2mult."""
+    prod, ep = an * bn, ae + be
+    if counter is not None:
+        counter.rounded += 1
+    hn, he, _ = _round_int(prod, ep, fmt.p, fmt, ties)
+    if counter is not None:
+        counter.rounded += 1
+    e0 = ep if ep < he else he
+    ln, le, exact = _round_int((prod << (ep - e0)) - (hn << (he - e0)), e0, fmt.p, fmt, ties)
+    if not exact:
+        raise UnderflowError(
+            f"fast2mult error term of {_rounded(an, ae, fmt)!r}*{_rounded(bn, be, fmt)!r}"
+            " is not representable"
+        )
+    return hn, he, ln, le
+
+
+def fast2sum(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> tuple[Fpn, Fpn]:
     """Rounded sum and its exact error, 3 flops.
 
     Requires a = 0, b = 0, |a| >= |b|, or an exponent ordering between
     some representations of a and b; raises PreconditionError otherwise
     rather than ever returning a wrong error term.
     """
-    if b.fmt is not a.fmt and b.fmt != a.fmt:
+    fmt = a.fmt
+    if b.fmt is not fmt and b.fmt != fmt:
         raise ValueError(_FMT_MISMATCH)
-    if not _fast2sum_pre(a, b):
-        raise PreconditionError(
-            f"fast2sum precondition fails for {a!r}, {b!r}: "
-            "no representations with e_a >= e_b and |a| < |b|"
-        )
-    s, _ = add(a, b, ties, counter)
-    z, _ = sub(s, a, ties, counter)
-    err, _ = sub(b, z, ties, counter)
-    # The three-op sequence is exact under the precondition; verify anyway.
-    e0 = min(a.e, b.e, s.e, err.e)
-    lhs = (s.sign * s.m << (s.e - e0)) + (err.sign * err.m << (err.e - e0))
-    rhs = (a.sign * a.m << (a.e - e0)) + (b.sign * b.m << (b.e - e0))
-    if lhs != rhs:
-        raise PreconditionError(
-            f"fast2sum produced a wrong error term for {a!r}, {b!r}"
-        )
-    return s, err
+    sn, se, en, ee = _fast2sum_scaled(a.sign * a.m, a.e, b.sign * b.m, b.e, fmt, ties, counter)
+    return _rounded(sn, se, fmt), _rounded(en, ee, fmt)
 
 
-def fast2mult(
-    a: Fpn,
-    b: Fpn,
-    ties: str = TIES_EVEN,
-    counter: OpCounter | None = None,
-) -> tuple[Fpn, Fpn]:
+def fast2mult(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> tuple[Fpn, Fpn]:
     """Rounded product and its exact error, 2 flops.
 
     The fma computing a*b - h is exact exactly when that error fits p bits
     at or above 2**e_min_q, so an inexact fma raises UnderflowError (the
     error's quantum fell below 2**e_min_q).
     """
-    h, _ = mul(a, b, ties, counter)  # raises on a format mismatch
-    low, exact = fma(a, b, -h, ties, counter)
-    if not exact:
-        raise UnderflowError(f"fast2mult error term of {a!r}*{b!r} is not representable")
-    return h, low
+    fmt = a.fmt
+    if b.fmt is not fmt and b.fmt != fmt:
+        raise ValueError(_FMT_MISMATCH)
+    hn, he, ln, le = _fast2mult_scaled(a.sign * a.m, a.e, b.sign * b.m, b.e, fmt, ties, counter)
+    return _rounded(hn, he, fmt), _rounded(ln, le, fmt)

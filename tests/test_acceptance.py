@@ -25,6 +25,8 @@ from argred.theorems import (
     check_thm7,
 )
 
+pytestmark = pytest.mark.slow
+
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "tables.json").read_text())
 JOBS = max(1, min(2, os.cpu_count() or 1))
 

@@ -15,11 +15,22 @@ from argred.softfp import (
     TIES_EVEN,
     Fpn,
     Format,
+    OpCounter,
+    PreconditionError,
+    UnderflowError,
+    add,
+    fast2mult,
+    fast2sum,
+    fma,
     round_nearest,
+    sub,
     ulp,
+    ulp2,
+    ulp2_exp,
 )
 from argred.realnum import LN2, PI, Constant
-from argred.constgen import HypothesisViolation, gen_constants, synthetic_set
+from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
+from argred.theorems import CheckConfig, _random_in_range_x, _sweep_space
 import argred.reduction as reduction
 from argred.reduction import (
     ReductionRangeError,
@@ -70,7 +81,7 @@ def test_xr_in_bounds_matches_exact_bound():
             for _ in range(9):
                 for v in (x, -x):
                     assert xr_in_bounds(v, r, n) == (abs(v.value * r.value) <= bound)
-                x = x.next_down()
+                x = -((-x).next_up())
             for _ in range(50):
                 v = Fpn(rng.choice((1, -1)), rng.randrange(1 << (fmt.p - 1), 1 << fmt.p),
                         rng.randrange(-fmt.p - 30, -n + 3), fmt)
@@ -169,7 +180,7 @@ def test_range_boundary():
 
     x = round_nearest(bound / CS_PI.r.value, DOUBLE)
     while x.value * CS_PI.r.value > bound:
-        x = x.next_down()
+        x = -((-x).next_up())
     assert reduce(x, CS_PI, measure_residual=False).rounding_ops_second == 9
     with pytest.raises(ReductionRangeError):
         extract_z(x.next_up(), CS_PI)
@@ -294,7 +305,7 @@ def test_boundary_x_near_half_quantum_times_r():
             center = round_nearest(cs.r.value * Fraction(1, 2 ** (n + 1)), DOUBLE)
             x = center
             for _ in range(40):
-                x = x.next_down()
+                x = -((-x).next_up())
             for _ in range(80):
                 out = reduce(x, cs, measure_residual=False)
                 assert out.exact_first, (cs.c_id, n, x)
@@ -422,3 +433,129 @@ def test_residual_memo_is_per_constant_instance():
     assert got[0] == got[2] == residual_reference(*args, pi, 6 * DOUBLE.p)
     assert got[1] == residual_reference(*args, two_pi, 6 * DOUBLE.p)
     assert got[0] != got[1]
+
+
+# ---------------------------------------------------------------------------
+# the second step on integer pairs against one built from the public ops
+# ---------------------------------------------------------------------------
+
+
+def _reference_second_step(x, z, u, cs, ties=TIES_EVEN, counter=None):
+    """second_step written with the public kernel ops, one Fpn per
+    rounding, and its exactness taken on Fractions."""
+    ops = OpCounter()
+    c2 = cs.c2
+    v1, _ = fma(-z, c2, u, ties, ops)
+    try:
+        p1, p2 = fast2mult(z, c2, ties, ops)
+        t1, t2 = fast2sum(u, -p1, ties, ops)
+    except (PreconditionError, UnderflowError) as exc:
+        raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
+    d1, ex1 = sub(t1, v1, ties, ops)
+    d2, ex2 = add(d1, t2, ties, ops)
+    v2, ex3 = sub(d2, p2, ties, ops)
+    last_line_exact = ex1 and ex2 and ex3
+    exact = v1.value + v2.value == x.value - z.value * (cs.c1.value + c2.value)
+    if not last_line_exact:
+        raise TheoremViolation(f"second-step last line rounded: x={x.to_text()}, z={z.to_text()}")
+    if not z.is_zero():
+        n = max(-z.max_quantum(), cs.n)
+        if n > cs.n:
+            reduction._require_covered(cs, n)
+        g = -n - 1 + ulp2_exp(cs.c1)
+        for name, val in (("t1", t1), ("v1", v1)):
+            if not val.is_zero() and val.max_quantum() < g:
+                raise TheoremViolation(f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {val.to_text()}")
+    if counter is not None:
+        counter.rounded += ops.rounded
+    return v1, v2, exact, ops.rounded, last_line_exact
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception's type and message, with the count
+    it left on a fresh OpCounter."""
+    counter = OpCounter()
+    try:
+        out = tuple(fn(*args, counter=counter))
+    except Exception as exc:
+        out = (type(exc), str(exc))
+    return out, counter.rounded
+
+
+def _assert_lane_matches_reference(x, cs, n, ties):
+    """first_step against fma(-z, C1, x), then second_step against the
+    reference: on the first step's u, and on u one ulp off it, which
+    drives the second step into its raises.  Returns the outcomes."""
+    z, _ = extract_z(x, cs, n, ties)
+    u_out = _outcome(first_step, x, z, cs, ties)
+    assert u_out == _outcome(fma, -z, cs.c1, x, ties), (x, n, ties)
+    u = u_out[0][0]
+    outs = []
+    for uu in (u, u.next_up()):
+        got = _outcome(second_step, x, z, uu, cs, ties)
+        assert got == _outcome(_reference_second_step, x, z, uu, cs, ties), (x, z, uu, n, ties)
+        outs.append(got)
+    return outs
+
+
+@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+@pytest.mark.parametrize("ties", [TIES_EVEN, TIES_AWAY])
+def test_second_step_lane_matches_the_public_ops(constant, ties):
+    rng = random.Random(20)
+    raised = set()
+    for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
+        for n in (0, 5, 10):
+            cs = gen_constants(constant, fmt, n=n)
+            top = round_nearest(xr_bound(fmt, n) / cs.r.value, fmt)
+            while not xr_in_bounds(top, cs.r, n):
+                top = -((-top).next_up())
+            xs = [Fpn.zero(fmt), top, -top]
+            xs += [_random_in_range_x(rng, fmt, cs.r, n) for _ in range(40)]
+            for x in xs:
+                for out, ops in _assert_lane_matches_reference(x, cs, n, ties):
+                    if isinstance(out[0], type):
+                        raised.add(out[0])
+                    else:
+                        assert ops == out[3] == 9
+    assert raised == {TheoremViolation}
+
+
+@pytest.mark.parametrize("ties", [TIES_EVEN, TIES_AWAY])
+def test_second_step_lane_matches_the_public_ops_on_p8_sets(ties):
+    # the synthetic p = 8 sets of exhaustive thm6, every C2 multiple it
+    # takes, on strided R and x
+    cfg = CheckConfig(theorem="thm6", p=8, r_step=32, window=10)
+    fmt, xs, rs = _sweep_space(cfg, 8)
+    cases = 0
+    raised = set()
+    for r in rs:
+        for n in cfg.n_values:
+            try:
+                base = synthetic_set(r, n=n)
+            except HypothesisViolation:
+                continue
+            grid = 8 * ulp2(base.c1)
+            kmax = int((4 * ulp(base.c1)) / grid)
+            for kk in sorted({0, 1, -1, 5, -5, kmax, -kmax, kmax - 1}):
+                try:
+                    cs = synthetic_set(r, n=n, c2=Fpn.from_fraction(kk * grid, fmt))
+                except (HypothesisViolation, ValueError):
+                    continue
+                for x in xs[::23]:
+                    if xr_in_bounds(x, r, n):
+                        cases += 1
+                        for out, _ in _assert_lane_matches_reference(x, cs, n, ties):
+                            raised.add(out[0] if isinstance(out[0], type) else None)
+    assert cases > 5_000 and raised == {None, TheoremViolation}
+
+
+def test_second_step_maps_a_fast2mult_underflow_to_a_theorem_violation():
+    # a z*C2 whose Fast2Mult error term falls below 2^e_min_q = 2^-12
+    fmt = Format(8, -12, 40)
+    zero = Fpn.zero(fmt)
+    cs = ConstantSet(None, fmt, 0, 2, Fpn(1, 163, -8, fmt), Fpn(1, 160, -7, fmt), Fpn(1, 129, -12, fmt), zero)
+    x, z, u = Fpn(1, 200, -6, fmt), Fpn(1, 3, -2, fmt), Fpn(1, 1, -3, fmt)
+    with pytest.raises(TheoremViolation, match="error-free transformation failed: fast2mult error term") as info:
+        second_step(x, z, u, cs)
+    assert isinstance(info.value.__cause__, UnderflowError)
+    assert _outcome(second_step, x, z, u, cs) == _outcome(_reference_second_step, x, z, u, cs)

@@ -61,6 +61,7 @@ def test_correct3_ties_away():
     assert res.passed
 
 
+@pytest.mark.slow
 def test_correct3_higher_small_precisions():
     # strided R sweeps at p = 9 and 10; the full R space runs via the CLI
     for p, step in ((9, 8), (10, 32)):
@@ -127,6 +128,23 @@ def test_thm6_exhaustive_small():
         CheckConfig(theorem="thm6", mode="exhaustive", p=8, r_step=64, n_values=(0,))
     )
     assert res.passed and res.cases > 1000
+
+
+def test_thm6_case_records_a_fast2mult_underflow():
+    # on a format with e_min_q = -12, extraction at N = 1 gives a z whose
+    # Fast2Mult error term against C2 falls below the quantum: the case
+    # function both thm6 campaigns run records a failure, not a traceback
+    from argred.constgen import ConstantSet
+    from argred.softfp import Format, Fpn
+    from argred.theorems import _run_second_step_case
+
+    fmt = Format(8, -12, 40)
+    cs = ConstantSet(
+        None, fmt, 1, 2, Fpn(1, 163, -8, fmt), Fpn(1, 160, -7, fmt), Fpn(1, 129, -12, fmt), Fpn.zero(fmt)
+    )
+    entry = _run_second_step_case(Fpn(1, 202, -9, fmt), cs, 1, "even")
+    assert entry["x"] == "202 * 2^-9" and entry["N"] == 1
+    assert entry["error"].startswith("error-free transformation failed: fast2mult error term")
 
 
 def test_thm7_presets():
