@@ -209,7 +209,8 @@ HYPOTHESES = (
     Hypothesis("second-step", "|C2| <= 4 ulp(C1)", _c2_within_4_ulp, TERMS, Q2),
     Hypothesis(
         "c1-distance", "R is nearest(1/C) at p bits",
-        lambda cs, n: cs.r == safe_round(cs.constant.enclosure(3 * cs.fmt.p).recip(), cs.fmt), BUILT, Q2_REAL,
+        lambda cs, n: cs.r == safe_round(cs.constant.memo_enclosure(3 * cs.fmt.p).recip(), cs.fmt),
+        BUILT, Q2_REAL,
     ),
     _c1_at_least("c1-distance", "C1 >= 2^(p-1) * lambda", lambda p, n, q: p - 1, Q2_REAL, "", False),
     RC1_AT_MOST_1,
@@ -239,7 +240,7 @@ def _generate(
     # the parameters and R are checked before C1 and C2 are built from them
     enc = None
     if constant is not None:
-        enc = constant.enclosure(3 * fmt.p)
+        enc = constant.memo_enclosure(3 * fmt.p)
         r = safe_round(enc.recip(), fmt)
     _require(ConstantSet(constant, fmt, n, q, r, None, None, None), PARAMS)
 

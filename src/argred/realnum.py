@@ -184,6 +184,7 @@ class Constant:
 
     name: str
     enclosure: Callable[[int], RealEnclosure] = field(compare=False)
+    _encs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -191,15 +192,21 @@ class Constant:
         gen = enc.refine if enc.refine is not None else (lambda bits: enc)
         return cls(name, gen)
 
+    def memo_enclosure(self, bits: int) -> RealEnclosure:
+        """enclosure(bits), computed once per bits on this instance."""
+        enc = self._encs.get(bits)
+        if enc is None:
+            enc = self._encs[bits] = self.enclosure(bits)
+        return enc
+
     def scaled_enclosure(self, bits: int) -> tuple[int, int, int]:
         """(lo, hi, den) with lo/den <= C <= hi/den from enclosure(bits),
         computed once per bits on this instance."""
         got = self._scaled.get(bits)
         if got is None:
-            enc = self.enclosure(bits)
+            enc = self.memo_enclosure(bits)
             den = lcm(enc.lo.denominator, enc.hi.denominator)
-            got = (enc.lo * den).numerator, (enc.hi * den).numerator, den
-            self._scaled[bits] = got
+            got = self._scaled[bits] = (enc.lo * den).numerator, (enc.hi * den).numerator, den
         return got
 
 

@@ -11,7 +11,10 @@ Four stages, all driven by one fma-capable kernel:
                  unevaluated sum v1 + w with about 2p significant bits.
 
 Every stage reports exactness flags computed against the exact value,
-and the second step counts its rounded operations (always 9).
+and the second step counts its rounded operations (always 9).  All four
+stages round signed (n, e) integer pairs with softfp._round_int, the
+kernel's one rounding and tie rule, and build an Fpn only for what they
+return: z, u, v1 and v2, w.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from .softfp import (
     _round_int,
     _rounded,
     _trailing_zeros,
-    fma,
-    sub,
     ulp2_exp,
 )
 
@@ -150,47 +151,60 @@ def extract_z(
         n = cs.n
     elif n > cs.n:
         _require_covered(cs, n)
-    fmt = x.fmt
-    r = cs.r
+    fmt, r = x.fmt, cs.r
     if not xr_in_bounds(x, r, n):
         raise ReductionRangeError(
             f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; "
             f"x={x.to_text()}, R={r.to_text()}"
         )
     sigma = sigma_for(fmt, n)
-    t, _ = fma(x, r, sigma, ties, counter)
-    z, _ = sub(t, sigma, ties, counter)
+    if (r.fmt is not fmt and r.fmt != fmt) or (sigma.fmt is not fmt and sigma.fmt != fmt):
+        raise ValueError(_FMT_MISMATCH)
+    if counter is not None:
+        counter.rounded += 2
+    # t = o(x*R + sigma), z = o(t - sigma) on (n, e) pairs; sigma > 0
+    xr_num, xr_exp, sn, se = x.sign * r.sign * x.m * r.m, x.e + r.e, sigma.m, sigma.e
+    e0 = xr_exp if xr_exp < se else se
+    tn, te, _ = _round_int((xr_num << (xr_exp - e0)) + (sn << (se - e0)), e0, fmt.p, fmt, ties)
+    e0 = te if te < se else se
+    zn, ze, _ = _round_int((tn << (te - e0)) - (sn << (se - e0)), e0, fmt.p, fmt, ties)
+    z = _rounded(zn, ze, fmt)
 
-    # diagnostics, exactly in scaled integers
-    if z.is_zero():
-        k = 0
-        in_range = False
-    else:
-        shift = z.e + n
+    # diagnostics, exactly in scaled integers; t - sigma is exact, so
+    # (zn, ze) is z's canonical pair
+    k, in_range = 0, False
+    if zn:
+        shift = ze + n
         if shift >= 0:
-            k = (z.sign * z.m) << shift
-        elif z.m & ((1 << -shift) - 1) == 0:
-            k = (z.sign * z.m) >> -shift
-        else:
-            if check:
-                raise TheoremViolation(f"z*2^N is not an integer: z={z.to_text()}, N={n}")
-            k = 0
-        in_range = z.m.bit_length() - 1 + z.e >= 1 - n
-    ell = abs(k).bit_length()
-    xr_exp = x.e + r.e
-    xr_num = x.sign * r.sign * x.m * r.m
-    if xr_exp >= z.e:
-        e0 = z.e
-        s_num = (xr_num << (xr_exp - e0)) - z.sign * z.m
-    else:
-        e0 = xr_exp
-        s_num = xr_num - (z.sign * z.m << (z.e - e0))
+            k = zn << shift
+        elif zn & ((1 << -shift) - 1) == 0:
+            k = zn >> -shift
+        elif check:
+            raise TheoremViolation(f"z*2^N is not an integer: z={z.to_text()}, N={n}")
+        in_range = (zn if zn > 0 else -zn).bit_length() - 1 + ze >= 1 - n
+    ell = (k if k >= 0 else -k).bit_length()
+    e0 = ze if ze < xr_exp else xr_exp
+    s_num = (xr_num << (xr_exp - e0)) - (zn << (ze - e0))
     if check and in_range:
         if not 2 <= ell <= fmt.p - 2:
             raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={z.to_text()}")
         if not s_within_half(s_num, e0, n):
             raise TheoremViolation(f"|x*R - z| = {abs(_over(s_num, 1, e0))} > 2^-(N+1)")
-    return z, ZExtractInfo(k, ell, s_num, e0, in_range)
+    return z, tuple.__new__(ZExtractInfo, (k, ell, s_num, e0, in_range))
+
+
+def _minus_zc(x: Fpn, z: Fpn, c: Fpn, ties: str, counter: OpCounter | None) -> OpResult:
+    """o(x - z*c) in one rounding: the fma of the first and third steps."""
+    fmt = z.fmt
+    if (c.fmt is not fmt and c.fmt != fmt) or (x.fmt is not fmt and x.fmt != fmt):
+        raise ValueError(_FMT_MISMATCH)
+    if counter is not None:
+        counter.rounded += 1
+    ep, ex = z.e + c.e, x.e
+    e0 = ep if ep < ex else ex
+    n = (x.sign * x.m << (ex - e0)) - (z.sign * c.sign * z.m * c.m << (ep - e0))
+    m, e, exact = _round_int(n, e0, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
 def first_step(
@@ -201,16 +215,7 @@ def first_step(
     Under the audited hypotheses exactness is a theorem, so an inexact
     flag here is a finding for the harness, not a runtime error.
     """
-    fmt, c1 = z.fmt, cs.c1
-    if (c1.fmt is not fmt and c1.fmt != fmt) or (x.fmt is not fmt and x.fmt != fmt):
-        raise ValueError(_FMT_MISMATCH)
-    if counter is not None:
-        counter.rounded += 1
-    ep, ex = z.e + c1.e, x.e
-    e0 = ep if ep < ex else ex
-    n = (x.sign * x.m << (ex - e0)) - (z.sign * c1.sign * z.m * c1.m << (ep - e0))
-    m, e, exact = _round_int(n, e0, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
+    return _minus_zc(x, z, cs.c1, ties, counter)
 
 
 class SecondStepResult(NamedTuple):
@@ -302,7 +307,7 @@ def third_step(
     counter: OpCounter | None = None,
 ) -> Fpn:
     """w = o(v2 - z*C3); (v1, w) is the 2p-bit unevaluated reduced argument."""
-    return fma(-z, cs.c3, v2, ties, counter).value
+    return _minus_zc(v2, z, cs.c3, ties, counter).value
 
 
 def residual_interval(

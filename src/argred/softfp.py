@@ -12,24 +12,23 @@ result we ever want to check is finite and a silent infinity would mask
 a violated precondition.
 
 Trusted construction.  ``Fpn(...)`` checks and canonicalizes its fields;
-``_canonical`` stores fields that are canonical by construction and skips
-that work.  Only these results take the trusted path:
-
-- ``Fpn.zero``: (+1, 0, e_min_q) is the canonical zero;
-- ``-x`` and ``abs(x)``: flipping the sign of a canonical nonzero value
-  changes neither m nor e, and -0 and abs(0) return the zero itself;
-- rounding results, which only ``_rounded`` builds, from a ``_round_int``
-  result: zero, or a p-bit m (``_round_int`` has already kept e at or
-  above e_min_q and raised on overflow); a carry, a short or subnormal m
-  goes through ``Fpn()``.
+``_rounded`` builds one from a signed pair (m, e) and skips that work
+when m is zero or |m| has exactly p bits.  It is given only pairs with e
+at or above e_min_q and in range: ``_round_int`` results (which it has
+already clamped and checked for overflow), the canonical zero of
+``Fpn.zero``, and the fields of a canonical value for ``-x`` and
+``abs(x)`` (flipping the sign changes neither m nor e).  A carry, a short
+or subnormal m goes through ``Fpn()``.
 
 Everything else, ``round_rational`` (the oracle) included, goes through
 ``Fpn(...)``.
 
 The lane.  ``_round_int`` rounds a signed integer pair (n, e), the exact
-value n * 2**e, to another; the EFT cores and the reduction's first and
-second steps chain pairs and build an ``Fpn`` only for what they return.
-A pair is an exact value, not a canonical form (a carry leaves m = 2**p).
+value n * 2**e, to another; the EFT cores and all four reduction stages
+(z-extraction, the first, second and third steps) chain pairs and build
+an ``Fpn`` only for what they return.  A pair is an exact value, not a
+canonical form (a carry leaves m = 2**p); an exact rounding to p digits
+is canonical.
 """
 
 from __future__ import annotations
@@ -171,7 +170,7 @@ class Fpn:
 
     @classmethod
     def zero(cls, fmt: Format) -> "Fpn":
-        return _canonical(1, 0, fmt.e_min_q, fmt)
+        return _rounded(0, 0, fmt)
 
     @classmethod
     def from_int(cls, k: int, fmt: Format) -> "Fpn":
@@ -234,14 +233,10 @@ class Fpn:
     # -- exact structural operations ----------------------------------
 
     def __neg__(self) -> "Fpn":
-        if self.m == 0:
-            return self
-        return _canonical(-self.sign, self.m, self.e, self.fmt)
+        return _rounded(-self.sign * self.m, self.e, self.fmt) if self.m else self
 
     def __abs__(self) -> "Fpn":
-        if self.sign < 0:
-            return _canonical(1, self.m, self.e, self.fmt)
-        return self
+        return _rounded(self.m, self.e, self.fmt) if self.sign < 0 else self
 
     def max_quantum(self) -> int:
         """Largest e' such that self = n * 2**e' for an integer n (self != 0)."""
@@ -310,19 +305,6 @@ _op_result = tuple.__new__
 # ---------------------------------------------------------------------------
 
 
-def _canonical(sign: int, m: int, e: int, fmt: Format) -> Fpn:
-    """An Fpn from fields that are already canonical, without Fpn.__init__.
-
-    Callers guarantee the invariant stated in the module docstring.
-    """
-    x = object.__new__(Fpn)
-    x.sign = sign
-    x.m = m
-    x.e = e
-    x.fmt = fmt
-    return x
-
-
 def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int, int, bool]:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
@@ -354,17 +336,23 @@ def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int
 
 
 def _rounded(m: int, e: int, fmt: Format) -> Fpn:
-    """The Fpn of a _round_int result m * 2**e: zero and a p-bit |m| are
-    already canonical and stored as is; a carry, a short or subnormal m
-    goes through Fpn()."""
-    if not m:
-        return _canonical(1, 0, fmt.e_min_q, fmt)
+    """The Fpn of a signed pair m * 2**e, such as a _round_int result:
+    zero and a p-bit |m| are already canonical and stored as is, without
+    Fpn.__init__ (see the module docstring); a carry, a short or
+    subnormal m goes through Fpn()."""
     sign = 1
     if m < 0:
         sign, m = -1, -m
-    if m >> (fmt.p - 1) == 1:
-        return _canonical(sign, m, e, fmt)
-    return Fpn(sign, m, e, fmt)
+    if m >> (fmt.p - 1) != 1:
+        if m:
+            return Fpn(sign, m, e, fmt)
+        e = fmt.e_min_q
+    x = object.__new__(Fpn)
+    x.sign = sign
+    x.m = m
+    x.e = e
+    x.fmt = fmt
+    return x
 
 
 def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResult:

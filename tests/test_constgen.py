@@ -1,5 +1,6 @@
 """Constant-set generation, audit, and the table of hypotheses both read."""
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 import argred.constgen as constgen
 from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, TIES_EVEN, Fpn, Format, ulp, ulp2
-from argred.realnum import LN2, PI
+from argred.realnum import LN2, PI, Constant
 from argred.reduction import extract_z
 from argred.constgen import (
     HYPOTHESES,
@@ -54,6 +55,23 @@ def test_audit_passes_for_presets():
         assert rep.passed, (cname, flabel, [c.hypothesis for c in rep.failed_checks()])
     rep = audit(gen_constants(LN2, QUAD, n=10))
     assert rep.passed
+
+
+def test_audit_reads_the_enclosure_generation_built():
+    # gen_constants and the "R is nearest(1/C)" entry share the constant's
+    # one 3p-bit enclosure; the entry still rounds R from it on its own
+    calls = []
+
+    def enclosure(bits):
+        calls.append(bits)
+        return PI.enclosure(bits)
+
+    pi = Constant("pi", enclosure)
+    cs = gen_constants(pi, DOUBLE)
+    assert audit(cs).passed and calls == [3 * DOUBLE.p]
+    forged = dataclasses.replace(cs, r=cs.r.next_up())
+    assert [c.hypothesis for c in audit(forged).failed_checks()] == ["R is nearest(1/C) at p bits"]
+    assert calls == [3 * DOUBLE.p]
 
 
 def test_audit_detects_power_of_two_c1():

@@ -559,3 +559,118 @@ def test_second_step_maps_a_fast2mult_underflow_to_a_theorem_violation():
         second_step(x, z, u, cs)
     assert isinstance(info.value.__cause__, UnderflowError)
     assert _outcome(second_step, x, z, u, cs) == _outcome(_reference_second_step, x, z, u, cs)
+
+
+# ---------------------------------------------------------------------------
+# z-extraction and the third step on integer pairs against the public ops
+# ---------------------------------------------------------------------------
+
+
+def _reference_extract_z(x, cs, n=None, ties=TIES_EVEN, counter=None, check=True):
+    """extract_z written with the public kernel ops, its diagnostics read
+    off the z Fpn."""
+    if n is None:
+        n = cs.n
+    elif n > cs.n:
+        reduction._require_covered(cs, n)
+    r = cs.r
+    if not xr_in_bounds(x, r, n):
+        raise ReductionRangeError(
+            f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; x={x.to_text()}, R={r.to_text()}"
+        )
+    sigma = reduction.sigma_for(x.fmt, n)
+    t, _ = fma(x, r, sigma, ties, counter)
+    z, _ = sub(t, sigma, ties, counter)
+    k, in_range = 0, False
+    if not z.is_zero():
+        k = z.value * 2**n
+        if k.denominator != 1:
+            if check:
+                raise TheoremViolation(f"z*2^N is not an integer: z={z.to_text()}, N={n}")
+            k = 0
+        k = int(k)
+        in_range = abs(z.value) >= Fraction(2) ** (1 - n)
+    ell = abs(k).bit_length()
+    s_exp = min(x.e + r.e, z.e)
+    s = x.value * r.value - z.value
+    if check and in_range:
+        if not 2 <= ell <= x.fmt.p - 2:
+            raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={z.to_text()}")
+        if abs(s) > Fraction(1, 2 ** (n + 1)):
+            raise TheoremViolation(f"|x*R - z| = {abs(s)} > 2^-(N+1)")
+    return z, reduction.ZExtractInfo(k, ell, int(s / Fraction(2) ** s_exp), s_exp, in_range)
+
+
+def _reference_third_step(v1, v2, z, cs, ties=TIES_EVEN, counter=None):
+    return fma(-z, cs.c3, v2, ties, counter).value
+
+
+def _assert_z_lane_matches_reference(x, cs, n, ties):
+    """extract_z (check on and off) and third_step against the references:
+    z, every ZExtractInfo field, the count and any exception.  Returns
+    the outcome of extract_z with its checks on."""
+    outs = []
+    for check in (True, False):
+        got = _outcome(lambda *a, counter: extract_z(*a, counter=counter, check=check), x, cs, n, ties)
+        want = _outcome(lambda *a, counter: _reference_extract_z(*a, counter=counter, check=check), x, cs, n, ties)
+        assert got == want, (x, n, ties, check)
+        assert isinstance(got[0][0], type) or type(got[0][1]) is reduction.ZExtractInfo, got
+        outs.append(got)
+    if not isinstance(outs[0][0][0], type) and n <= cs.n:
+        z = outs[0][0][0]
+        ss = second_step(x, z, first_step(x, z, cs, ties)[0], cs, ties)
+        for v2 in (ss.v2, ss.v2.next_up(), x):
+            args = (ss.v1, v2, z, cs, ties)
+            got = _outcome(lambda *a, counter: (third_step(*a, counter=counter),), *args)
+            assert got == _outcome(lambda *a, counter: (_reference_third_step(*a, counter=counter),), *args)
+    return outs[0]
+
+
+@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+@pytest.mark.parametrize("ties", [TIES_EVEN, TIES_AWAY])
+def test_z_extraction_and_third_step_lane_match_the_public_ops(constant, ties):
+    rng = random.Random(21)
+    raised = set()
+    for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
+        for n in (0, 5, 10):
+            cs = gen_constants(constant, fmt, n=n)
+            top = round_nearest(xr_bound(fmt, n) / cs.r.value, fmt)
+            while not xr_in_bounds(top, cs.r, n):
+                top = -((-top).next_up())
+            # x = 0, the range edge and one ulp past it, both signs
+            xs = [Fpn.zero(fmt), top, -top, top.next_up(), -top.next_up()]
+            xs += [_random_in_range_x(rng, fmt, cs.r, n) for _ in range(30)]
+            # above the set's N: covered (n + 1) and not (1000)
+            for x in xs:
+                for nn in (n, n + 1, 1000):
+                    out, count = _assert_z_lane_matches_reference(x, cs, nn, ties)
+                    raised.add(out[0] if isinstance(out[0], type) else None)
+                    assert count == (0 if isinstance(out[0], type) else 2)
+            # a mismatched format: R, and C3 or v2
+            other = SINGLE if fmt is not SINGLE else DOUBLE
+            x = Fpn.from_int(3, other)
+            assert _assert_z_lane_matches_reference(x, cs, n, ties) == ((ValueError, "operands must share a format"), 0)
+            z, _ = extract_z(Fpn.from_int(3, fmt), cs, ties=ties)
+            for args in ((x, x, z, cs, ties), (z, z, x, cs, ties)):
+                got = _outcome(lambda *a, counter: (third_step(*a, counter=counter),), *args)
+                assert got == _outcome(lambda *a, counter: (_reference_third_step(*a, counter=counter),), *args)
+                assert got == ((ValueError, "operands must share a format"), 0)
+    assert raised == {None, ReductionRangeError, HypothesisViolation}
+
+
+@pytest.mark.parametrize("ties", [TIES_EVEN, TIES_AWAY])
+def test_z_extraction_and_third_step_lane_match_the_public_ops_on_p8_sets(ties):
+    # every 23rd x of the p = 8 sweep, on strided R
+    cfg = CheckConfig(theorem="correct3", p=8, r_step=8, window=12)
+    fmt, xs, rs = _sweep_space(cfg, 1)
+    cases = 0
+    for r in rs:
+        for n in cfg.n_values:
+            try:
+                cs = synthetic_set(r, n=n)
+            except HypothesisViolation:
+                continue
+            for x in xs[::23]:
+                out, _ = _assert_z_lane_matches_reference(x, cs, n, ties)
+                cases += not isinstance(out[0], type)
+    assert cases > 2_000

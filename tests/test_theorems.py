@@ -383,19 +383,18 @@ def test_thm3_records_a_small_z_off_the_grid(monkeypatch):
     # z*2^N must be an integer for every z, below the theorem's range too:
     # move z = +-2^-N (ell = 1) one ulp off the 2^-N grid
     import argred.reduction as reduction
-    from argred.softfp import Fpn, OpResult
 
-    real_sub = reduction.sub
+    real_round_int = reduction._round_int
 
-    def off_grid(a, b, ties="even", counter=None):
-        out = real_sub(a, b, ties, counter)
-        z = out.value
-        # b is sigma = 3 * 2^(p-N-2), stored with e = -N
-        if z.m == 1 << (z.fmt.p - 1) and z.e == b.e - (z.fmt.p - 1):
-            return OpResult(Fpn(z.sign, z.m + 1, z.e, z.fmt), False)
-        return out
+    def off_grid(n, e, digits, fmt, ties):
+        m, eq, exact = real_round_int(n, e, digits, fmt, ties)
+        # z = o(t - sigma) rounds at e = -N, sigma's exponent, and z = +-2^-N
+        # is +-2^(p-1) * 2^(e-p+1); t = o(x*R + sigma) >= 2^(p-N-1) never is
+        if abs(m) == 1 << (fmt.p - 1) and eq == e - (fmt.p - 1):
+            return m + (1 if m > 0 else -1), eq, False
+        return m, eq, exact
 
-    monkeypatch.setattr(reduction, "sub", off_grid)
+    monkeypatch.setattr(reduction, "_round_int", off_grid)
     res = check_thm3(CheckConfig(theorem="thm3", p=8, r_step=64))
     assert not res.passed and res.failures
     assert all("z*2^N is not an integer" in f["error"] for f in res.failures)
