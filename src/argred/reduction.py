@@ -11,10 +11,13 @@ Four stages, all driven by one fma-capable kernel:
                  unevaluated sum v1 + w with about 2p significant bits.
 
 Every stage reports exactness flags computed against the exact value,
-and the second step counts its rounded operations (always 9).  All four
-stages round signed (n, e) integer pairs with softfp._round_int, the
-kernel's one rounding and tie rule, and build an Fpn only for what they
-return: z, u, v1 and v2, w.
+and the second step counts its rounded operations (always 9).  The
+arithmetic and checks are written once, in a core on signed (n, e)
+integer pairs (_extract_pairs, _minus_zc_pairs, _second_step_pairs) that
+rounds with softfp._round_int, the kernel's one rounding and tie rule.
+The four public stages are thin Fpn wrappers over it that check formats
+and build an Fpn only for what they return: z, u, v1 and v2, w.  The
+thm6 campaign and the small-precision sweeps call the core directly.
 """
 
 from __future__ import annotations
@@ -90,14 +93,14 @@ def xr_bound(fmt: Format, n: int) -> Fraction:
 
 
 def xr_in_bounds(x: Fpn, r: Fpn, n: int) -> bool:
-    """|x*R| <= 2^(p-N-2) - 2^-N, exactly.
+    """|x*R| <= 2^(p-N-2) - 2^-N, exactly; see _xr_fits."""
+    return _xr_fits(x.m * r.m, x.e + r.e + n, x.fmt.p)
 
-    Scaled by 2^N this is the integer inequality
-    |x.m*r.m| * 2^(x.e+r.e+N) <= 2^(p-2) - 1.
-    """
-    a = x.m * r.m
-    shift = x.e + r.e + n
-    top = (1 << (x.fmt.p - 2)) - 1
+
+def _xr_fits(a: int, shift: int, p: int) -> bool:
+    """xr_in_bounds scaled by 2^N, for a = |x.m * R.m| and shift = x.e + R.e + N:
+    the integer inequality a * 2^shift <= 2^(p-2) - 1."""
+    top = (1 << (p - 2)) - 1
     return (a << shift) <= top if shift >= 0 else a <= top << -shift
 
 
@@ -129,11 +132,7 @@ class ZExtractInfo(NamedTuple):
 
 
 def extract_z(
-    x: Fpn,
-    cs: ConstantSet,
-    n: int | None = None,
-    ties: str = TIES_EVEN,
-    counter: OpCounter | None = None,
+    x: Fpn, cs: ConstantSet, n: int | None = None, ties: str = TIES_EVEN, counter: OpCounter | None = None,
     check: bool = True,
 ) -> tuple[Fpn, ZExtractInfo]:
     """Extract z = k * 2^-N ~ x*R via the fma-and-subtract trick.
@@ -153,22 +152,28 @@ def extract_z(
         _require_covered(cs, n)
     fmt, r = x.fmt, cs.r
     if not xr_in_bounds(x, r, n):
-        raise ReductionRangeError(
-            f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; "
-            f"x={x.to_text()}, R={r.to_text()}"
-        )
+        msg = f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; x={x.to_text()}, R={r.to_text()}"
+        raise ReductionRangeError(msg)
     sigma = sigma_for(fmt, n)
     if (r.fmt is not fmt and r.fmt != fmt) or (sigma.fmt is not fmt and sigma.fmt != fmt):
         raise ValueError(_FMT_MISMATCH)
     if counter is not None:
         counter.rounded += 2
-    # t = o(x*R + sigma), z = o(t - sigma) on (n, e) pairs; sigma > 0
-    xr_num, xr_exp, sn, se = x.sign * r.sign * x.m * r.m, x.e + r.e, sigma.m, sigma.e
+    xn, rn = x.sign * x.m, r.sign * r.m
+    zn, ze, *info = _extract_pairs(xn, x.e, rn, r.e, sigma.m, sigma.e, n, fmt, ties, check)
+    return _rounded(zn, ze, fmt), tuple.__new__(ZExtractInfo, info)
+
+
+def _extract_pairs(
+    xn: int, xe: int, rn: int, re: int, sn: int, se: int, n: int, fmt: Format, ties: str, check: bool
+) -> tuple[int, int, int, int, int, int, bool]:
+    """z = o(o(x*R + sigma) - sigma) for an in-range x and sigma > 0, and
+    its diagnostics: (zn, ze, k, ell, s_num, s_exp, in_thm_range)."""
+    xr_num, xr_exp = xn * rn, xe + re
     e0 = xr_exp if xr_exp < se else se
     tn, te, _ = _round_int((xr_num << (xr_exp - e0)) + (sn << (se - e0)), e0, fmt.p, fmt, ties)
     e0 = te if te < se else se
     zn, ze, _ = _round_int((tn << (te - e0)) - (sn << (se - e0)), e0, fmt.p, fmt, ties)
-    z = _rounded(zn, ze, fmt)
 
     # diagnostics, exactly in scaled integers; t - sigma is exact, so
     # (zn, ze) is z's canonical pair
@@ -180,30 +185,90 @@ def extract_z(
         elif zn & ((1 << -shift) - 1) == 0:
             k = zn >> -shift
         elif check:
-            raise TheoremViolation(f"z*2^N is not an integer: z={z.to_text()}, N={n}")
+            raise TheoremViolation(f"z*2^N is not an integer: z={_rounded(zn, ze, fmt).to_text()}, N={n}")
         in_range = (zn if zn > 0 else -zn).bit_length() - 1 + ze >= 1 - n
     ell = (k if k >= 0 else -k).bit_length()
     e0 = ze if ze < xr_exp else xr_exp
     s_num = (xr_num << (xr_exp - e0)) - (zn << (ze - e0))
     if check and in_range:
         if not 2 <= ell <= fmt.p - 2:
-            raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={z.to_text()}")
+            raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={_rounded(zn, ze, fmt).to_text()}")
         if not s_within_half(s_num, e0, n):
             raise TheoremViolation(f"|x*R - z| = {abs(_over(s_num, 1, e0))} > 2^-(N+1)")
-    return z, tuple.__new__(ZExtractInfo, (k, ell, s_num, e0, in_range))
+    return zn, ze, k, ell, s_num, e0, in_range
+
+
+def _minus_zc_pairs(
+    xn: int, xe: int, zn: int, ze: int, cn: int, ce: int, fmt: Format, ties: str
+) -> tuple[int, int, bool]:
+    """o(x - z*c) in one rounding, the fma of the first and third steps: (m, e, exact)."""
+    ep = ze + ce
+    e0 = ep if ep < xe else xe
+    return _round_int((xn << (xe - e0)) - (zn * cn << (ep - e0)), e0, fmt.p, fmt, ties)
+
+
+def _second_step_pairs(
+    xn: int, xe: int, zn: int, ze: int, un: int, ue: int,
+    c1n: int, c1e: int, c2n: int, c2e: int, cs: ConstantSet, fmt: Format, ties: str,
+) -> tuple[int, int, int, int, bool, int]:
+    """second_step's nine roundings and checks: (v1n, v1e, v2n, v2e, exact, ops)."""
+    ops = OpCounter()
+    ze2 = ze + c2e
+    ops.rounded += 1
+    e0 = ze2 if ze2 < ue else ue
+    v1n, v1e, _ = _round_int((un << (ue - e0)) - (zn * c2n << (ze2 - e0)), e0, fmt.p, fmt, ties)
+    try:
+        p1n, p1e, p2n, p2e = _fast2mult_scaled(zn, ze, c2n, c2e, fmt, ties, ops)
+        t1n, t1e, t2n, t2e = _fast2sum_scaled(un, ue, -p1n, p1e, fmt, ties, ops)
+    except (PreconditionError, UnderflowError) as exc:
+        raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
+    ops.rounded += 3
+    e0 = t1e if t1e < v1e else v1e
+    d1n, d1e, ex1 = _round_int((t1n << (t1e - e0)) - (v1n << (v1e - e0)), e0, fmt.p, fmt, ties)
+    e0 = d1e if d1e < t2e else t2e
+    d2n, d2e, ex2 = _round_int((d1n << (d1e - e0)) + (t2n << (t2e - e0)), e0, fmt.p, fmt, ties)
+    e0 = d2e if d2e < p2e else p2e
+    v2n, v2e, ex3 = _round_int((d2n << (d2e - e0)) - (p2n << (p2e - e0)), e0, fmt.p, fmt, ties)
+
+    # v1 + v2 - x + z*C1 + z*C2 == 0, exactly, as integers over 2^e0
+    ze1 = ze + c1e
+    e0 = min(v1e, v2e, xe, ze1, ze2)
+    exact = (
+        (v1n << (v1e - e0))
+        + (v2n << (v2e - e0))
+        - (xn << (xe - e0))
+        + (zn * c1n << (ze1 - e0))
+        + (zn * c2n << (ze2 - e0))
+    ) == 0
+
+    if not (ex1 and ex2 and ex3):
+        x, z = _rounded(xn, xe, fmt).to_text(), _rounded(zn, ze, fmt).to_text()
+        raise TheoremViolation(f"second-step last line rounded: x={x}, z={z}")
+    # proof facts: for z != 0, t1 and v1 sit on the 2^(-N-1) * ulp2(C1)
+    # grid (for z = 0 they are x itself, on x's grid only).  A z on the
+    # 2^-N' grid with N' > cs.n is also what extraction at N' gives, as
+    # |x*R - z| <= 2^(-N'-1), so the facts hold at N' if the set's do.
+    if zn:
+        n = max(-ze - _trailing_zeros(zn), cs.n)
+        if n > cs.n:
+            _require_covered(cs, n)
+        g = -n - 1 + ulp2_exp(cs.c1)
+        for name, vn, ve in (("t1", t1n, t1e), ("v1", v1n, v1e)):
+            if vn and ve + _trailing_zeros(vn) < g:
+                raise TheoremViolation(
+                    f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {_rounded(vn, ve, fmt).to_text()}"
+                )
+    return v1n, v1e, v2n, v2e, exact, ops.rounded
 
 
 def _minus_zc(x: Fpn, z: Fpn, c: Fpn, ties: str, counter: OpCounter | None) -> OpResult:
-    """o(x - z*c) in one rounding: the fma of the first and third steps."""
+    """_minus_zc_pairs on Fpn values, for first_step and third_step."""
     fmt = z.fmt
     if (c.fmt is not fmt and c.fmt != fmt) or (x.fmt is not fmt and x.fmt != fmt):
         raise ValueError(_FMT_MISMATCH)
     if counter is not None:
         counter.rounded += 1
-    ep, ex = z.e + c.e, x.e
-    e0 = ep if ep < ex else ex
-    n = (x.sign * x.m << (ex - e0)) - (z.sign * c.sign * z.m * c.m << (ep - e0))
-    m, e, exact = _round_int(n, e0, fmt.p, fmt, ties)
+    m, e, exact = _minus_zc_pairs(x.sign * x.m, x.e, z.sign * z.m, z.e, c.sign * c.m, c.e, fmt, ties)
     return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
@@ -238,85 +303,30 @@ def second_step(
     or z's own N' > cs.n, which the set's N-dependent hypotheses must
     cover (else HypothesisViolation).  u comes from first_step, it is not
     recomputed.  A failed Fast2Sum precondition, or a Fast2Mult error term
-    below the quantum 2^e_min_q, raises TheoremViolation.  The nine
-    roundings run on (n, e) integer pairs (see softfp); only v1 and v2
-    become Fpn.
+    below the quantum 2^e_min_q, raises TheoremViolation.
     """
-    fmt, c2 = z.fmt, cs.c2
-    if (c2.fmt is not fmt and c2.fmt != fmt) or (u.fmt is not fmt and u.fmt != fmt):
-        raise ValueError(_FMT_MISMATCH)
-    ops = OpCounter()
-    zn, ze, un, ue = z.sign * z.m, z.e, u.sign * u.m, u.e
-    c2n, ze2 = c2.sign * c2.m, ze + c2.e
-    ops.rounded += 1
-    e0 = ze2 if ze2 < ue else ue
-    v1n, v1e, _ = _round_int((un << (ue - e0)) - (zn * c2n << (ze2 - e0)), e0, fmt.p, fmt, ties)
-    try:
-        p1n, p1e, p2n, p2e = _fast2mult_scaled(zn, ze, c2n, c2.e, fmt, ties, ops)
-        t1n, t1e, t2n, t2e = _fast2sum_scaled(un, ue, -p1n, p1e, fmt, ties, ops)
-    except (PreconditionError, UnderflowError) as exc:
-        raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
-    ops.rounded += 3
-    e0 = t1e if t1e < v1e else v1e
-    d1n, d1e, ex1 = _round_int((t1n << (t1e - e0)) - (v1n << (v1e - e0)), e0, fmt.p, fmt, ties)
-    e0 = d1e if d1e < t2e else t2e
-    d2n, d2e, ex2 = _round_int((d1n << (d1e - e0)) + (t2n << (t2e - e0)), e0, fmt.p, fmt, ties)
-    e0 = d2e if d2e < p2e else p2e
-    v2n, v2e, ex3 = _round_int((d2n << (d2e - e0)) - (p2n << (p2e - e0)), e0, fmt.p, fmt, ties)
-    last_line_exact = ex1 and ex2 and ex3
-
-    # v1 + v2 - x + z*C1 + z*C2 == 0, exactly, as integers over 2^e0
-    c1, ze1 = cs.c1, ze + cs.c1.e
-    e0 = min(v1e, v2e, x.e, ze1, ze2)
-    exact = (
-        (v1n << (v1e - e0))
-        + (v2n << (v2e - e0))
-        - (x.sign * x.m << (x.e - e0))
-        + (zn * c1.sign * c1.m << (ze1 - e0))
-        + (zn * c2n << (ze2 - e0))
-    ) == 0
-
-    if not last_line_exact:
-        raise TheoremViolation(f"second-step last line rounded: x={x.to_text()}, z={z.to_text()}")
-    # proof facts: for z != 0, t1 and v1 sit on the 2^(-N-1) * ulp2(C1)
-    # grid (for z = 0 they are x itself, on x's grid only).  A z on the
-    # 2^-N' grid with N' > cs.n is also what extraction at N' gives, as
-    # |x*R - z| <= 2^(-N'-1), so the facts hold at N' if the set's do.
-    if zn:
-        n = max(-z.max_quantum(), cs.n)
-        if n > cs.n:
-            _require_covered(cs, n)
-        g = -n - 1 + ulp2_exp(c1)
-        for name, vn, ve in (("t1", t1n, t1e), ("v1", v1n, v1e)):
-            if vn and ve + _trailing_zeros(vn) < g:
-                raise TheoremViolation(
-                    f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {_rounded(vn, ve, fmt).to_text()}"
-                )
+    fmt, c1, c2 = z.fmt, cs.c1, cs.c2
+    for v in (c2, u, x):
+        if v.fmt is not fmt and v.fmt != fmt:
+            raise ValueError(_FMT_MISMATCH)
+    v1n, v1e, v2n, v2e, exact, ops = _second_step_pairs(
+        x.sign * x.m, x.e, z.sign * z.m, z.e, u.sign * u.m, u.e,
+        c1.sign * c1.m, c1.e, c2.sign * c2.m, c2.e, cs, fmt, ties,
+    )
     if counter is not None:
-        counter.rounded += ops.rounded
-    v1, v2 = _rounded(v1n, v1e, fmt), _rounded(v2n, v2e, fmt)
-    return SecondStepResult(v1, v2, exact, ops.rounded, last_line_exact)
+        counter.rounded += ops
+    return SecondStepResult(_rounded(v1n, v1e, fmt), _rounded(v2n, v2e, fmt), exact, ops, True)
 
 
 def third_step(
-    v1: Fpn,
-    v2: Fpn,
-    z: Fpn,
-    cs: ConstantSet,
-    ties: str = TIES_EVEN,
-    counter: OpCounter | None = None,
+    v1: Fpn, v2: Fpn, z: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, counter: OpCounter | None = None
 ) -> Fpn:
     """w = o(v2 - z*C3); (v1, w) is the 2p-bit unevaluated reduced argument."""
     return _minus_zc(v2, z, cs.c3, ties, counter).value
 
 
 def residual_interval(
-    x: Fpn,
-    z: Fpn,
-    v1: Fpn,
-    w: Fpn,
-    cs: ConstantSet,
-    bits: int | None = None,
+    x: Fpn, z: Fpn, v1: Fpn, w: Fpn, cs: ConstantSet, bits: int | None = None
 ) -> tuple[Fraction, Fraction]:
     """Bounds on |v1 + w - (x - z*C)| from the enclosure of C.
 
@@ -367,12 +377,7 @@ class ReductionOutput:
     residual_hi: Optional[Fraction] = None
 
 
-def reduce(
-    x: Fpn,
-    cs: ConstantSet,
-    ties: str = TIES_EVEN,
-    measure_residual: bool = True,
-) -> ReductionOutput:
+def reduce(x: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, measure_residual: bool = True) -> ReductionOutput:
     """Run the full pipeline at N = cs.n: extract z, first, second, and
     third steps, with every runtime theorem check on."""
     z, info = extract_z(x, cs, ties=ties)
@@ -383,17 +388,5 @@ def reduce(
     if measure_residual and cs.constant is not None:
         res_lo, res_hi = residual_interval(x, z, ss.v1, w, cs)
     return ReductionOutput(
-        z=z,
-        u=u,
-        v1=ss.v1,
-        v2=ss.v2,
-        w=w,
-        ell=info.ell,
-        s=info.s,
-        exact_first=exact1,
-        exact_second=ss.exact,
-        rounding_ops_second=ss.ops,
-        in_thm_range=info.in_thm_range,
-        residual_lo=res_lo,
-        residual_hi=res_hi,
+        z, u, ss.v1, ss.v2, w, info.ell, info.s, exact1, ss.exact, ss.ops, info.in_thm_range, res_lo, res_hi
     )

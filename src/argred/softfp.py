@@ -24,11 +24,12 @@ Everything else, ``round_rational`` (the oracle) included, goes through
 ``Fpn(...)``.
 
 The lane.  ``_round_int`` rounds a signed integer pair (n, e), the exact
-value n * 2**e, to another; the EFT cores and all four reduction stages
-(z-extraction, the first, second and third steps) chain pairs and build
-an ``Fpn`` only for what they return.  A pair is an exact value, not a
-canonical form (a carry leaves m = 2**p); an exact rounding to p digits
-is canonical.
+value n * 2**e, to another.  The EFT cores here and the reduction's pair
+core (z-extraction, the x - z*c fma of the first and third steps, the
+second step) chain pairs; the public stages wrap that core and build an
+``Fpn`` only for what they return, and the thm6 campaign and the sweeps
+run it directly.  A pair is an exact value, not a canonical form (a
+carry leaves m = 2**p); an exact rounding to p digits is canonical.
 """
 
 from __future__ import annotations

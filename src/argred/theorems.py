@@ -22,29 +22,10 @@ from fractions import Fraction
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
 from .constgen import first_failure, gen_constants, nearest_c1, synthetic_set
 from .realnum import LN2, PI
-from .reduction import (
-    ReductionRangeError,
-    TheoremViolation,
-    extract_z,
-    first_step,
-    second_step,
-    xr_in_bounds,
-)
-from .softfp import (
-    DOUBLE,
-    FORMATS,
-    TIES_EVEN,
-    Fpn,
-    Format,
-    fast2mult,
-    fast2sum,
-    fits_scaled,
-    mul,
-    round_nearest,
-    sub,
-    ulp,
-    ulp2,
-)
+from .reduction import ReductionRangeError, TheoremViolation, extract_z, first_step, sigma_for
+from .reduction import _extract_pairs, _minus_zc_pairs, _require_covered, _second_step_pairs, _xr_fits
+from .softfp import DOUBLE, FORMATS, TIES_EVEN, Fpn, Format, _rounded, fast2mult, fast2sum, fits_scaled, mul
+from .softfp import round_nearest, sub, ulp, ulp2
 
 __all__ = [
     "CheckConfig",
@@ -297,21 +278,22 @@ def _sweep_xs(fmt: Format, window: int) -> list[Fpn]:
     return out
 
 
-def _x_minus_zc1(x: Fpn, z: Fpn, c1n: int, c1e: int) -> tuple[int, int]:
-    """x - z*C1 = num * 2^e0 exactly, as (num, e0); C1 = c1n * 2^c1e."""
-    zn = z.sign * z.m * c1n
-    ze = z.e + c1e
-    xn = x.sign * x.m
-    if x.e >= ze:
-        return (xn << (x.e - ze)) - zn, ze
-    return xn - (zn << (ze - x.e)), x.e
+def _x_minus_zc1(xn: int, xe: int, zn: int, ze: int, c1n: int, c1e: int) -> tuple[int, int]:
+    """x - z*C1 = num * 2^e0 exactly, as (num, e0), for the pairs x = xn*2^xe,
+    z = zn*2^ze and C1 = c1n*2^c1e."""
+    zn, ze = zn * c1n, ze + c1e
+    if xe >= ze:
+        return (xn << (xe - ze)) - zn, ze
+    return xn - (zn << (ze - xe)), xe
 
 
 def _pipeline_sweep(cfg: CheckConfig, want_first: bool) -> CheckResult:
     _check_values(cfg, "n_values", "q_values")
     cfg = _own_window(cfg, 12)
     fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
-    p = fmt.p
+    p, ties = fmt.p, cfg.ties
+    xq = [(x, x.sign * x.m, x.e, x.m) for x in xs]  # x and its pair
+    sigmas = [(n, sigma_for(fmt, n)) for n in cfg.n_values]
     failures = []
     cases = 0
     candidates = 0
@@ -326,29 +308,31 @@ def _pipeline_sweep(cfg: CheckConfig, want_first: bool) -> CheckResult:
             except HypothesisViolation:
                 skipped_r += 1
                 continue
-            c1 = cs.c1
-            c1n = c1.sign * c1.m
-            for n in cfg.n_values:
-                for x in xs:
-                    candidates += 1
-                    if not xr_in_bounds(x, r, n):
+            rn, rm, re, c1 = r.sign * r.m, r.m, r.e, cs.c1
+            c1n, c1e = c1.sign * c1.m, c1.e
+            for n, sigma in sigmas:
+                candidates += len(xq)
+                for x, xn, xe, xm in xq:
+                    if not _xr_fits(xm * rm, xe + re + n, p):
                         continue
                     cases += 1
                     fail = {}
                     try:
-                        z, info = extract_z(x, cs, n, cfg.ties)
+                        zn, ze, _, ell, _, _, in_range = _extract_pairs(
+                            xn, xe, rn, re, sigma.m, sigma.e, n, fmt, ties, True
+                        )
                     except TheoremViolation as exc:
                         fail["error"] = str(exc)
                     else:
-                        if z.is_zero():
+                        if not zn:
                             zero_z += 1
-                        elif info.in_thm_range:
-                            ell_seen.add(info.ell)
+                        elif in_range:
+                            ell_seen.add(ell)
                         else:
                             below_thm_range += 1
                         if want_first:
-                            u, exact = first_step(x, z, cs, cfg.ties)
-                            representable = fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt)
+                            exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)[2]
+                            representable = fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), p, fmt)
                             if not exact or not representable:
                                 fail["exact_first"] = exact
                                 fail["representable"] = representable
@@ -357,15 +341,8 @@ def _pipeline_sweep(cfg: CheckConfig, want_first: bool) -> CheckResult:
                             {"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, "p": p}
                         )
                         failures.append(fail)
-    stats = {
-        "candidates": candidates,
-        "r_values": len(rs),
-        "x_values": len(xs),
-        "skipped_r": skipped_r,
-        "zero_z": zero_z,
-        "below_thm_range": below_thm_range,
-        "ell_values": sorted(ell_seen),
-    }
+    stats = {"candidates": candidates, "r_values": len(rs), "x_values": len(xs), "skipped_r": skipped_r,
+             "zero_z": zero_z, "below_thm_range": below_thm_range, "ell_values": sorted(ell_seen)}
     name = "correct3" if want_first else "thm3"
     return CheckResult(name, cfg.to_dict(), cases, sorted_failures(failures), stats)
 
@@ -444,7 +421,8 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
                                 (zv - half) / r.value, (zv + half) / r.value, fmt
                             ):
                                 cases += 1
-                                if not fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt):
+                                num, e0 = _x_minus_zc1(x.sign * x.m, x.e, sgn * k, -n, c1n, c1.e)
+                                if not fits_scaled(num, e0, p, fmt):
                                     fail = {"x": x.to_text(), "z": z.to_text(), "ell": ell}
                                     failures.append({**fail, "R": r.to_text(), "N": n, "q": q})
     stats = {"r_values": len(rs), "skipped_r": skipped_r}
@@ -463,39 +441,40 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
     _check_values(cfg, "n_values", "q_values")
     cfg = _own_window(cfg, 12)
     fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
-    p = fmt.p
+    p, ties = fmt.p, cfg.ties
+    xq = [(x, x.sign * x.m, x.e, x.m) for x in xs]  # x and its pair
+    sigmas = [(n, sigma_for(fmt, n)) for n in cfg.n_values]
     failures = []
     cases = 0
     skipped_r = 0
     rc1_filtered = 0
     for q in cfg.q_values:
         for r in rs:
-            cs = _general_q_set(r, q, cfg.ties)
+            cs = _general_q_set(r, q, ties)
             if cs is None:
                 skipped_r += 1
                 continue
             if not RC1_AT_MOST_1.holds(cs, 0):
                 rc1_filtered += 1
                 continue
-            c1 = cs.c1
-            c1n = c1.sign * c1.m
-            for n in cfg.n_values:
+            rn, rm, re, c1 = r.sign * r.m, r.m, r.e, cs.c1
+            c1n, c1e = c1.sign * c1.m, c1.e
+            for n, sigma in sigmas:
                 if first_failure(cs, n, _CORRECT2_HYPOTHESES) is not None:
                     skipped_r += 1
                     continue
-                cs_n = replace(cs, n=n)
-                for x in xs:
-                    if not xr_in_bounds(x, r, n):
+                for x, xn, xe, xm in xq:
+                    if not _xr_fits(xm * rm, xe + re + n, p):
                         continue
                     cases += 1
                     try:
-                        z, _ = extract_z(x, cs_n, n, cfg.ties)
+                        zn, ze = _extract_pairs(xn, xe, rn, re, sigma.m, sigma.e, n, fmt, ties, True)[:2]
                     except TheoremViolation as exc:
                         fail = {"error": str(exc)}
                     else:
-                        if fits_scaled(*_x_minus_zc1(x, z, c1n, c1.e), p, fmt):
+                        if fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), p, fmt):
                             continue
-                        fail = {"z": z.to_text()}
+                        fail = {"z": _rounded(zn, ze, fmt).to_text()}
                     failures.append({"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, **fail})
     stats = {"r_values": len(rs), "skipped_r": skipped_r, "rc1_filtered": rc1_filtered}
     return CheckResult("correct2", cfg.to_dict(), cases, sorted_failures(failures), stats)
@@ -506,49 +485,66 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_in_range_x(rng: random.Random, fmt: Format, r: Fpn, n: int) -> Fpn:
-    lo_m, hi_m = 1 << (fmt.p - 1), 1 << fmt.p
+def _random_in_range_pair(rng: random.Random, fmt: Format, rm: int, re: int, n: int) -> tuple[int, int]:
+    """A random x, as a signed pair, with |x*R| in range at N for R = rm * 2^re:
+    a random sign, p-bit significand and exponent in the p + 25 binades below
+    2^(-N-2), drawn again until in range; Fpn() canonicalizes an exponent
+    outside fmt's normal range, or refuses it."""
+    p = fmt.p
+    lo_m, hi_m = 1 << (p - 1), 1 << p
     e_hi = -n - 2
-    e_lo = e_hi - fmt.p - 24
+    e_lo = e_hi - p - 24
     while True:
-        x = Fpn(
-            1 if rng.random() < 0.5 else -1,
-            rng.randrange(lo_m, hi_m),
-            rng.randrange(e_lo, e_hi + 1),
-            fmt,
-        )
-        if xr_in_bounds(x, r, n):
-            return x
+        sign = 1 if rng.random() < 0.5 else -1
+        m = rng.randrange(lo_m, hi_m)
+        e = rng.randrange(e_lo, e_hi + 1)
+        if not fmt.e_min_q <= e <= fmt.e_max - p + 1:
+            x = Fpn(sign, m, e, fmt)
+            m, e = x.m, x.e
+        if _xr_fits(m * rm, e + re + n, p):
+            return sign * m, e
+
+
+def _random_in_range_x(rng: random.Random, fmt: Format, r: Fpn, n: int) -> Fpn:
+    return _rounded(*_random_in_range_pair(rng, fmt, r.m, r.e, n), fmt)
+
+
+def _set_pairs(cs: ConstantSet, n: int) -> tuple:
+    """What a thm6 case reads of cs at N, once per set: (cs, fmt, N, and
+    R, sigma, C1, C2 as signed pairs).  An N above cs.n must be covered."""
+    if n > cs.n:
+        _require_covered(cs, n)
+    vals = (cs.r, sigma_for(cs.fmt, n), cs.c1, cs.c2)
+    return (cs, cs.fmt, n, *(f for v in vals for f in (v.sign * v.m, v.e)))
 
 
 def _thm6_chunk(args: tuple) -> tuple[int, list[dict]]:
     constant, fmt_label, n, q, seed, trials, ties = args
     fmt = FORMATS[fmt_label]
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
+    sp, rm, re = _set_pairs(cs, n), cs.r.m, cs.r.e
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        entry = _run_second_step_case(_random_in_range_x(rng, fmt, cs.r, n), cs, n, ties)
+        entry = _run_second_step_case(*_random_in_range_pair(rng, fmt, rm, re, n), sp, ties)
         if entry is not None:
             failures.append(entry)
     return trials, failures
 
 
-def _run_second_step_case(x: Fpn, cs: ConstantSet, n: int, ties: str) -> dict | None:
+def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str) -> dict | None:
+    """One thm6 case on the pair core: x = xn * 2^xe, in range, against the
+    set pairs sp of _set_pairs.  A failure record, or None."""
+    cs, fmt, n, rn, re, sn, se, c1n, c1e, c2n, c2e = sp
     try:
-        z, _ = extract_z(x, cs, n, ties)
-        u, exact1 = first_step(x, z, cs, ties)
-        ss = second_step(x, z, u, cs, ties)
-    except (TheoremViolation, ReductionRangeError) as exc:
-        return {"x": x.to_text(), "N": n, "error": str(exc)}
-    if not exact1 or not ss.exact or ss.ops != 9:
-        return {
-            "x": x.to_text(),
-            "N": n,
-            "exact_first": exact1,
-            "exact_second": ss.exact,
-            "ops": ss.ops,
-        }
+        zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
+        un, ue, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+        exact2, ops = _second_step_pairs(xn, xe, zn, ze, un, ue, c1n, c1e, c2n, c2e, cs, fmt, ties)[4:]
+    except TheoremViolation as exc:
+        return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
+    if not exact1 or not exact2 or ops != 9:
+        x = _rounded(xn, xe, fmt).to_text()
+        return {"x": x, "N": n, "exact_first": exact1, "exact_second": exact2, "ops": ops}
     return None
 
 
@@ -622,10 +618,12 @@ def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
     # up to 8 C2 multiples per (R, N)
     cfg = _own_window(cfg, 10)
     fmt, xs, rs = _sweep_space(cfg, 8)
+    p, xq = fmt.p, [(x, x.sign * x.m, x.e, x.m) for x in xs]
     failures = []
     cases = 0
     skipped = 0
     for r in rs:
+        rm, re = r.m, r.e
         for n in cfg.n_values:
             try:
                 base = synthetic_set(r, n=n, q=2)
@@ -641,11 +639,12 @@ def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
                 except (HypothesisViolation, ValueError):
                     skipped += 1
                     continue
-                for x in xs:
-                    if not xr_in_bounds(x, r, n):
+                sp = _set_pairs(cs, n)
+                for x, xn, xe, xm in xq:
+                    if not _xr_fits(xm * rm, xe + re + n, p):
                         continue
                     cases += 1
-                    entry = _run_second_step_case(x, cs, n, cfg.ties)
+                    entry = _run_second_step_case(xn, xe, sp, cfg.ties)
                     if entry is not None:
                         entry.update({"R": r.to_text(), "C2": cs.c2.to_text()})
                         failures.append(entry)

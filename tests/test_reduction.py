@@ -1,6 +1,7 @@
 """Pipeline tests: z-extraction, the exact first/second steps, the third step."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from argred.softfp import (
     ulp2,
     ulp2_exp,
 )
+from argred.softfp import _rounded
 from argred.realnum import LN2, PI, Constant
 from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
 from argred.theorems import CheckConfig, _random_in_range_x, _sweep_space
@@ -674,3 +676,91 @@ def test_z_extraction_and_third_step_lane_match_the_public_ops_on_p8_sets(ties):
                 out, _ = _assert_z_lane_matches_reference(x, cs, n, ties)
                 cases += not isinstance(out[0], type)
     assert cases > 2_000
+
+
+# ---------------------------------------------------------------------------
+# the pair core, composed as the thm6 campaign runs it, against the stages
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _preset_set(constant, fmt, n):
+    return gen_constants(constant, fmt, n=n)
+
+
+def _public_chain(x, cs, n, ties, nudge):
+    """extract_z, first_step and second_step on one counter; with nudge,
+    the second step gets u one ulp up, which drives it into its raises."""
+    counter = OpCounter()
+    z, info = extract_z(x, cs, n, ties, counter)
+    u, exact1 = first_step(x, z, cs, ties, counter)
+    u = u.next_up() if nudge else u
+    ss = second_step(x, z, u, cs, ties, counter)
+    assert ss.last_line_exact
+    return z, tuple(info), u, exact1, ss.v1, ss.v2, ss.exact, ss.ops, counter.rounded
+
+
+def _pair_chain(x, cs, n, ties, nudge):
+    """The same on the pair core, its values read off the set once, as
+    _thm6_chunk reads them; an Fpn only for the comparison."""
+    fmt, r, c1, c2, sigma = cs.fmt, cs.r, cs.c1, cs.c2, sigma_for(cs.fmt, n)
+    xn, xe = x.sign * x.m, x.e
+    zn, ze, *info = reduction._extract_pairs(xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True)
+    un, ue, exact1 = reduction._minus_zc_pairs(xn, xe, zn, ze, c1.sign * c1.m, c1.e, fmt, ties)
+    u = _rounded(un, ue, fmt)
+    u = u.next_up() if nudge else u
+    v1n, v1e, v2n, v2e, exact2, ops = reduction._second_step_pairs(
+        xn, xe, zn, ze, u.sign * u.m, u.e, c1.sign * c1.m, c1.e, c2.sign * c2.m, c2.e, cs, fmt, ties
+    )
+    z, v1, v2 = (_rounded(m, e, fmt) for m, e in ((zn, ze), (v1n, v1e), (v2n, v2e)))
+    return z, tuple(info), u, exact1, v1, v2, exact2, ops, 2 + 1 + ops
+
+
+def test_pair_core_matches_the_public_stages_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(
+        constant=st.sampled_from([PI, LN2]),
+        fmt=st.sampled_from([SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD]),
+        n=st.sampled_from([0, 1, 5, 10]),
+        ties=st.sampled_from([TIES_EVEN, TIES_AWAY]),
+        sign=st.sampled_from([1, -1]),
+        frac=st.integers(0, (1 << 112) - 1),
+        binade=st.integers(0, 137),
+        edge=st.sampled_from([None, "top", "past"]),
+        nudge=st.booleans(),
+    )
+    def agree(constant, fmt, n, ties, sign, frac, binade, edge, nudge):
+        cs = _preset_set(constant, fmt, n)
+        if edge is None:
+            # a p-bit significand over the campaign's binades and one above them
+            e = -n - 2 - binade % (fmt.p + 26) + 1
+            x = Fpn(sign, (1 << (fmt.p - 1)) | frac % (1 << (fmt.p - 1)), e, fmt)
+        else:
+            x = round_nearest(xr_bound(fmt, n) / cs.r.value, fmt)
+            while not xr_in_bounds(x, cs.r, n):
+                x = -((-x).next_up())
+            x = x.next_up() if edge == "past" else x
+            x = x if sign > 0 else -x
+        public = _outcome_of(_public_chain, x, cs, n, ties, nudge)
+        seen.add(public[0] if isinstance(public[0], type) else None)
+        # the campaign tests the range once, before the core runs
+        if not reduction._xr_fits(x.m * cs.r.m, x.e + cs.r.e + n, fmt.p):
+            assert public[0] is ReductionRangeError
+            return
+        assert _outcome_of(_pair_chain, x, cs, n, ties, nudge) == public
+        if not nudge and not isinstance(public[0], type):
+            assert public[3] and public[6] and public[8] == 12
+
+    agree()
+    assert seen == {None, ReductionRangeError, TheoremViolation}
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)

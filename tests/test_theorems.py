@@ -136,13 +136,13 @@ def test_thm6_case_records_a_fast2mult_underflow():
     # function both thm6 campaigns run records a failure, not a traceback
     from argred.constgen import ConstantSet
     from argred.softfp import Format, Fpn
-    from argred.theorems import _run_second_step_case
+    from argred.theorems import _run_second_step_case, _set_pairs
 
     fmt = Format(8, -12, 40)
     cs = ConstantSet(
         None, fmt, 1, 2, Fpn(1, 163, -8, fmt), Fpn(1, 160, -7, fmt), Fpn(1, 129, -12, fmt), Fpn.zero(fmt)
     )
-    entry = _run_second_step_case(Fpn(1, 202, -9, fmt), cs, 1, "even")
+    entry = _run_second_step_case(202, -9, _set_pairs(cs, 1), "even")
     assert entry["x"] == "202 * 2^-9" and entry["N"] == 1
     assert entry["error"].startswith("error-free transformation failed: fast2mult error term")
 
@@ -284,7 +284,7 @@ def test_x_minus_zc1_is_exact():
             Fpn(rng.choice((1, -1)), rng.randrange(0, 256), rng.randrange(-20, 20), fmt)
             for _ in range(3)
         )
-        num, e0 = _x_minus_zc1(x, z, c1.sign * c1.m, c1.e)
+        num, e0 = _x_minus_zc1(x.sign * x.m, x.e, z.sign * z.m, z.e, c1.sign * c1.m, c1.e)
         assert Fraction(num) * Fraction(2) ** e0 == x.value - z.value * c1.value
 
 
@@ -329,7 +329,10 @@ def test_sweeps_refuse_oversized_spaces_before_running(monkeypatch, fields):
     def never(*args, **kwargs):
         raise AssertionError("the sweep started")
 
-    for name in ("_sweep_format", "_sweep_xs", "_sweep_rs", "synthetic_set", "extract_z", "_run_second_step_case"):
+    for name in (
+        "_sweep_format", "_sweep_xs", "_sweep_rs", "synthetic_set", "extract_z", "_run_second_step_case",
+        "_extract_pairs", "_minus_zc_pairs", "_second_step_pairs", "_set_pairs",
+    ):
         monkeypatch.setattr(theorems, name, never)
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
         run_check(CheckConfig(**fields))
@@ -404,3 +407,250 @@ def test_a_check_that_ran_no_case_does_not_pass():
     assert not CheckResult("thm3", {}, 0).passed
     assert CheckResult("thm3", {}, 1).passed
     assert not CheckResult("thm3", {}, 1, [{"x": 1}]).passed
+
+
+# ---------------------------------------------------------------------------
+# the thm6 campaign and sweep on the pair core against the public stages
+# ---------------------------------------------------------------------------
+
+
+def _public_case(x, cs, n, ties):
+    """One thm6 case chained through extract_z, first_step and
+    second_step: the record _run_second_step_case must give."""
+    from argred.reduction import ReductionRangeError, TheoremViolation, extract_z, first_step, second_step
+
+    try:
+        z, _ = extract_z(x, cs, n, ties)
+        u, exact1 = first_step(x, z, cs, ties)
+        ss = second_step(x, z, u, cs, ties)
+    except (TheoremViolation, ReductionRangeError) as exc:
+        return {"x": x.to_text(), "N": n, "error": str(exc)}
+    if not exact1 or not ss.exact or ss.ops != 9:
+        return {"x": x.to_text(), "N": n, "exact_first": exact1, "exact_second": ss.exact, "ops": ss.ops}
+    return None
+
+
+def _public_draw(rng, fmt, r, n):
+    """The campaign's draw on Fpn values, redrawn until |x*R| is in range."""
+    from argred.reduction import xr_in_bounds
+    from argred.softfp import Fpn
+
+    e_hi = -n - 2
+    while True:
+        sign = 1 if rng.random() < 0.5 else -1
+        x = Fpn(sign, rng.randrange(1 << (fmt.p - 1), 1 << fmt.p), rng.randrange(e_hi - fmt.p - 24, e_hi + 1), fmt)
+        if xr_in_bounds(x, r, n):
+            return x
+
+
+def _public_chunk(args):
+    """_thm6_chunk through the public stages; the set, the format and
+    the RNG are looked up where _thm6_chunk looks them up."""
+    import random
+
+    import argred.theorems as theorems
+
+    constant, fmt_label, n, q, seed, trials, ties = args
+    fmt = theorems.FORMATS[fmt_label]
+    cs = theorems.gen_constants(theorems.NAMED_CONSTANTS[constant], fmt, n=n, q=q)
+    rng = random.Random(seed)
+    records = [_public_case(_public_draw(rng, fmt, cs.r, n), cs, n, ties) for _ in range(trials)]
+    return trials, [f for f in records if f is not None]
+
+
+def _public_thm6_exhaustive(cfg):
+    """_check_thm6_exhaustive through the public stages: (cases, failures, stats)."""
+    import argred.theorems as theorems
+    from argred.constgen import HypothesisViolation
+    from argred.reduction import xr_in_bounds
+    from argred.softfp import Fpn, ulp, ulp2
+
+    fmt, xs, rs = theorems._sweep_space(cfg, 8)
+    failures, cases, skipped = [], 0, 0
+    for r in rs:
+        for n in cfg.n_values:
+            try:
+                base = theorems.synthetic_set(r, n=n, q=2)
+            except HypothesisViolation:
+                skipped += 1
+                continue
+            grid = 8 * ulp2(base.c1)
+            kmax = int((4 * ulp(base.c1)) / grid)
+            for kk in sorted({0, 1, -1, 5, -5, kmax, -kmax, kmax - 1}):
+                try:
+                    cs = theorems.synthetic_set(r, n=n, q=2, c2=Fpn.from_fraction(kk * grid, fmt))
+                except (HypothesisViolation, ValueError):
+                    skipped += 1
+                    continue
+                for x in xs:
+                    if xr_in_bounds(x, r, n):
+                        cases += 1
+                        entry = _public_case(x, cs, n, cfg.ties)
+                        if entry is not None:
+                            failures.append({**entry, "R": r.to_text(), "C2": cs.c2.to_text()})
+    return cases, theorems.sorted_failures(failures), {"r_values": len(rs), "skipped": skipped}
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _c2_off_grid(real_synthetic_set):
+    """synthetic_set with each given C2 moved by ulp2(C1)/8, off the
+    8*ulp2(C1) grid: t1 or v1 then leaves its grid, or the last line rounds."""
+    import dataclasses
+
+    from argred.softfp import Fpn, ulp2
+
+    def make(r, n=0, q=2, c2=None):
+        cs = real_synthetic_set(r, n=n, q=q, c2=c2)
+        if c2 is None:
+            return cs
+        return dataclasses.replace(cs, c2=Fpn.from_fraction(c2.value + ulp2(cs.c1) / 8, r.fmt))
+
+    return make
+
+
+def test_random_in_range_x_draws_as_the_fpn_draw_did():
+    import random
+
+    from argred.constgen import gen_constants
+    from argred.realnum import LN2
+    from argred.softfp import DOUBLE, SINGLE
+    from argred.theorems import _random_in_range_x
+
+    for fmt, n in ((DOUBLE, 0), (DOUBLE, 7), (SINGLE, 3)):
+        cs = gen_constants(LN2, fmt, n=n)
+        a, b = random.Random(11), random.Random(11)
+        assert [_random_in_range_x(a, fmt, cs.r, n) for _ in range(3000)] == [
+            _public_draw(b, fmt, cs.r, n) for _ in range(3000)
+        ]
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize(
+    "constant, fmt_label, n, ties",
+    [("pi", "double", 0, "even"), ("ln2", "double", 5, "away"), ("pi", "single", 10, "even"),
+     ("ln2", "quad", 3, "away"), ("pi", "double-extended", 1, "even")],
+)
+def test_thm6_chunk_records_match_the_public_stages(constant, fmt_label, n, ties):
+    from argred.theorems import _thm6_chunk
+
+    args = (constant, fmt_label, n, 2, 1234 + n, 1500, ties)
+    assert _thm6_chunk(args) == _public_chunk(args)
+
+
+def test_thm6_chunk_skips_an_x_one_ulp_past_the_range_as_the_public_draw_does(monkeypatch):
+    # the first draw is one ulp past the range, the second its edge; both
+    # sides must redraw the first and run the second, then go on as seeded
+    import random
+
+    from argred.constgen import gen_constants
+    from argred.realnum import LN2
+    from argred.reduction import xr_bound, xr_in_bounds
+    from argred.softfp import DOUBLE, round_nearest
+    from argred.theorems import _thm6_chunk
+
+    n = 3
+    cs = gen_constants(LN2, DOUBLE, n=n)
+    top = round_nearest(xr_bound(DOUBLE, n) / cs.r.value, DOUBLE)
+    while not xr_in_bounds(top, cs.r, n):
+        top = -((-top).next_up())
+    past = top.next_up()
+    assert not xr_in_bounds(past, cs.r, n) and past.e == top.e == -n - 2
+
+    class Scripted(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.queue = [v for x in (past, top) for v in (0.0, x.m, x.e)]
+
+        def random(self):
+            return self.queue.pop(0) if self.queue else super().random()
+
+        def randrange(self, *args):
+            return self.queue.pop(0) if self.queue else super().randrange(*args)
+
+    monkeypatch.setattr(random, "Random", Scripted)
+    for ties in ("even", "away"):
+        args = ("ln2", "double", n, 2, 77, 400, ties)
+        assert _thm6_chunk(args) == _public_chunk(args)
+
+
+def test_thm6_chunk_matches_the_public_stages_on_injected_faults(monkeypatch):
+    import argred.theorems as theorems
+    from argred.constgen import HypothesisViolation, synthetic_set
+    from argred.softfp import Fpn, ulp2
+    from argred.theorems import _thm6_chunk
+
+    real_gen = theorems.gen_constants
+    # a set built at N = 0 run at N = 5: extraction above cs.n, and a z
+    # whose own N is above cs.n in the second step; covered
+    monkeypatch.setattr(theorems, "gen_constants", lambda c, fmt, n, q: real_gen(c, fmt, n=0, q=q))
+    args = ("pi", "double", 5, 2, 5, 1000, "even")
+    assert _outcome(_thm6_chunk, args) == _outcome(_public_chunk, args)
+    assert _outcome(_thm6_chunk, args)[1] == []
+    # ... and not covered: the same HypothesisViolation on both sides
+    args = ("pi", "double", 972, 2, 5, 100, "even")
+    got = _outcome(_thm6_chunk, args)
+    assert got == _outcome(_public_chunk, args)
+    assert got == (HypothesisViolation, "N=972 is above the set's N=0 and fails " + got[1].split("fails ")[1])
+
+    # C2 off its grid on a p = 8 set: grid violations and rounded last lines
+    fmt = theorems._sweep_format(8)
+    monkeypatch.setitem(theorems.FORMATS, "p8", fmt)
+    off = _c2_off_grid(synthetic_set)
+    r = Fpn(1, 143, -7, fmt)
+    c2 = Fpn.from_fraction(8 * ulp2(synthetic_set(r).c1), fmt)
+    monkeypatch.setattr(theorems, "gen_constants", lambda c, f, n, q: off(r, n=n, q=q, c2=c2))
+    errors = set()
+    for ties in ("even", "away"):
+        args = ("pi", "p8", 1, 2, 9, 5000, ties)
+        got = _outcome(_thm6_chunk, args)
+        assert got == _outcome(_public_chunk, args)
+        errors |= {f["error"].split(":")[0] for f in got[1] if "error" in f}
+    assert errors == {"t1 is not a multiple of 2^(-N-1)*ulp2(C1)", "second-step last line rounded"}
+
+
+@pytest.mark.parametrize("fault", ["none", "c2_off_grid", "set_below_n", "fast2mult_underflow"])
+@pytest.mark.parametrize("ties", ["even", "away"])
+def test_thm6_exhaustive_records_match_the_public_stages(monkeypatch, fault, ties):
+    import dataclasses
+
+    import argred.theorems as theorems
+    from argred.constgen import ConstantSet
+    from argred.softfp import Format, Fpn
+
+    real = theorems.synthetic_set
+    cfg = CheckConfig(theorem="thm6", mode="exhaustive", p=8, r_step=64, window=6, n_values=(0, 1, 2), ties=ties)
+    if fault == "c2_off_grid":
+        monkeypatch.setattr(theorems, "synthetic_set", _c2_off_grid(real))
+    elif fault == "set_below_n":
+        # sets built at N = 0 and run at N = 1, 2
+        monkeypatch.setattr(theorems, "synthetic_set", lambda r, n=0, q=2, c2=None: real(r, n=0, q=q, c2=c2))
+    elif fault == "fast2mult_underflow":
+        # the set of test_thm6_case_records_a_fast2mult_underflow, at each N
+        fmt = Format(8, -12, 40)
+        forged = ConstantSet(
+            None, fmt, 1, 2, Fpn(1, 163, -8, fmt), Fpn(1, 160, -7, fmt), Fpn(1, 129, -12, fmt), Fpn.zero(fmt)
+        )
+        monkeypatch.setattr(theorems, "_sweep_format", lambda p: fmt)
+        monkeypatch.setattr(theorems, "_sweep_rs", lambda fmt, step: [forged.r])
+        monkeypatch.setattr(
+            theorems, "synthetic_set", lambda r, n=0, q=2, c2=None: dataclasses.replace(forged, n=n)
+        )
+    got = _outcome(lambda c: (lambda res: (res.cases, res.failures, res.stats))(run_check(c)), cfg)
+    assert got == _outcome(_public_thm6_exhaustive, cfg)
+    cases, failures, _ = got
+    assert cases > 0
+    errors = {f["error"].split(":")[0] for f in failures if "error" in f}
+    if fault in ("none", "set_below_n"):
+        assert failures == []
+    elif fault == "c2_off_grid":
+        assert "t1 is not a multiple of 2^(-N-1)*ulp2(C1)" in errors
+        assert "second-step last line rounded" in errors
+    elif fault == "fast2mult_underflow":
+        assert "error-free transformation failed" in errors
