@@ -36,17 +36,22 @@ __all__ = ["main"]
 _DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?$")
 
 
-def parse_decimal(text: str) -> Fraction:
-    """Exact decimal-to-rational conversion ('10.0', '-3.25e2', ...)."""
+def parse_decimal(text: str, fmt: Format | None = None) -> Fraction:
+    """Exact decimal-to-rational conversion ('10.0', '-3.25e2', ...).  Given
+    fmt, a value below 2^(e_min_q-2) is 0 and one at or above 2^(e_max+1)
+    raises OverflowError, decided before 10**|E| is built."""
     m = _DECIMAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse decimal {text!r}")
     sign, intpart, fracpart, exp = m.groups()
-    fracpart = fracpart or ""
-    digits = int(intpart + fracpart) if intpart + fracpart else 0
-    value = Fraction(digits, 10 ** len(fracpart))
-    if exp:
-        value *= Fraction(10) ** int(exp)
+    sig = (intpart + (fracpart or "")).lstrip("0")
+    e10 = int(exp or 0) - len(fracpart or "")  # |value| = int(sig) * 10^e10
+    top = len(sig) + e10  # 10^(top-1) <= |value| < 10^top, and 8^k <= 10^k for k >= 0
+    if not sig or fmt is not None and 3 * top <= min(0, fmt.e_min_q - 2):
+        return Fraction(0)
+    if fmt is not None and 3 * (top - 1) >= max(0, fmt.e_max + 1):
+        raise OverflowError(f"--x {text} exceeds the e_max={fmt.e_max} range")
+    value = Fraction(int(sig) * 10**e10) if e10 >= 0 else Fraction(int(sig), 10**-e10)
     return -value if sign == "-" else value
 
 
@@ -54,7 +59,7 @@ def parse_x(text: str, fmt: Format, ties: str) -> Fpn:
     """Accept the textual FPN form (contains '*') or an exact decimal."""
     if "*" in text:
         return Fpn.from_text(text, fmt)
-    return round_nearest(parse_decimal(text), fmt, ties=ties)
+    return round_nearest(parse_decimal(text, fmt), fmt, ties=ties)
 
 
 def _parse_dyadic(text: str) -> Fraction:
@@ -119,11 +124,7 @@ def _emit_json(obj) -> None:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    if args.all:
-        jobs = [(c, f) for c in ("pi", "ln2") for f in FORMATS]
-    else:
-        fmt_label = args.format if args.p is None else None
-        jobs = [(args.const, fmt_label)]
+    jobs = [(c, f) for c in ("pi", "ln2") for f in FORMATS] if args.all else [(args.const, None)]
     records = []
     grouped: dict[str, list] = {}
     for cname, flabel in jobs:

@@ -8,6 +8,10 @@ generation raises on the first one a set fails, ``extract_z`` and
 ``second_step`` ask the N-dependent ones above a set's own N, ``audit``
 reports every one, and the general-q sweeps ask the first step's rules
 on C1 of their own C1.
+
+Generation rounds R, C2 and C3 from the integers of
+``Constant.scaled_enclosure(3p)``; audit's "R is nearest(1/C)" entry
+rounds the same enclosure by the independent ``Fraction`` route.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .realnum import Constant, round_rational, round_to_int, safe_round
-from .softfp import FORMATS, TIES_EVEN, Format, Fpn, round_nearest, ulp2_exp
+from .realnum import Constant, RealEnclosure, _int_nearest, _refined_scaled, round_rational, safe_round
+from .softfp import FORMATS, TIES_EVEN, Format, Fpn, _round_ratio, ulp2_exp
 
 __all__ = [
     "AuditReport",
@@ -234,31 +238,49 @@ def _require(cs: ConstantSet, stage: str) -> None:
         raise HypothesisViolation(f"{h} fails for N={cs.n}, q={cs.q}")
 
 
+def _minus(n: int, den: int, m: int, e: int, k: int = 0) -> tuple[int, int]:
+    """(num, d) with num/d = (n/den - m*2**e) / 2**k exactly, d > 0."""
+    e -= k
+    s = min(-k, e)  # the lower exponent of the two terms, n/den * 2^-k and m * 2^e
+    num = (n << (-k - s)) - (m * den << (e - s))
+    return (num << s, den) if s >= 0 else (num, den << -s)
+
+
 def _generate(
     constant: Optional[Constant], fmt: Format, n: int, q: int, r: Fpn | None = None, c2: Fpn | None = None
 ) -> ConstantSet:
     # the parameters and R are checked before C1 and C2 are built from them
-    enc = None
+    p, bits = fmt.p, 3 * fmt.p
     if constant is not None:
-        enc = constant.memo_enclosure(3 * fmt.p)
-        r = safe_round(enc.recip(), fmt)
+        if constant.scaled_enclosure(bits)[0] <= 0:
+            raise ValueError("reciprocal needs a positive enclosure")
+        r = _refined_scaled(constant, bits, lambda b, den: _round_ratio(den, b, p, fmt, TIES_EVEN), RealEnclosure.recip)
     _require(ConstantSet(constant, fmt, n, q, r, None, None, None), PARAMS)
 
-    c1 = round_nearest(Fraction(*recip_ratio(r)), fmt, fmt.p - q)
-    if enc is not None:
-        k8 = 3 + ulp2_exp(c1)  # log2 of 8*ulp2(C1)
-        k2 = round_to_int(enc.shift(c1.value).scale2(-k8))
+    c1 = _round_ratio(*recip_ratio(r), p - q, fmt, TIES_EVEN)
+    if constant is not None:
+        k8 = 3 + ulp2_exp(c1)  # log2 of 8*ulp2(C1); C2 = k2 * 2^k8
+        k2 = _refined_scaled(
+            constant, bits, lambda b, den: _int_nearest(*_minus(b, den, c1.m, c1.e, k8), TIES_EVEN),
+            lambda enc: enc.shift(c1.value).scale2(-k8),
+        )
         try:
-            c2 = Fpn.from_fraction(Fraction(k2) * Fraction(2) ** k8, fmt)
+            c2 = Fpn(1 if k2 >= 0 else -1, abs(k2), k8, fmt)
         except (ValueError, OverflowError):
             c2 = None  # not a FPN, which the C2 grid entry reports
     elif c2 is None:
         c2 = Fpn.zero(fmt)
     _require(ConstantSet(constant, fmt, n, q, r, c1, c2, None), TERMS)
+    if constant is None:
+        return ConstantSet(constant, fmt, n, q, r, c1, c2, Fpn.zero(fmt))
     # C3 carries p-q significant bits, like C1: that is the only
     # construction that reproduces all published table values.
-    c3 = Fpn.zero(fmt) if enc is None else safe_round(enc.shift(c1.value + c2.value), fmt, fmt.p - q)
-
+    e0 = min(c1.e, k8)
+    s = (c1.m << (c1.e - e0)) + (k2 << (k8 - e0))  # C1 + C2 = s * 2^e0
+    c3 = _refined_scaled(
+        constant, bits, lambda b, den: _round_ratio(*_minus(b, den, s, e0), p - q, fmt, TIES_EVEN),
+        lambda enc: enc.shift(c1.value + c2.value),
+    )
     return ConstantSet(constant, fmt, n, q, r, c1, c2, c3)
 
 

@@ -8,7 +8,9 @@ lo <= C <= hi of width at most 2^-bits.
 
 ``safe_round`` turns an enclosure into a correctly rounded FPN by
 refining until both endpoints round identically, which terminates for
-any constant that is not itself representable or a tie.
+any constant that is not itself representable or a tie.  Generation
+refines the same way on ``Constant.scaled_enclosure`` integers, and
+``safe_round`` stays the ``Fraction`` reference audit checks R by.
 """
 
 from __future__ import annotations
@@ -64,38 +66,25 @@ class RealEnclosure:
     def contains(self, v: Fraction) -> bool:
         return self.lo <= v <= self.hi
 
+    def _derived(self, lo: Fraction, hi: Fraction, again: Callable) -> "RealEnclosure":
+        # again(e) redoes the transformation on e, so refine chains it
+        base = self.refine
+        return RealEnclosure(lo, hi, self.bits, None if base is None else (lambda b: again(base(b))))
+
     def recip(self) -> "RealEnclosure":
         """Enclosure of 1/C for a positive C."""
         if self.lo <= 0:
             raise ValueError("reciprocal needs a positive enclosure")
-        base = self.refine
-        return RealEnclosure(
-            1 / self.hi,
-            1 / self.lo,
-            self.bits,
-            None if base is None else (lambda b: base(b).recip()),
-        )
+        return self._derived(1 / self.hi, 1 / self.lo, RealEnclosure.recip)
 
     def shift(self, d: Fraction) -> "RealEnclosure":
         """Enclosure of C - d, exact."""
-        base = self.refine
-        return RealEnclosure(
-            self.lo - d,
-            self.hi - d,
-            self.bits,
-            None if base is None else (lambda b: base(b).shift(d)),
-        )
+        return self._derived(self.lo - d, self.hi - d, lambda e: e.shift(d))
 
     def scale2(self, k: int) -> "RealEnclosure":
         """Enclosure of C * 2**k, exact (covers 2*pi, pi/2, ...)."""
         f = Fraction(2) ** k
-        base = self.refine
-        return RealEnclosure(
-            self.lo * f,
-            self.hi * f,
-            self.bits,
-            None if base is None else (lambda b: base(b).scale2(k)),
-        )
+        return self._derived(self.lo * f, self.hi * f, lambda e: e.scale2(k))
 
 
 def _atan_recip_scaled(x: int, scale_bits: int) -> tuple[int, int]:
@@ -150,6 +139,8 @@ def _ln2_bounds_scaled(scale_bits: int) -> tuple[int, int]:
 
 
 def _series_enclosure(bounds, bits: int, refine) -> RealEnclosure:
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
     guard = 16
     while True:
         w = bits + guard
@@ -162,15 +153,11 @@ def _series_enclosure(bounds, bits: int, refine) -> RealEnclosure:
 
 def pi_enclosure(bits: int) -> RealEnclosure:
     """Dyadic bounds on pi of width at most 2**-bits."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
     return _series_enclosure(_pi_bounds_scaled, bits, pi_enclosure)
 
 
 def ln2_enclosure(bits: int) -> RealEnclosure:
     """Dyadic bounds on ln 2 of width at most 2**-bits."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
     return _series_enclosure(_ln2_bounds_scaled, bits, ln2_enclosure)
 
 
@@ -229,7 +216,10 @@ def safe_round(
 
 def round_to_int(enc: RealEnclosure, ties: str = TIES_EVEN) -> int:
     """Round the enclosed value to an integer, refining across ties."""
-    return _refined(enc, lambda v: _int_nearest(v, ties))
+    return _refined(enc, lambda v: _int_nearest(v.numerator, v.denominator, ties))
+
+
+_CAPPED = "rounding still ambiguous after refinement cap; is the constant representable or exactly a tie?"
 
 
 def _refined(enc: RealEnclosure, rounded: Callable):
@@ -241,19 +231,34 @@ def _refined(enc: RealEnclosure, rounded: Callable):
         if enc.refine is None:
             raise AmbiguousRoundingError(f"enclosure of width {enc.width} cannot be refined further")
         enc = enc.refine(enc.bits * 2)
-    raise AmbiguousRoundingError(
-        "rounding still ambiguous after refinement cap; is the constant representable or exactly a tie?"
-    )
+    raise AmbiguousRoundingError(_CAPPED)
 
 
-def _int_nearest(v: Fraction, ties: str) -> int:
-    q, r = divmod(v.numerator, v.denominator)
+def _refined_scaled(constant: Constant, bits: int, rounded: Callable, derived: Callable):
+    """_refined on the bounds b/den of constant.scaled_enclosure(bits), hi
+    first (for 1/C the lower bound); derived(enc), the enclosure of the
+    quantity rounded, is built only for the message."""
+    for _ in range(_REFINE_CAP):
+        lo, hi, den = constant.scaled_enclosure(bits)
+        a = rounded(hi, den)
+        if a == rounded(lo, den):
+            return a
+        enc = constant.memo_enclosure(bits)
+        if enc.refine is None:
+            raise AmbiguousRoundingError(f"enclosure of width {derived(enc).width} cannot be refined further")
+        bits *= 2
+    raise AmbiguousRoundingError(_CAPPED)
+
+
+def _int_nearest(num: int, den: int, ties: str) -> int:
+    """num/den (den > 0) rounded to an integer."""
+    q, r = divmod(num, den)
     twice = 2 * r
-    if twice > v.denominator:
+    if twice > den:
         return q + 1
-    if twice == v.denominator:
+    if twice == den:
         if ties == TIES_AWAY:
-            return q + 1 if v >= 0 else q  # floor(-x.5) + 0 is away for negatives
+            return q + 1 if num >= 0 else q  # floor(-x.5) + 0 is away for negatives
         return q if q % 2 == 0 else q + 1
     return q
 

@@ -362,10 +362,10 @@ def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResu
     return _op_result(OpResult, (_rounded(m, eq, fmt), exact))
 
 
-def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> OpResult:
-    """Round the exact rational num/den (den > 0) to digits bits.
+def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn:
+    """The Fpn nearest the exact rational num/den (den > 0) at digits bits.
 
-    The quotient at the result's quantum goes to _round_scaled with two
+    The quotient at the result's quantum goes to _round_int with two
     sticky bits below it: 00 exact, 01 below half, 10 half, 11 above.
     """
     a = num if num > 0 else -num
@@ -377,7 +377,8 @@ def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> OpR
     q, r = divmod(a, d)
     half, rest = divmod(r << 1, d)
     n = q << 2 | half << 1 | (rest != 0)
-    return _round_scaled(n if num > 0 else -n, eq - 2, digits, fmt, ties)
+    m, e, _ = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties)
+    return _rounded(m, e, fmt)
 
 
 def round_nearest(
@@ -401,7 +402,7 @@ def round_nearest(
         return _round_scaled(v.sign * v.m, v.e, digits, fmt, ties).value
     if isinstance(v, int):
         return _round_scaled(v, 0, digits, fmt, ties).value
-    return _round_ratio(v.numerator, v.denominator, digits, fmt, ties).value
+    return _round_ratio(v.numerator, v.denominator, digits, fmt, ties)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """CLI: argument handling, output schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import argred
 from argred.cli import frac_sci, main, parse_decimal, parse_x
 from argred.realnum import round_rational
-from argred.softfp import DOUBLE, Fpn
+from argred.softfp import DOUBLE, TIES_AWAY, TIES_EVEN, Format, Fpn, round_nearest
 from argred.theorems import FORMATS
 
 
@@ -213,6 +218,43 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     code, out, err = run(capsys, "constants", "--const", str(f), "--format", "double")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_far_out_of_range_decimals_are_decided_before_the_power(capsys):
+    # 10^(10^9) would take hours to build; in a fresh process with a
+    # timeout, so a regression fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(argred.__file__).parents[1]))
+    code, want, _ = run(capsys, "reduce", "--x=0", "--json")
+    for x in ("1e-1000000000", "-0.5e-1000000000"):
+        done = subprocess.run(
+            [sys.executable, "-m", "argred", "reduce", f"--x={x}", "--json"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+    for x in ("1e1000000000", "-12.5e+1000000000"):
+        done = subprocess.run(
+            [sys.executable, "-m", "argred", "reduce", f"--x={x}", "--json"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_decimals_near_the_range_round_as_the_exact_value():
+    # around both cut-offs the decided values agree with the exact rounding
+    for fmt in (DOUBLE, Format(p=8, e_min_q=-20, e_max=12), Format(p=6, e_min_q=3, e_max=40)):
+        for digits in ("1", "5", "49999", "999"):
+            for e in range(-400, 320, 3):
+                text = f"{digits}e{e}"
+                exact = Fraction(int(digits)) * Fraction(10) ** e
+                for ties in (TIES_EVEN, TIES_AWAY):
+                    try:
+                        want = round_nearest(exact, fmt, ties=ties)
+                    except OverflowError:
+                        with pytest.raises(OverflowError):
+                            parse_x(text, fmt, ties)
+                        continue
+                    assert parse_x(text, fmt, ties) == want, (fmt, text, ties)
 
 
 def test_verify_rejects_campaigns_without_trials(capsys):

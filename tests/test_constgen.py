@@ -9,8 +9,17 @@ from pathlib import Path
 import pytest
 
 import argred.constgen as constgen
-from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, TIES_EVEN, Fpn, Format, ulp, ulp2
-from argred.realnum import LN2, PI, Constant
+from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, Fpn, Format, round_nearest, ulp, ulp2, ulp2_exp
+from argred.realnum import (
+    LN2,
+    PI,
+    AmbiguousRoundingError,
+    Constant,
+    RealEnclosure,
+    pi_enclosure,
+    round_to_int,
+    safe_round,
+)
 from argred.reduction import extract_z
 from argred.constgen import (
     HYPOTHESES,
@@ -20,6 +29,7 @@ from argred.constgen import (
     format_label,
     format_table,
     gen_constants,
+    recip_ratio,
     set_to_record,
     synthetic_set,
 )
@@ -202,13 +212,15 @@ def test_audit_catches_a_c1_the_kernel_rounded_wrong(monkeypatch):
     # goes toward C, which keeps |C2| <= 4 ulp(C1) and generation passing
     good = gen_constants(PI, DOUBLE)
     step = 4 if PI.enclosure(200).lo > good.c1.value else -4
-    kernel = constgen.round_nearest
+    kernel = constgen._round_ratio
 
-    def one_unit_off(v, fmt, target_p=None, ties=TIES_EVEN):
-        c1 = kernel(v, fmt, target_p, ties)
-        return Fpn.from_fraction(c1.value + step * ulp(c1), fmt)
+    def one_unit_off(num, den, digits, fmt, ties):
+        got = kernel(num, den, digits, fmt, ties)
+        if (num, den) != recip_ratio(good.r):
+            return got  # R and C3
+        return Fpn.from_fraction(got.value + step * ulp(got), fmt)
 
-    monkeypatch.setattr(constgen, "round_nearest", one_unit_off)
+    monkeypatch.setattr(constgen, "_round_ratio", one_unit_off)
     bad = gen_constants(PI, DOUBLE)
     assert bad.c1.value == good.c1.value + step * ulp(good.c1)
     assert [c.hypothesis for c in audit(bad).failed_checks()] == [
@@ -280,3 +292,131 @@ def test_extract_z_refuses_above_the_set_n_exactly_when_generation_does():
                 assert extracted == built, (r, n)
                 seen.add((e, built))
     assert {built for _, built in seen} == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# generation on the scaled integer enclosure against the Fraction route
+# ---------------------------------------------------------------------------
+
+
+def _fraction_route(constant, fmt, n, q):
+    """The set built from RealEnclosure transforms, safe_round and
+    round_to_int, with the same hypothesis checks at the same points."""
+    enc = constant.enclosure(3 * fmt.p)
+    r = safe_round(enc.recip(), fmt)
+    constgen._require(ConstantSet(constant, fmt, n, q, r, None, None, None), constgen.PARAMS)
+    c1 = round_nearest(Fraction(*recip_ratio(r)), fmt, fmt.p - q)
+    k8 = 3 + ulp2_exp(c1)
+    k2 = round_to_int(enc.shift(c1.value).scale2(-k8))
+    try:
+        c2 = Fpn.from_fraction(Fraction(k2) * Fraction(2) ** k8, fmt)
+    except (ValueError, OverflowError):
+        c2 = None
+    constgen._require(ConstantSet(constant, fmt, n, q, r, c1, c2, None), constgen.TERMS)
+    c3 = safe_round(enc.shift(c1.value + c2.value), fmt, fmt.p - q)
+    return ConstantSet(constant, fmt, n, q, r, c1, c2, c3)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # the type and the message must agree too
+        return type(exc), str(exc)
+
+
+def _assert_same(constant, fmt, n, q):
+    want = _outcome(_fraction_route, constant, fmt, n, q)
+    assert _outcome(gen_constants, constant, fmt, n, q) == want, (constant.name, fmt, n, q)
+    return want
+
+
+def test_generation_matches_the_fraction_route_on_the_presets():
+    failed = set()
+    for const in CONSTANTS.values():
+        for fmt in FORMATS.values():
+            for n in range(13):
+                for q in (2, 3, 4):
+                    if not isinstance(_assert_same(const, fmt, n, q), ConstantSet):
+                        failed.add(q)
+    assert failed == {4}  # q = 4 takes C2 past 4 ulp(C1) for some sets
+
+
+def test_generation_matches_the_fraction_route_on_small_formats():
+    # most of these sets fail a hypothesis: the violation's type and text
+    # must be the same on both routes
+    kinds = set()
+    for p in range(5, 40):
+        for e_min_q in (-24, -60, -300):
+            fmt = Format(p=p, e_min_q=e_min_q, e_max=64)
+            for const in CONSTANTS.values():
+                for n in (0, 3, 9):
+                    for q in (2, 3):
+                        got = _assert_same(const, fmt, n, q)
+                        kinds.add(got[0] if isinstance(got, tuple) else ConstantSet)
+    assert kinds == {ConstantSet, HypothesisViolation}
+
+
+def test_generation_refines_like_safe_round():
+    # an enclosure eight times wider than asked for: at 3p bits R, C2 and
+    # C3 are each ambiguous, and both routes ask for 2x the bits in turn
+    calls = []
+
+    def coarse(bits):
+        calls.append(bits)
+        enc = pi_enclosure(max(1, bits // 8))
+        return RealEnclosure(enc.lo, enc.hi, bits, coarse)
+
+    for fmt in (SINGLE, DOUBLE, QUAD):
+        calls.clear()
+        want = _fraction_route(Constant("pi", coarse), fmt, 0, 2)
+        asked = set(calls)
+        calls.clear()
+        assert gen_constants(Constant("pi", coarse), fmt, 0, 2) == want
+        assert set(calls) == asked and max(asked) >= 8 * 3 * fmt.p
+        pi = gen_constants(PI, fmt)
+        assert (want.r, want.c1, want.c2, want.c3) == (pi.r, pi.c1, pi.c2, pi.c3)
+
+
+def test_generation_without_refine_fails_like_safe_round():
+    # fixed enclosures (a JSON file's) too wide for R, for C2 and for C3 at
+    # double: none can be refined, so both routes raise the same
+    # AmbiguousRoundingError, with the width of the quantity rounded
+    fine = pi_enclosure(400)
+    messages = set()
+    for width_bits in (2, 60, 130):
+        lo = Fraction(fine.lo.numerator >> (400 - width_bits), 1 << width_bits)
+        enc = RealEnclosure(lo, lo + Fraction(1, 1 << width_bits), width_bits, None)
+        kind, message = _assert_same(Constant.from_enclosure("wide", enc), DOUBLE, 0, 2)
+        assert kind is AmbiguousRoundingError and message.startswith("enclosure of width ")
+        messages.add(message)
+    assert len(messages) == 3
+    # a bound at or below zero has no reciprocal
+    zero = Constant.from_enclosure("zero", RealEnclosure(Fraction(0), Fraction(1), 8, None))
+    assert _assert_same(zero, DOUBLE, 0, 2) == (ValueError, "reciprocal needs a positive enclosure")
+    # 1/C past the range at both bounds: the error names 1/hi, rounded first
+    tiny = RealEnclosure(Fraction(1, 1 << 1100), Fraction(1025, 1 << 1110), 8, None)
+    with pytest.raises(OverflowError) as first:
+        round_nearest(1 / tiny.hi, DOUBLE)
+    assert _assert_same(Constant.from_enclosure("tiny", tiny), DOUBLE, 0, 2) == (OverflowError, str(first.value))
+    # an exact constant whose C2 multiple k2 is a tie, k + 1/2: both round
+    # it to the even k
+    cs = gen_constants(PI, DOUBLE)
+    k8 = 3 + ulp2_exp(cs.c1)
+    for k, even in ((4, 4), (5, 6)):
+        c = cs.c1.value + Fraction(2 * k + 1, 2) * Fraction(2) ** k8
+        tie = _assert_same(Constant.from_enclosure("tie", RealEnclosure(c, c, 8, None)), DOUBLE, 0, 2)
+        assert tie.c1 == cs.c1 and tie.c2.value == even * Fraction(2) ** k8
+
+
+def test_generation_on_a_non_dyadic_enclosure():
+    # bounds over 3^250 and 5^200: the scaled enclosure's lcm denominator
+    # is not a power of two
+    fine = pi_enclosure(700)
+    lo = Fraction(fine.lo.numerator * 3**250 // fine.lo.denominator, 3**250)
+    hi = Fraction(-(-fine.hi.numerator * 5**200 // fine.hi.denominator), 5**200)
+    const = Constant.from_enclosure("pi", RealEnclosure(lo, hi, 390, None))
+    den = const.scaled_enclosure(3 * QUAD.p)[2]
+    assert den % 15 == 0 and den & (den - 1)
+    for fmt in FORMATS.values():
+        for q in (2, 3):
+            assert _assert_same(const, fmt, 2, q) == gen_constants(PI, fmt, 2, q)

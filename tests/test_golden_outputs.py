@@ -17,12 +17,18 @@ one subtraction sweep took over both Sterbenz checks: its stats gained
 digest (114 888 cases through the free-z interval walk) and the ln2 quad
 q=3 audit text were pinned before that walk, the kernel's rational
 rounding and C1 generation (now by the kernel, not the oracle) changed.
+The `constants --json` digests of a custom p = 12 format and of a JSON
+enclosure file (a fixed 400-bit enclosure of sqrt 2, which cannot be
+refined) were pinned before constant generation moved from `Fraction`
+enclosures onto the constant's scaled integer enclosure.
 Runs in-process, in a few seconds.
 """
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
+from math import isqrt
 
 import pytest
 
@@ -146,13 +152,50 @@ OTHER = [
         "fb98657041abc83dae2ec9c2752635ac447c669faa0afc42fc5a4add4117a37d",
     ),
 ]
-CASES = [(name, argv.split(), digest) for name, argv, digest in VERIFY + OTHER] + REDUCE
+CUSTOM_DIGESTS = {
+    ("pi", 2, 0): "ba4d1d0da493db5500fca7a7cc2e2eb87b0b23e3637524486d54514a22cdb94d",
+    ("pi", 2, 3): "19559bac6db42b3c315457b0638799c7ee28fa2bb6b79952439a161bfe0bc831",
+    ("pi", 3, 0): "2430df4f991c5e83be3caba62277da7b4e0f06c271091225eeec7213c280441f",
+    ("pi", 3, 3): "0b8258a671ff2122c76fb6dba4ee4533d0fe030cd456fa4e67cad9a334ad8a12",
+    ("ln2", 2, 0): "4d5b7710d49f2f9ad45567d7046c3ab14756bafb1e641ec3d35f30e89879abe4",
+    ("ln2", 2, 3): "b5bc819bbd30401e496b2937fc5e4dd632b9436e8d603f2e552698737516dbc8",
+    ("ln2", 3, 0): "e994ff02046e8589e51d88ceb054470dae6c316b58bab6e83a65153220c3e87b",
+    ("ln2", 3, 3): "3292872c68006d1b597ce46bbf5ebc423eceb232addc236bf095b7ed56e4fb70",
+}
+CUSTOM = [
+    (
+        f"constants {c} p12 q={q} N={n}",
+        f"constants --const {c} --p 12 --e-min-q -40 --e-max 40 --q {q} --N {n} --json",
+        digest,
+    )
+    for (c, q, n), digest in CUSTOM_DIGESTS.items()
+]
+CASES = [(name, argv.split(), digest) for name, argv, digest in VERIFY + OTHER + CUSTOM] + REDUCE
 
 
-@pytest.mark.parametrize("argv, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_json_output_is_byte_identical(argv, digest):
+def _digest(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_json_output_is_byte_identical(argv, digest):
+    assert _digest(argv) == digest
+
+
+FILE_DIGESTS = [
+    ("--format double", "85fa47416614a3081bb6fe2b6064f2fb50a443db00042e9c8c2df140aefaa455"),
+    ("--format quad --q 3 --N 4", "d122dc6b607a5f63d18dbef18b41e656315b1f0e4e2e60683d873bbd91734e19"),
+    ("--p 12 --e-min-q -40 --e-max 40 --N 3", "76f0ee0639f3d990d325395efa3b5d69d02c2700a12e515359da211b35b2abd5"),
+]
+
+
+@pytest.mark.parametrize("args, digest", FILE_DIGESTS, ids=[a for a, _ in FILE_DIGESTS])
+def test_json_file_constant_is_byte_identical(tmp_path, args, digest):
+    lo = isqrt(2 << 800)  # sqrt 2 * 2^400, rounded down
+    f = tmp_path / "sqrt2.json"
+    f.write_text(json.dumps({"name": "sqrt2", "lo": f"{lo} * 2^-400", "hi": f"{lo + 1} * 2^-400", "bits": 400}))
+    assert _digest(["constants", "--const", str(f), *args.split(), "--json"]) == digest

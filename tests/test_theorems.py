@@ -403,6 +403,28 @@ def test_thm3_records_a_small_z_off_the_grid(monkeypatch):
     assert all("z*2^N is not an integer" in f["error"] for f in res.failures)
 
 
+def test_thm6_flop_count_is_live(monkeypatch):
+    # every early exit of the second step raises, so its count can only
+    # differ from 9 through its own bookkeeping: leave the Fast2Sum core's
+    # three roundings uncounted and the campaign must see it
+    import argred.reduction as reduction
+
+    real_fast2sum = reduction._fast2sum_scaled
+
+    def uncounted(an, ae, bn, be, fmt, ties, counter):
+        return real_fast2sum(an, ae, bn, be, fmt, ties, None)
+
+    monkeypatch.setattr(reduction, "_fast2sum_scaled", uncounted)
+    cfg = CheckConfig(
+        theorem="thm6", mode="randomized", constant="pi", fmt="double", n_values=(0,), trials=50, seed=3, jobs=1
+    )
+    res = run_check(cfg)
+    assert res.cases == 50 and len(res.failures) == 50 and not res.passed
+    assert {f["ops"] for f in res.failures} == {6}
+    assert all(f["exact_first"] and f["exact_second"] for f in res.failures)
+    assert res.stats["ops_always_9"] is False
+
+
 def test_a_check_that_ran_no_case_does_not_pass():
     assert not CheckResult("thm3", {}, 0).passed
     assert CheckResult("thm3", {}, 1).passed
