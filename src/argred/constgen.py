@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .realnum import Constant, RealEnclosure, _int_nearest, _refined_scaled, round_rational, safe_round
@@ -81,6 +82,11 @@ class ConstantSet:
     def rc1_minus_1(self) -> Fraction:
         """delta = R*C1 - 1, exactly."""
         return self.r.value * self.c1.value - 1
+
+    @cached_property
+    def pairs(self) -> tuple[int, ...]:
+        """R, C1, C2 and C3 as flat signed (n, e) pairs, read once per instance."""
+        return tuple(f for v in (self.r, self.c1, self.c2, self.c3) for f in (v.sign * v.m, v.e))
 
 
 def recip_ratio(x: Fpn) -> tuple[int, int]:

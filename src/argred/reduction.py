@@ -13,16 +13,16 @@ Four stages, all driven by one fma-capable kernel:
 Every stage reports exactness flags computed against the exact value,
 and the second step counts its rounded operations (always 9).  The
 arithmetic and checks are written once, in a core on signed (n, e)
-integer pairs (_extract_pairs, _minus_zc_pairs, _second_step_pairs) that
-rounds with softfp._round_int, the kernel's one rounding and tie rule.
-The four public stages are thin Fpn wrappers over it that check formats
-and build an Fpn only for what they return: z, u, v1 and v2, w.  The
-thm6 campaign and the small-precision sweeps call the core directly.
+integer pairs (_extract_pairs, _minus_zc_pairs, _second_step_pairs,
+_residual_pairs) that rounds with softfp._round_int, the kernel's one
+rounding and tie rule.  reduce runs the core directly, once per x, and
+builds an Fpn only for the five values it returns.  The four public
+stages stay as thin Fpn wrappers over it, for callers that want one
+stage.  The thm6 campaign and the small-precision sweeps call it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -111,6 +111,13 @@ def s_within_half(s_num: int, s_exp: int, n: int) -> bool:
     return (a << d) <= 1 if d >= 0 else a <= 1 << -d
 
 
+def _check_fmt(fmt: Format, *vals: Fpn) -> None:
+    """Raise ValueError unless every value is in fmt."""
+    for v in vals:
+        if v.fmt is not fmt and v.fmt != fmt:
+            raise ValueError(_FMT_MISMATCH)
+
+
 def _require_covered(cs: ConstantSet, n: int) -> None:
     """Raise HypothesisViolation unless the N-dependent hypotheses hold at n > cs.n."""
     failed = first_failure(cs, n, N_DEPENDENT)
@@ -150,18 +157,20 @@ def extract_z(
         n = cs.n
     elif n > cs.n:
         _require_covered(cs, n)
-    fmt, r = x.fmt, cs.r
-    if not xr_in_bounds(x, r, n):
-        msg = f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; x={x.to_text()}, R={r.to_text()}"
-        raise ReductionRangeError(msg)
-    sigma = sigma_for(fmt, n)
-    if (r.fmt is not fmt and r.fmt != fmt) or (sigma.fmt is not fmt and sigma.fmt != fmt):
-        raise ValueError(_FMT_MISMATCH)
+    zn, ze, *info = _extract(x, cs.r, n, ties, counter, check)
+    return _rounded(zn, ze, x.fmt), tuple.__new__(ZExtractInfo, info)
+
+
+def _extract(x: Fpn, r: Fpn, n: int, ties: str, counter: OpCounter | None, check: bool) -> tuple:
+    """extract_z's range test and format check, then _extract_pairs on x."""
+    fmt = x.fmt
+    if not _xr_fits(x.m * r.m, x.e + r.e + n, fmt.p):
+        raise ReductionRangeError(f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; x={x.to_text()}, R={r.to_text()}")
+    sigma = sigma_for(fmt, n)  # sigma.fmt is fmt itself
+    _check_fmt(fmt, r)
     if counter is not None:
         counter.rounded += 2
-    xn, rn = x.sign * x.m, r.sign * r.m
-    zn, ze, *info = _extract_pairs(xn, x.e, rn, r.e, sigma.m, sigma.e, n, fmt, ties, check)
-    return _rounded(zn, ze, fmt), tuple.__new__(ZExtractInfo, info)
+    return _extract_pairs(x.sign * x.m, x.e, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check)
 
 
 def _extract_pairs(
@@ -264,8 +273,7 @@ def _second_step_pairs(
 def _minus_zc(x: Fpn, z: Fpn, c: Fpn, ties: str, counter: OpCounter | None) -> OpResult:
     """_minus_zc_pairs on Fpn values, for first_step and third_step."""
     fmt = z.fmt
-    if (c.fmt is not fmt and c.fmt != fmt) or (x.fmt is not fmt and x.fmt != fmt):
-        raise ValueError(_FMT_MISMATCH)
+    _check_fmt(fmt, c, x)
     if counter is not None:
         counter.rounded += 1
     m, e, exact = _minus_zc_pairs(x.sign * x.m, x.e, z.sign * z.m, z.e, c.sign * c.m, c.e, fmt, ties)
@@ -305,13 +313,10 @@ def second_step(
     recomputed.  A failed Fast2Sum precondition, or a Fast2Mult error term
     below the quantum 2^e_min_q, raises TheoremViolation.
     """
-    fmt, c1, c2 = z.fmt, cs.c1, cs.c2
-    for v in (c2, u, x):
-        if v.fmt is not fmt and v.fmt != fmt:
-            raise ValueError(_FMT_MISMATCH)
+    fmt = z.fmt
+    _check_fmt(fmt, cs.c2, u, x)
     v1n, v1e, v2n, v2e, exact, ops = _second_step_pairs(
-        x.sign * x.m, x.e, z.sign * z.m, z.e, u.sign * u.m, u.e,
-        c1.sign * c1.m, c1.e, c2.sign * c2.m, c2.e, cs, fmt, ties,
+        x.sign * x.m, x.e, z.sign * z.m, z.e, u.sign * u.m, u.e, *cs.pairs[2:6], cs, fmt, ties
     )
     if counter is not None:
         counter.rounded += ops
@@ -335,16 +340,19 @@ def residual_interval(
     default) comes from the constant's memo; both ends are computed as
     integers over den * 2^-e0.
     """
+    return _residual_pairs(x.sign * x.m, x.e, z.sign * z.m, z.e, v1.sign * v1.m, v1.e, w.sign * w.m, w.e, cs, bits)
+
+
+def _residual_pairs(
+    xn: int, xe: int, zn: int, ze: int, v1n: int, v1e: int, wn: int, we: int, cs: ConstantSet, bits: int | None
+) -> tuple[Fraction, Fraction]:
+    """residual_interval on signed pairs."""
     if cs.constant is None:
         raise ValueError("synthetic constant sets have no underlying C")
     c_lo, c_hi, den = cs.constant.scaled_enclosure(bits or 6 * cs.fmt.p)
-    e0 = min(x.e, z.e, v1.e, w.e)
-    base = den * (
-        (v1.sign * v1.m << (v1.e - e0))
-        + (w.sign * w.m << (w.e - e0))
-        - (x.sign * x.m << (x.e - e0))
-    )
-    zn = z.sign * z.m << (z.e - e0)
+    e0 = min(xe, ze, v1e, we)
+    base = den * ((v1n << (v1e - e0)) + (wn << (we - e0)) - (xn << (xe - e0)))
+    zn <<= ze - e0
     lo, hi = sorted((base + zn * c_lo, base + zn * c_hi))
     if lo <= 0 <= hi:
         lo, hi = 0, max(-lo, hi)
@@ -358,9 +366,9 @@ def _over(n: int, den: int, e0: int) -> Fraction:
     return Fraction(n << e0, den) if e0 >= 0 else Fraction(n, den << -e0)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
-    """Everything the pipeline produced for one x, plus diagnostics."""
+class ReductionOutput(NamedTuple):
+    """Everything the pipeline produced for one x, plus diagnostics; a
+    NamedTuple, so it also unpacks and compares like a tuple."""
 
     z: Fpn
     u: Fpn
@@ -379,14 +387,20 @@ class ReductionOutput:
 
 def reduce(x: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, measure_residual: bool = True) -> ReductionOutput:
     """Run the full pipeline at N = cs.n: extract z, first, second, and
-    third steps, with every runtime theorem check on."""
-    z, info = extract_z(x, cs, ties=ties)
-    u, exact1 = first_step(x, z, cs, ties)
-    ss = second_step(x, z, u, cs, ties)
-    w = third_step(ss.v1, ss.v2, z, cs, ties)
-    res_lo = res_hi = None
-    if measure_residual and cs.constant is not None:
-        res_lo, res_hi = residual_interval(x, z, ss.v1, w, cs)
-    return ReductionOutput(
-        z, u, ss.v1, ss.v2, w, info.ell, info.s, exact1, ss.exact, ss.ops, info.in_thm_range, res_lo, res_hi
-    )
+    third steps, with every runtime theorem check on: those of the four
+    stage wrappers, in their order, in one pass over the pair core."""
+    zn, ze, _, ell, s_num, s_exp, in_range = _extract(x, cs.r, cs.n, ties, None, True)
+    fmt, xn, xe = x.fmt, x.sign * x.m, x.e
+    _, _, c1n, c1e, c2n, c2e, c3n, c3e = cs.pairs
+    _check_fmt(fmt, cs.c1)
+    un, ue, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+    _check_fmt(fmt, cs.c2)
+    v1n, v1e, v2n, v2e, exact2, ops = _second_step_pairs(xn, xe, zn, ze, un, ue, c1n, c1e, c2n, c2e, cs, fmt, ties)
+    _check_fmt(fmt, cs.c3)
+    wn, we, _ = _minus_zc_pairs(v2n, v2e, zn, ze, c3n, c3e, fmt, ties)
+    measured = measure_residual and cs.constant is not None
+    res = _residual_pairs(xn, xe, zn, ze, v1n, v1e, wn, we, cs, None) if measured else (None, None)
+    return tuple.__new__(ReductionOutput, (
+        _rounded(zn, ze, fmt), _rounded(un, ue, fmt), _rounded(v1n, v1e, fmt), _rounded(v2n, v2e, fmt),
+        _rounded(wn, we, fmt), ell, _over(s_num, 1, s_exp), exact1, exact2, ops, in_range, *res,
+    ))

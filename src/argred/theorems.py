@@ -514,8 +514,8 @@ def _set_pairs(cs: ConstantSet, n: int) -> tuple:
     R, sigma, C1, C2 as signed pairs).  An N above cs.n must be covered."""
     if n > cs.n:
         _require_covered(cs, n)
-    vals = (cs.r, sigma_for(cs.fmt, n), cs.c1, cs.c2)
-    return (cs, cs.fmt, n, *(f for v in vals for f in (v.sign * v.m, v.e)))
+    sigma = sigma_for(cs.fmt, n)
+    return (cs, cs.fmt, n, *cs.pairs[:2], sigma.m, sigma.e, *cs.pairs[2:6])
 
 
 def _thm6_chunk(args: tuple) -> tuple[int, list[dict]]:

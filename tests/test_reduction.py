@@ -764,3 +764,141 @@ def _outcome_of(fn, *args):
         return fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# reduce: one pass over the pair core, the same outcome as the public stages
+
+
+def _top_of_range(cs, n):
+    """The largest positive x of cs.fmt with |x*R| <= 2^(p-N-2) - 2^-N."""
+    x = round_nearest(xr_bound(cs.fmt, n) / cs.r.value, cs.fmt)
+    while not xr_in_bounds(x, cs.r, n):
+        x = -((-x).next_up())
+    return x
+
+
+def _reduce_by_hand(x, cs, ties, measure_residual):
+    """reduce's fields from the four public stages and residual_interval."""
+    z, info = extract_z(x, cs, ties=ties)
+    u, exact1 = first_step(x, z, cs, ties)
+    ss = second_step(x, z, u, cs, ties)
+    w = third_step(ss.v1, ss.v2, z, cs, ties)
+    res = residual_interval(x, z, ss.v1, w, cs) if measure_residual else (None, None)
+    return (z, u, ss.v1, ss.v2, w, info.ell, info.s, exact1, ss.exact, ss.ops, info.in_thm_range, *res)
+
+
+def test_reduce_matches_the_public_chain_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(
+        constant=st.sampled_from([PI, LN2]),
+        fmt=st.sampled_from([SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD]),
+        n=st.sampled_from([0, 1, 5, 10]),
+        ties=st.sampled_from([TIES_EVEN, TIES_AWAY]),
+        measure=st.booleans(),
+        sign=st.sampled_from([1, -1]),
+        frac=st.integers(0, (1 << 112) - 1),
+        binade=st.integers(0, 137),
+        edge=st.sampled_from([None, "top", "past", "small", "subnormal", "foreign", "foreign-past"]),
+        forged=st.sampled_from([None, None, "c1", "c2", "c3"]),
+    )
+    def agree(constant, fmt, n, ties, measure, sign, frac, binade, edge, forged):
+        cs = _preset_set(constant, fmt, n)
+        other = DOUBLE if fmt is SINGLE else SINGLE
+        if forged:
+            # one constant of another format: the stage that reads it refuses it
+            cs = dataclasses.replace(cs, **{forged: round_nearest(getattr(cs, forged).value, other)})
+        m = (1 << (fmt.p - 1)) | frac % (1 << (fmt.p - 1))
+        if edge is None:
+            x = Fpn(sign, m, -n - 2 - binade % (fmt.p + 26) + 1, fmt)
+        elif edge == "small":
+            # |x| < 2^(-N-2) and R < 2, so |x*R| < 2^(-N-1)
+            x = Fpn(sign, m, -n - 2 - fmt.p - binade % 40, fmt)
+        elif edge == "subnormal":
+            x = Fpn(sign, frac % (1 << (fmt.p - 1)), fmt.e_min_q, fmt)
+        elif edge == "foreign":
+            x = Fpn(sign, 1 << (other.p - 1), -other.p - binade % 20, other)
+        elif edge == "foreign-past":
+            x = Fpn(sign, 1, 100, other)
+        else:
+            x = _top_of_range(cs, n)
+            x = x.next_up() if edge == "past" else x
+            x = x if sign > 0 else -x
+        got = _outcome_of(reduce, x, cs, ties, measure)
+        assert got == _outcome_of(_reduce_by_hand, x, cs, ties, measure)
+        kind = got[0] if isinstance(got[0], type) else None
+        seen.add((forged or edge, kind))
+        if kind is None:
+            assert isinstance(got, reduction.ReductionOutput)
+            assert (got.residual_lo is None) is not measure
+            assert edge != "small" or got.z.is_zero()
+
+    agree()
+    # the range test comes before the format check, as in extract_z
+    assert {kind for edge, kind in seen if edge == "foreign"} == {ValueError}
+    assert {kind for edge, kind in seen if edge in ("past", "foreign-past")} == {ReductionRangeError}
+    assert {edge for edge, kind in seen if kind is None} == {None, "top", "small", "subnormal"}
+    assert {kind for edge, kind in seen if edge in ("c1", "c2", "c3")} == {ValueError, ReductionRangeError}
+
+
+def test_reduce_matches_the_public_chain_on_p8_sets():
+    # with C2 and C3 set, ties are common at p = 8, in the third step too
+    fmt = Format(p=8, e_min_q=-40, e_max=40)
+    r = Fpn(1, 0b10100011, -8, fmt)
+    third_step_ties = 0
+    for n in (0, 1):
+        cs = synthetic_set(r, n=n, c2=Fpn(1, 0b10100000, -16, fmt))
+        cs = dataclasses.replace(cs, c3=Fpn(1, 0b10110101, -18, fmt))
+        for x in (Fpn(sign, m, e, fmt) for e in range(-10, 0) for m in range(128, 256) for sign in (1, -1)):
+            even, away = (_outcome_of(reduce, x, cs, ties, False) for ties in (TIES_EVEN, TIES_AWAY))
+            assert even == _outcome_of(_reduce_by_hand, x, cs, TIES_EVEN, False)
+            assert away == _outcome_of(_reduce_by_hand, x, cs, TIES_AWAY, False)
+            if isinstance(even, reduction.ReductionOutput):
+                third_step_ties += even[:4] == away[:4] and even.w != away.w
+    assert third_step_ties
+
+
+@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+def test_reduce_at_the_top_of_the_range(constant):
+    # the largest in-range x has ell = p-2, a z the thm6 draw never reaches for pi
+    for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
+        for n in (0, 5, 10):
+            cs = _preset_set(constant, fmt, n)
+            x = _top_of_range(cs, n)
+            out = reduce(x, cs)
+            assert out.ell == fmt.p - 2 and out.in_thm_range
+            assert out.exact_first and out.exact_second and out.rounding_ops_second == 9
+            assert out.residual_lo <= out.residual_hi
+            # the true error lies in this interval and in the one from a 500-bit C
+            ref_lo, ref_hi = residual_reference(x, out.z, out.v1, out.w, constant, 500)
+            assert max(out.residual_lo, ref_lo) <= min(out.residual_hi, ref_hi)
+
+
+def test_reduce_runs_the_core_once_and_builds_five_fpns(monkeypatch):
+    built = []
+    rounded = reduction._rounded
+    monkeypatch.setattr(reduction, "_rounded", lambda *pair: built.append(pair) or rounded(*pair))
+
+    def never(*args, **kwargs):
+        raise AssertionError("reduce ran a public stage")
+
+    for name in ("extract_z", "first_step", "second_step", "third_step", "residual_interval"):
+        monkeypatch.setattr(reduction, name, never)
+    for x, cs in (
+        (Fpn.from_int(10, DOUBLE), CS_PI), (Fpn.from_int(-700, DOUBLE), CS_LN2), (Fpn.zero(QUAD), _preset_set(PI, QUAD, 5))
+    ):
+        built.clear()
+        out = reduce(x, cs)
+        assert [rounded(*pair) for pair in built] == list(out[:5])
+    # the fields, their order and defaults; the output is immutable
+    assert reduction.ReductionOutput._fields == (
+        "z", "u", "v1", "v2", "w", "ell", "s", "exact_first", "exact_second", "rounding_ops_second",
+        "in_thm_range", "residual_lo", "residual_hi",
+    )
+    assert reduction.ReductionOutput._field_defaults == {"residual_lo": None, "residual_hi": None}
+    with pytest.raises(AttributeError):
+        out.z = out.u
