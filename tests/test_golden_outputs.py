@@ -135,6 +135,43 @@ REDUCE = [
         "ff6e0c9f0a1feb49ce04b08ef3027d2cb9db2f79ccf35a25cbd8be1cc242cd92",
     ),
 ]
+# Zero results inside the pipeline: x = 1e-4 has |x*R| < 2^(-N-1), so z = 0
+# (at N = 0 and 10), and x = 4*C1 gives z = 4, u = 0 and v2 = 0.  Pinned
+# while the kernel still returned every exact zero at the quantum e_min_q.
+ZERO_DIGESTS = {
+    ("pi", "double-extended"): (
+        "14488038916154245684 * 2^-60",
+        "a23542ce0416d99b594e20fe3a1e62605f4a332771b11be9686c0d3327eb0f85",
+        "e1273c5d7672cacceb2ab4518124154467a912d43daf8dc5d0b8aa8059655c27",
+        "fd4a2c21ee58509e497633afccffcc0f87b3cd8faeb9ae47fa6bb79e87a7331b",
+    ),
+    ("pi", "quad"): (
+        "8156040833015188200833743081374136 * 2^-109",
+        "69e25235dc082c2f6b505c1760e741e72644a1ff1b59b33aa180474f6a464bf8",
+        "5dfffa5797be3cac91cb7f058790d0d36a963bdd3cd57faac4a35c7884df8724",
+        "ac0be9ba8ba904775068c7423672b3b3076d8de4e13e853df5a25b603118e9af",
+    ),
+    ("ln2", "double-extended"): (
+        "12786308645202655660 * 2^-62",
+        "0ae0962690de3b1a9210d71e99eaeacf74d3b149d2c359acb22a9343dc766542",
+        "c7770603d1145e1ff279f74ba43caf3408b29263bfc73898b16465ca910b6db3",
+        "f576ca645d4226bf16e78ef15ff69f374fbf69e0a05ee3fc70d9d06b19a138d8",
+    ),
+    ("ln2", "quad"): (
+        "7198051856247353947080814903691240 * 2^-111",
+        "706bd8c2b636354a2a555268c02b0b69c558cb1fce13a525fbcbc2c030064ae8",
+        "a34887e61d56432e8c8d9ddfe5c75fd31b052a206caa23a8d789866c1c7295cc",
+        "9ac310f203d7db8635380abe2c590a414a97b11cec79478008004cb7ba4b3962",
+    ),
+}
+REDUCE += [
+    (f"{c} {f} {name}", ["reduce", *argv, "--const", c, "--format", f, "--json"], digest)
+    for (c, f), (x4c1, *digests) in ZERO_DIGESTS.items()
+    for (name, argv), digest in zip(
+        (("x=1e-4 N=0", ["--x", "1e-4"]), ("x=1e-4 N=10", ["--x", "1e-4", "--N", "10"]), ("x=4*C1", ["--x", x4c1])),
+        digests,
+    )
+]
 OTHER = [
     (
         "constants all audit",
