@@ -88,6 +88,11 @@ class ConstantSet:
         """R, C1, C2 and C3 as flat signed (n, e) pairs, read once per instance."""
         return tuple(f for v in (self.r, self.c1, self.c2, self.c3) for f in (v.sign * v.m, v.e))
 
+    @cached_property
+    def c1_ulp2_exp(self) -> int:
+        """ulp2_exp(C1), read once per instance: the second step's grid is 2^(-N-1) * ulp2(C1)."""
+        return ulp2_exp(self.c1)
+
 
 def recip_ratio(x: Fpn) -> tuple[int, int]:
     """1/x as an exact integer ratio (num, den), x > 0."""

@@ -42,7 +42,6 @@ from .softfp import (
     _round_int,
     _rounded,
     _trailing_zeros,
-    ulp2_exp,
 )
 
 __all__ = [
@@ -184,8 +183,9 @@ def _extract_pairs(
     e0 = te if te < se else se
     zn, ze, _ = _round_int((tn << (te - e0)) - (sn << (se - e0)), e0, fmt.p, fmt, ties)
 
-    # diagnostics, exactly in scaled integers; t - sigma is exact, so
-    # (zn, ze) is z's canonical pair
+    # diagnostics, exactly in scaled integers; t - sigma is exact, so a
+    # nonzero (zn, ze) is z's canonical pair; ZExtractInfo reports s over
+    # z's canonical exponent, e_min_q for z = 0
     k, in_range = 0, False
     if zn:
         shift = ze + n
@@ -197,7 +197,9 @@ def _extract_pairs(
             raise TheoremViolation(f"z*2^N is not an integer: z={_rounded(zn, ze, fmt).to_text()}, N={n}")
         in_range = (zn if zn > 0 else -zn).bit_length() - 1 + ze >= 1 - n
     ell = (k if k >= 0 else -k).bit_length()
-    e0 = ze if ze < xr_exp else xr_exp
+    e0 = ze if zn else fmt.e_min_q
+    if xr_exp < e0:
+        e0 = xr_exp
     s_num = (xr_num << (xr_exp - e0)) - (zn << (ze - e0))
     if check and in_range:
         if not 2 <= ell <= fmt.p - 2:
@@ -216,28 +218,30 @@ def _minus_zc_pairs(
     return _round_int((xn << (xe - e0)) - (zn * cn << (ep - e0)), e0, fmt.p, fmt, ties)
 
 
+_OFF_GRID = "%s is not a multiple of 2^(-N-1)*ulp2(C1): %s"
+
+
 def _second_step_pairs(
     xn: int, xe: int, zn: int, ze: int, un: int, ue: int,
     c1n: int, c1e: int, c2n: int, c2e: int, cs: ConstantSet, fmt: Format, ties: str,
 ) -> tuple[int, int, int, int, bool, int]:
     """second_step's nine roundings and checks: (v1n, v1e, v2n, v2e, exact, ops)."""
     ops = OpCounter()
-    ze2 = ze + c2e
-    ops.rounded += 1
+    zc2, ze2 = zn * c2n, ze + c2e
     e0 = ze2 if ze2 < ue else ue
-    v1n, v1e, _ = _round_int((un << (ue - e0)) - (zn * c2n << (ze2 - e0)), e0, fmt.p, fmt, ties)
+    v1n, v1e, _ = _round_int((un << (ue - e0)) - (zc2 << (ze2 - e0)), e0, fmt.p, fmt, ties)
     try:
         p1n, p1e, p2n, p2e = _fast2mult_scaled(zn, ze, c2n, c2e, fmt, ties, ops)
         t1n, t1e, t2n, t2e = _fast2sum_scaled(un, ue, -p1n, p1e, fmt, ties, ops)
     except (PreconditionError, UnderflowError) as exc:
         raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
-    ops.rounded += 3
     e0 = t1e if t1e < v1e else v1e
     d1n, d1e, ex1 = _round_int((t1n << (t1e - e0)) - (v1n << (v1e - e0)), e0, fmt.p, fmt, ties)
     e0 = d1e if d1e < t2e else t2e
     d2n, d2e, ex2 = _round_int((d1n << (d1e - e0)) + (t2n << (t2e - e0)), e0, fmt.p, fmt, ties)
     e0 = d2e if d2e < p2e else p2e
     v2n, v2e, ex3 = _round_int((d2n << (d2e - e0)) - (p2n << (p2e - e0)), e0, fmt.p, fmt, ties)
+    ops.rounded += 4  # v1 and the last line
 
     # v1 + v2 - x + z*C1 + z*C2 == 0, exactly, as integers over 2^e0
     ze1 = ze + c1e
@@ -247,7 +251,7 @@ def _second_step_pairs(
         + (v2n << (v2e - e0))
         - (xn << (xe - e0))
         + (zn * c1n << (ze1 - e0))
-        + (zn * c2n << (ze2 - e0))
+        + (zc2 << (ze2 - e0))
     ) == 0
 
     if not (ex1 and ex2 and ex3):
@@ -261,12 +265,11 @@ def _second_step_pairs(
         n = max(-ze - _trailing_zeros(zn), cs.n)
         if n > cs.n:
             _require_covered(cs, n)
-        g = -n - 1 + ulp2_exp(cs.c1)
-        for name, vn, ve in (("t1", t1n, t1e), ("v1", v1n, v1e)):
-            if vn and ve + _trailing_zeros(vn) < g:
-                raise TheoremViolation(
-                    f"{name} is not a multiple of 2^(-N-1)*ulp2(C1): {_rounded(vn, ve, fmt).to_text()}"
-                )
+        g = -n - 1 + cs.c1_ulp2_exp
+        if t1n and t1e + _trailing_zeros(t1n) < g:
+            raise TheoremViolation(_OFF_GRID % ("t1", _rounded(t1n, t1e, fmt).to_text()))
+        if v1n and v1e + _trailing_zeros(v1n) < g:
+            raise TheoremViolation(_OFF_GRID % ("v1", _rounded(v1n, v1e, fmt).to_text()))
     return v1n, v1e, v2n, v2e, exact, ops.rounded
 
 
@@ -362,8 +365,13 @@ def _residual_pairs(
 
 
 def _over(n: int, den: int, e0: int) -> Fraction:
-    """n * 2^e0 / den, exactly."""
-    return Fraction(n << e0, den) if e0 >= 0 else Fraction(n, den << -e0)
+    """n * 2^e0 / den, exactly.  For e0 < 0 the power of two that n shares
+    with 2^-e0 is taken out first (all of 2^-e0 when n = 0), so that the
+    Fraction's gcd runs over n's odd part, not over an alignment shift."""
+    if e0 >= 0:
+        return Fraction(n << e0, den)
+    t = _trailing_zeros(n | 1 << -e0)
+    return Fraction(n >> t, den << (-e0 - t))
 
 
 class ReductionOutput(NamedTuple):

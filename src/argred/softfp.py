@@ -29,7 +29,9 @@ core (z-extraction, the x - z*c fma of the first and third steps, the
 second step) chain pairs; the public stages wrap that core and build an
 ``Fpn`` only for what they return, and the thm6 campaign and the sweeps
 run it directly.  A pair is an exact value, not a canonical form (a
-carry leaves m = 2**p); an exact rounding to p digits is canonical.
+carry leaves m = 2**p, and a zero keeps the exponent it was rounded at,
+so that aligning it with other pairs shifts nothing toward e_min_q); an
+exact nonzero rounding to p digits is canonical.
 """
 
 from __future__ import annotations
@@ -311,11 +313,13 @@ def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int
 
     Returns (m, eq, exact): the rounded value is m * 2**eq, m signed like
     n, eq >= e_min_q, and |m| < 2**digits or, after a carry, 2**digits;
-    zero is (0, e_min_q).  The kernel's only tie rule.  A result above
-    fmt's range raises OverflowError, exact or not, as Fpn() does.
+    zero keeps its operands' scale, (0, max(e, e_min_q)), so a later
+    alignment does not shift toward e_min_q.  The kernel's only tie rule.
+    A result above fmt's range raises OverflowError, exact or not, as
+    Fpn() does.
     """
     if n == 0:
-        return 0, fmt.e_min_q, True
+        return 0, (e if e > fmt.e_min_q else fmt.e_min_q), True
     a = n if n > 0 else -n
     top = a.bit_length() - 1 + e
     eq = top - digits + 1
@@ -338,8 +342,8 @@ def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int
 
 def _rounded(m: int, e: int, fmt: Format) -> Fpn:
     """The Fpn of a signed pair m * 2**e, such as a _round_int result:
-    zero and a p-bit |m| are already canonical and stored as is, without
-    Fpn.__init__ (see the module docstring); a carry, a short or
+    zero (stored at e_min_q, whatever its e) and a p-bit |m| are built
+    without Fpn.__init__ (see the module docstring); a carry, a short or
     subnormal m goes through Fpn()."""
     sign = 1
     if m < 0:
@@ -545,18 +549,14 @@ def _fast2sum_scaled(
                     f"fast2sum precondition fails for {_rounded(an, ae, fmt)!r}, "
                     f"{_rounded(bn, be, fmt)!r}: no representations with e_a >= e_b and |a| < |b|"
                 )
-    if counter is not None:
-        counter.rounded += 1
     e0 = ae if ae < be else be
     sn, se, _ = _round_int((an << (ae - e0)) + (bn << (be - e0)), e0, p, fmt, ties)
-    if counter is not None:
-        counter.rounded += 1
     e0 = se if se < ae else ae
     zn, ze, _ = _round_int((sn << (se - e0)) - (an << (ae - e0)), e0, p, fmt, ties)
-    if counter is not None:
-        counter.rounded += 1
     e0 = be if be < ze else ze
     en, ee, _ = _round_int((bn << (be - e0)) - (zn << (ze - e0)), e0, p, fmt, ties)
+    if counter is not None:
+        counter.rounded += 3
     # The three-op sequence is exact under the precondition; verify anyway.
     e0 = min(ae, be, se, ee)
     if (sn << (se - e0)) + (en << (ee - e0)) != (an << (ae - e0)) + (bn << (be - e0)):
@@ -572,13 +572,11 @@ def _fast2mult_scaled(
     """Fast2Mult of the pairs (an, ae), (bn, be): (hn, he, ln, le) with
     h = o(a*b) and low = fma(a, b, -h), exact; see fast2mult."""
     prod, ep = an * bn, ae + be
-    if counter is not None:
-        counter.rounded += 1
     hn, he, _ = _round_int(prod, ep, fmt.p, fmt, ties)
-    if counter is not None:
-        counter.rounded += 1
     e0 = ep if ep < he else he
     ln, le, exact = _round_int((prod << (ep - e0)) - (hn << (he - e0)), e0, fmt.p, fmt, ties)
+    if counter is not None:
+        counter.rounded += 2
     if not exact:
         raise UnderflowError(
             f"fast2mult error term of {_rounded(an, ae, fmt)!r}*{_rounded(bn, be, fmt)!r}"

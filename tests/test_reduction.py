@@ -902,3 +902,68 @@ def test_reduce_runs_the_core_once_and_builds_five_fpns(monkeypatch):
     assert reduction.ReductionOutput._field_defaults == {"residual_lo": None, "residual_hi": None}
     with pytest.raises(AttributeError):
         out.z = out.u
+
+
+# ---------------------------------------------------------------------------
+# scale: every integer the pair core rounds stays near its operands' p bits
+
+
+def _scale_inputs(cs, n, rng):
+    """x of the four kinds the benchmark's reduce workload draws: uniform in
+    range, nearest k*C*2^-N, the top of the range, and |x*R| < 2^(-N-1)."""
+    fmt, r = cs.fmt, cs.r.value
+    bound = xr_bound(fmt, n) / r
+    xs = [bound * Fraction(rng.randrange(1, 1 << 40), 1 << 40) for _ in range(4)]
+    xs += [Fraction(rng.randrange(2, 1 << rng.randrange(2, fmt.p - 3)), 2**n) * (cs.c1.value + cs.c2.value)]
+    xs += [Fraction(1, 2 ** (n + 1)) / r * Fraction(rng.randrange(1, 1 << 32), 1 << 32)]
+    xs = [round_nearest(v, fmt) for v in xs] + [_top_of_range(cs, n)]
+    return xs + [-x for x in xs]
+
+
+def test_reduce_rounds_integers_of_at_most_4p_bits(monkeypatch):
+    # a zero at e_min_q would shift the other operands of every later
+    # alignment down to it: at quad, integers of about 148p bits
+    import argred.softfp as softfp
+
+    peak = {}
+    for module in (reduction, softfp):
+        def spy(n, e, digits, fmt, ties, real=module._round_int):
+            peak[fmt.p] = max(peak.get(fmt.p, 0), abs(n).bit_length())
+            return real(n, e, digits, fmt, ties)
+
+        monkeypatch.setattr(module, "_round_int", spy)
+    rng = random.Random(14)
+    zeros = 0
+    for constant in (PI, LN2):
+        for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
+            for n in (0, 5, 10):
+                cs = _preset_set(constant, fmt, n)
+                for x in _scale_inputs(cs, n, rng):
+                    for ties in (TIES_EVEN, TIES_AWAY):
+                        out = reduce(x, cs, ties)
+                        zeros += out.z.is_zero() + out.u.is_zero() + out.v2.is_zero()
+    assert zeros and set(peak) == {24, 53, 64, 113}
+    assert all(bits <= 4 * p for p, bits in peak.items()), peak
+
+
+def test_over_is_exact_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(
+        form=st.sampled_from(["zero", "odd", "shifted"]),
+        sign=st.sampled_from([1, -1]),
+        odd=st.integers(0, 1 << 200),
+        k=st.integers(1, 20_000),
+        den_odd=st.integers(0, 1 << 100),
+        den_shift=st.integers(0, 400),
+        den_pow2=st.booleans(),
+        e0=st.integers(-20_000, 20_000),
+    )
+    def exact(form, sign, odd, k, den_odd, den_shift, den_pow2, e0):
+        n = {"zero": 0, "odd": sign * (2 * odd + 1), "shifted": sign * (2 * odd + 1) << k}[form]
+        den = 1 << den_shift if den_pow2 else 2 * den_odd + 1
+        assert reduction._over(n, den, e0) == Fraction(n) * Fraction(2) ** e0 / den
+
+    exact()

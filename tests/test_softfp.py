@@ -34,7 +34,7 @@ from argred.softfp import (
     ulp,
     ulp2,
 )
-from argred.softfp import _fast2sum_scaled, _round_int, _round_scaled
+from argred.softfp import _fast2sum_scaled, _round_int, _round_scaled, _rounded
 from argred.realnum import round_rational
 
 P4 = Format(p=4, e_min_q=-20, e_max=40)
@@ -238,6 +238,17 @@ def test_round_int_overflows_exactly_when_fpn_does():
                         assert fpn_raises, (n, e, digits, ties)
                     seen.add((want.value == n << e, fpn_raises))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_round_int_zero_keeps_its_scale():
+    # an exact zero is (0, max(e, e_min_q)), so aligning it shifts nothing
+    # toward e_min_q; the Fpn built from it is still the canonical zero
+    for e in (P5.e_min_q + 7, P5.e_min_q - 7):
+        for ties in (TIES_EVEN, TIES_AWAY):
+            m, eq, exact = _round_int(0, e, P5.p, P5, ties)
+            assert (m, eq, exact) == (0, max(e, P5.e_min_q), True)
+            for z in (_rounded(m, eq, P5), _round_scaled(0, e, P5.p, P5, ties).value):
+                assert (z.sign, z.m, z.e) == (1, 0, P5.e_min_q) and z == Fpn.zero(P5)
 
 
 def test_subnormal_rounding_and_zero_ties():
