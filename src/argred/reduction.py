@@ -117,6 +117,12 @@ def _check_fmt(fmt: Format, *vals: Fpn) -> None:
             raise ValueError(_FMT_MISMATCH)
 
 
+def _pair(v: Fpn, e: int) -> tuple[int, int]:
+    """v as a signed pair, a zero v at exponent e: an Fpn zero is stored at
+    e_min_q, and the core would align the other terms down to it."""
+    return (v.sign * v.m, v.e) if v.m else (0, e)
+
+
 def _require_covered(cs: ConstantSet, n: int) -> None:
     """Raise HypothesisViolation unless the N-dependent hypotheses hold at n > cs.n."""
     failed = first_failure(cs, n, N_DEPENDENT)
@@ -169,6 +175,8 @@ def _extract(x: Fpn, r: Fpn, n: int, ties: str, counter: OpCounter | None, check
     _check_fmt(fmt, r)
     if counter is not None:
         counter.rounded += 2
+    if not x.m:  # t = sigma, z = 0 exactly; s = 0 over min(z's e_min_q, x.e + R.e), as _extract_pairs puts it
+        return 0, fmt.e_min_q, 0, 0, 0, min(fmt.e_min_q, x.e + r.e), False
     return _extract_pairs(x.sign * x.m, x.e, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check)
 
 
@@ -279,7 +287,9 @@ def _minus_zc(x: Fpn, z: Fpn, c: Fpn, ties: str, counter: OpCounter | None) -> O
     _check_fmt(fmt, c, x)
     if counter is not None:
         counter.rounded += 1
-    m, e, exact = _minus_zc_pairs(x.sign * x.m, x.e, z.sign * z.m, z.e, c.sign * c.m, c.e, fmt, ties)
+    xn, xe = _pair(x, z.e + c.e)  # a zero x or z at the scale of the other term
+    zn, ze = _pair(z, xe - c.e)
+    m, e, exact = _minus_zc_pairs(xn, xe, zn, ze, c.sign * c.m, c.e, fmt, ties)
     return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
@@ -318,9 +328,9 @@ def second_step(
     """
     fmt = z.fmt
     _check_fmt(fmt, cs.c2, u, x)
-    v1n, v1e, v2n, v2e, exact, ops = _second_step_pairs(
-        x.sign * x.m, x.e, z.sign * z.m, z.e, u.sign * u.m, u.e, *cs.pairs[2:6], cs, fmt, ties
-    )
+    un, ue = _pair(u, z.e + cs.c2.e)  # a zero u or z*C2 at the scale of the other, a zero x at u's
+    zn, ze = _pair(z, ue - cs.c2.e)
+    v1n, v1e, v2n, v2e, exact, ops = _second_step_pairs(*_pair(x, ue), zn, ze, un, ue, *cs.pairs[2:6], cs, fmt, ties)
     if counter is not None:
         counter.rounded += ops
     return SecondStepResult(_rounded(v1n, v1e, fmt), _rounded(v2n, v2e, fmt), exact, ops, True)
@@ -343,7 +353,8 @@ def residual_interval(
     default) comes from the constant's memo; both ends are computed as
     integers over den * 2^-e0.
     """
-    return _residual_pairs(x.sign * x.m, x.e, z.sign * z.m, z.e, v1.sign * v1.m, v1.e, w.sign * w.m, w.e, cs, bits)
+    top = max(x.e, z.e, v1.e, w.e)  # a zero at the top sets no alignment
+    return _residual_pairs(*_pair(x, top), *_pair(z, top), *_pair(v1, top), *_pair(w, top), cs, bits)
 
 
 def _residual_pairs(

@@ -177,7 +177,7 @@ def _subtraction_sweep(cfg: CheckConfig, name: str, p_in: int, p_out: int, label
     subtracted by the kernel under cfg.ties, which must be exact and equal
     to x - y, and x - y rounded to p_out bits must give x - y back.
     """
-    cfg = _own_window(cfg, 8)
+    cfg = replace(cfg, window=8) if cfg.window is None else cfg
     beta, window = cfg.beta, cfg.window
     if beta < 2 or p_in < 2 or p_out < 2:
         raise ValueError(f"need beta >= 2 and {', '.join(labels)} >= 2")
@@ -218,17 +218,12 @@ def _subtraction_sweep(cfg: CheckConfig, name: str, p_in: int, p_out: int, label
     return CheckResult(name, cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
-def _own_window(cfg: CheckConfig, window: int) -> CheckConfig:
-    """cfg with `window`, the check's own, when it names none."""
-    return replace(cfg, window=window) if cfg.window is None else cfg
-
-
 def sorted_failures(failures: list[dict]) -> list[dict]:
     return sorted(failures, key=lambda f: repr(sorted(f.items())))
 
 
 # ---------------------------------------------------------------------------
-# small-precision pipeline sweeps (z extraction + first step)
+# small-precision sweeps: one driver, one task per (q, R)
 # ---------------------------------------------------------------------------
 
 
@@ -238,44 +233,68 @@ def _sweep_format(p: int) -> Format:
     return Format(p=p, e_min_q=-5 * p, e_max=12 * p)
 
 
-def _sweep_space(cfg: CheckConfig, per_x_r_n: int) -> tuple[Format, list, list]:
-    """The format, x values and R values of a small-precision sweep.
+def _sweep_space(cfg: CheckConfig, window: int, per_x_r_n: int) -> tuple[CheckConfig, list[Fpn], tuple]:
+    """cfg with `window`, the check's own, when it names none, and the R
+    values and x values of its small-precision sweep.
 
-    A window or r_step below 1 is refused.  The case space, x values * R
-    values * N values * per_x_r_n, is counted first and must not exceed
-    EXHAUSTIVE_CAP."""
+    An empty N or q list, a window or r_step below 1 is refused.  The case
+    space, x values * R values * N values * q values * per_x_r_n, is
+    counted first and must not exceed EXHAUSTIVE_CAP."""
+    _check_values(cfg, "n_values", "q_values")
+    cfg = replace(cfg, window=window) if cfg.window is None else cfg
     _check_at_least_1(cfg, "window", "r_step")
     p = cfg.p or 8
     half = 1 << (p - 1)
     r_values = 2 * len(range(half, 2 * half, cfg.r_step))
-    space = 2 * cfg.window * half * r_values * len(cfg.n_values) * per_x_r_n
+    space = 2 * cfg.window * half * r_values * len(cfg.n_values) * len(cfg.q_values) * per_x_r_n
     if space > EXHAUSTIVE_CAP:
         raise ValueError(f"case space {space} exceeds the exhaustive cap")
     fmt = _sweep_format(p)
-    return fmt, _sweep_xs(fmt, cfg.window), _sweep_rs(fmt, cfg.r_step)
+    return cfg, _sweep_rs(fmt, cfg.r_step), _sweep_xs(fmt, cfg.window)
 
 
 def _sweep_rs(fmt: Format, step: int) -> list[Fpn]:
-    """All normal R significands over the two binades around 1."""
+    """All normal R significands over the two binades around 1: R in
+    [1/2, 1) and [1, 2)."""
     p = fmt.p
-    out = []
-    for e in (-p, -p + 1):  # R in [1/2, 1) and [1, 2)
-        for m in range(1 << (p - 1), 1 << p, step):
-            out.append(Fpn(1, m, e, fmt))
-    return out
+    return [Fpn(1, m, e, fmt) for e in (-p, -p + 1) for m in range(1 << (p - 1), 1 << p, step)]
 
 
-def _sweep_xs(fmt: Format, window: int) -> list[Fpn]:
-    """Both signs, all significands, `window` value binades centered on 1."""
+@functools.cache
+def _sweep_xs(fmt: Format, window: int) -> tuple[tuple[Fpn, int, int, int], ...]:
+    """Both signs, all significands, `window` value binades centered on 1,
+    each as (x, signed significand, exponent, significand); built once per
+    format and window in a process, for all of its (q, R) tasks."""
     p = fmt.p
-    lo_b = -(window // 2)
-    out = []
-    for b in range(lo_b, lo_b + window):
-        e = b - (p - 1)
-        for m in range(1 << (p - 1), 1 << p):
-            out.append(Fpn(1, m, e, fmt))
-            out.append(Fpn(-1, m, e, fmt))
-    return out
+    lo_e = -(window // 2) - (p - 1)
+    return tuple(
+        (Fpn(sign, m, e, fmt), sign * m, e, m)
+        for e in range(lo_e, lo_e + window)
+        for m in range(1 << (p - 1), 1 << p)
+        for sign in (1, -1)
+    )
+
+
+def _in_range(r: Fpn, window: int, n: int) -> list[tuple[Fpn, int, int, int]]:
+    """The sweep's x values with |x*R| in range at N (see xr_in_bounds)."""
+    p, rm, shift = r.fmt.p, r.m, r.e + n
+    return [t for t in _sweep_xs(r.fmt, window) if _xr_fits(t[3] * rm, t[2] + shift, p)]
+
+
+def _sweep(cfg: CheckConfig, name: str, per_r, rs: list[Fpn], **space) -> CheckResult:
+    """The sweep `name`, one _run_campaign task per q of cfg and R of rs:
+    per_r(cfg, q, R) gives the (cases, failures, stats) of its (q, R).  The
+    stats of the whole case space, r_values and `space`, are set here."""
+    tasks = [(per_r, cfg, q, r.m, r.e) for q in cfg.q_values for r in rs]
+    cases, failures, stats = _run_campaign(_sweep_task, tasks, cfg.jobs)
+    return CheckResult(name, cfg.to_dict(), cases, sorted_failures(failures), {"r_values": len(rs), **space, **stats})
+
+
+def _sweep_task(args: tuple) -> tuple[int, list[dict], dict]:
+    """One task of _sweep, R rebuilt from its ints on the process's own sweep
+    format: no Format crosses a pipe, and sigma_for keeps one per (format, N)."""
+    per_r, cfg, q, rm, re = args
+    return per_r(cfg, q, Fpn(1, rm, re, _sweep_format(cfg.p or 8)))
 
 
 def _x_minus_zc1(xn: int, xe: int, zn: int, ze: int, c1n: int, c1e: int) -> tuple[int, int]:
@@ -287,77 +306,61 @@ def _x_minus_zc1(xn: int, xe: int, zn: int, ze: int, c1n: int, c1e: int) -> tupl
     return xn - (zn << (ze - xe)), xe
 
 
-def _pipeline_sweep(cfg: CheckConfig, want_first: bool) -> CheckResult:
-    _check_values(cfg, "n_values", "q_values")
-    cfg = _own_window(cfg, 12)
-    fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
-    p, ties = fmt.p, cfg.ties
-    xq = [(x, x.sign * x.m, x.e, x.m) for x in xs]  # x and its pair
-    sigmas = [(n, sigma_for(fmt, n)) for n in cfg.n_values]
+def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int, list[dict], dict]:
+    """thm3 at one (q, R), with correct3's first step when want_first."""
+    fmt, ties, rm, re = r.fmt, cfg.ties, r.m, r.e
+    try:
+        c1n, c1e = synthetic_set(r, n=max(cfg.n_values), q=q).pairs[2:4]
+        n_values = cfg.n_values
+    except HypothesisViolation:
+        n_values = ()
     failures = []
-    cases = 0
-    candidates = 0
-    skipped_r = 0
+    cases = zero_z = below_thm_range = 0
     ell_seen = set()
-    zero_z = 0
-    below_thm_range = 0
-    for q in cfg.q_values:
-        for r in rs:
+    for n in n_values:
+        sigma = sigma_for(fmt, n)
+        xs = _in_range(r, cfg.window, n)
+        cases += len(xs)
+        for x, xn, xe, _ in xs:
+            fail = {}
             try:
-                cs = synthetic_set(r, n=max(cfg.n_values), q=q)
-            except HypothesisViolation:
-                skipped_r += 1
-                continue
-            rn, rm, re, c1 = r.sign * r.m, r.m, r.e, cs.c1
-            c1n, c1e = c1.sign * c1.m, c1.e
-            for n, sigma in sigmas:
-                candidates += len(xq)
-                for x, xn, xe, xm in xq:
-                    if not _xr_fits(xm * rm, xe + re + n, p):
-                        continue
-                    cases += 1
-                    fail = {}
-                    try:
-                        zn, ze, _, ell, _, _, in_range = _extract_pairs(
-                            xn, xe, rn, re, sigma.m, sigma.e, n, fmt, ties, True
-                        )
-                    except TheoremViolation as exc:
-                        fail["error"] = str(exc)
-                    else:
-                        if not zn:
-                            zero_z += 1
-                        elif in_range:
-                            ell_seen.add(ell)
-                        else:
-                            below_thm_range += 1
-                        if want_first:
-                            exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)[2]
-                            representable = fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), p, fmt)
-                            if not exact or not representable:
-                                fail["exact_first"] = exact
-                                fail["representable"] = representable
-                    if fail:
-                        fail.update(
-                            {"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, "p": p}
-                        )
-                        failures.append(fail)
-    stats = {"candidates": candidates, "r_values": len(rs), "x_values": len(xs), "skipped_r": skipped_r,
+                zn, ze, _, ell, _, _, in_range = _extract_pairs(xn, xe, rm, re, sigma.m, sigma.e, n, fmt, ties, True)
+            except TheoremViolation as exc:
+                fail["error"] = str(exc)
+            else:
+                if not zn:
+                    zero_z += 1
+                elif in_range:
+                    ell_seen.add(ell)
+                else:
+                    below_thm_range += 1
+                if want_first:
+                    exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)[2]
+                    representable = fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), fmt.p, fmt)
+                    if not exact or not representable:
+                        fail["exact_first"] = exact
+                        fail["representable"] = representable
+            if fail:
+                fail.update({"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, "p": fmt.p})
+                failures.append(fail)
+    stats = {"candidates": len(_sweep_xs(fmt, cfg.window)) * len(n_values), "skipped_r": int(not n_values),
              "zero_z": zero_z, "below_thm_range": below_thm_range, "ell_values": sorted(ell_seen)}
-    name = "correct3" if want_first else "thm3"
-    return CheckResult(name, cfg.to_dict(), cases, sorted_failures(failures), stats)
+    return cases, failures, stats
 
 
 def check_thm3(cfg: CheckConfig) -> CheckResult:
     """z-extraction guarantees, as extract_z verifies them: z*2^N
     integral for every z; ell in [2, p-2] and |x*R - z| <= 2^(-N-1) for
     |z| >= 2^(1-N).  A raised TheoremViolation is a failure."""
-    return _pipeline_sweep(cfg, want_first=False)
+    cfg, rs, xs = _sweep_space(cfg, 12, 1)
+    return _sweep(cfg, "thm3", functools.partial(_pipeline_r, want_first=False), rs, x_values=len(xs))
 
 
 def check_correct3(cfg: CheckConfig) -> CheckResult:
     """q = 2 first step: x - z*C1 is a p-bit FPN and the fma is exact,
     swept together with the z-extraction guarantees."""
-    return _pipeline_sweep(cfg, want_first=True)
+    cfg, rs, xs = _sweep_space(cfg, 12, 1)
+    return _sweep(cfg, "correct3", functools.partial(_pipeline_r, want_first=True), rs, x_values=len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -392,41 +395,40 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
     _check_values(cfg, "n_values", "q_values")
     _check_at_least_1(cfg, "r_step")
     p = cfg.p or 8
-    fmt = _sweep_format(p)
-    rs = _sweep_rs(fmt, cfg.r_step)
-    failures = []
-    cases = 0
-    skipped_r = 0
     for q in cfg.q_values:
         if not 1 <= q < p - 1:
             raise ValueError(f"q={q} out of the checkable range")
-        for r in rs:
-            cs = _general_q_set(r, q, cfg.ties)
-            if cs is None:
-                skipped_r += 1
-                continue
-            c1 = cs.c1
-            c1n = c1.sign * c1.m
-            for n in cfg.n_values:
-                if not C1_BOUND_Q.holds(cs, n):
-                    skipped_r += 1
-                    continue
-                half = Fraction(1, 1 << (n + 1))
-                for ell in range(max(2, q), p):
-                    for k in range(1 << (ell - 1), 1 << ell):
-                        for sgn in (1, -1):
-                            z = Fpn(sgn, k, -n, fmt)
-                            zv = z.value
-                            for x in _fpns_in_interval(
-                                (zv - half) / r.value, (zv + half) / r.value, fmt
-                            ):
-                                cases += 1
-                                num, e0 = _x_minus_zc1(x.sign * x.m, x.e, sgn * k, -n, c1n, c1.e)
-                                if not fits_scaled(num, e0, p, fmt):
-                                    fail = {"x": x.to_text(), "z": z.to_text(), "ell": ell}
-                                    failures.append({**fail, "R": r.to_text(), "N": n, "q": q})
-    stats = {"r_values": len(rs), "skipped_r": skipped_r}
-    return CheckResult("correct1", cfg.to_dict(), cases, sorted_failures(failures), stats)
+    return _sweep(cfg, "correct1", _correct1_r, _sweep_rs(_sweep_format(p), cfg.r_step))
+
+
+def _correct1_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
+    """correct1 at one (q, R): each N, ell, ell-bit k and sign of z, and
+    every x with |x*R - z| <= 2^(-N-1)."""
+    fmt = r.fmt
+    p = fmt.p
+    cs = _general_q_set(r, q, cfg.ties)
+    if cs is None:
+        return 0, [], {"skipped_r": 1}
+    c1n, c1e = cs.c1.sign * cs.c1.m, cs.c1.e
+    failures = []
+    cases = skipped = 0
+    for n in cfg.n_values:
+        if not C1_BOUND_Q.holds(cs, n):
+            skipped += 1
+            continue
+        half = Fraction(1, 1 << (n + 1))
+        for ell in range(max(2, q), p):
+            for k in range(1 << (ell - 1), 1 << ell):
+                for sgn in (1, -1):
+                    z = Fpn(sgn, k, -n, fmt)
+                    zv = z.value
+                    for x in _fpns_in_interval((zv - half) / r.value, (zv + half) / r.value, fmt):
+                        cases += 1
+                        num, e0 = _x_minus_zc1(x.sign * x.m, x.e, sgn * k, -n, c1n, c1e)
+                        if not fits_scaled(num, e0, p, fmt):
+                            fail = {"x": x.to_text(), "z": z.to_text(), "ell": ell}
+                            failures.append({**fail, "R": r.to_text(), "N": n, "q": q})
+    return cases, failures, {"skipped_r": skipped}
 
 
 # what check_correct2 asks at each N: z extraction's hypotheses, and the
@@ -438,46 +440,37 @@ def check_correct2(cfg: CheckConfig) -> CheckResult:
     """Appendix variant: general q with R*C1 <= 1, z from the extraction
     algorithm; x - z*C1 is a p-bit FPN for every in-range x.  An N that
     fails _CORRECT2_HYPOTHESES counts in skipped_r."""
-    _check_values(cfg, "n_values", "q_values")
-    cfg = _own_window(cfg, 12)
-    fmt, xs, rs = _sweep_space(cfg, len(cfg.q_values))
-    p, ties = fmt.p, cfg.ties
-    xq = [(x, x.sign * x.m, x.e, x.m) for x in xs]  # x and its pair
-    sigmas = [(n, sigma_for(fmt, n)) for n in cfg.n_values]
+    cfg, rs, _ = _sweep_space(cfg, 12, 1)
+    return _sweep(cfg, "correct2", _correct2_r, rs)
+
+
+def _correct2_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
+    """correct2 at one (q, R)."""
+    fmt, ties, rm, re = r.fmt, cfg.ties, r.m, r.e
+    cs = _general_q_set(r, q, ties)
+    if cs is None or not RC1_AT_MOST_1.holds(cs, 0):
+        return 0, [], {"skipped_r": int(cs is None), "rc1_filtered": int(cs is not None)}
+    c1n, c1e = cs.c1.sign * cs.c1.m, cs.c1.e
     failures = []
-    cases = 0
-    skipped_r = 0
-    rc1_filtered = 0
-    for q in cfg.q_values:
-        for r in rs:
-            cs = _general_q_set(r, q, ties)
-            if cs is None:
-                skipped_r += 1
-                continue
-            if not RC1_AT_MOST_1.holds(cs, 0):
-                rc1_filtered += 1
-                continue
-            rn, rm, re, c1 = r.sign * r.m, r.m, r.e, cs.c1
-            c1n, c1e = c1.sign * c1.m, c1.e
-            for n, sigma in sigmas:
-                if first_failure(cs, n, _CORRECT2_HYPOTHESES) is not None:
-                    skipped_r += 1
+    cases = skipped = 0
+    for n in cfg.n_values:
+        if first_failure(cs, n, _CORRECT2_HYPOTHESES) is not None:
+            skipped += 1
+            continue
+        sigma = sigma_for(fmt, n)
+        xs = _in_range(r, cfg.window, n)
+        cases += len(xs)
+        for x, xn, xe, _ in xs:
+            try:
+                zn, ze = _extract_pairs(xn, xe, rm, re, sigma.m, sigma.e, n, fmt, ties, True)[:2]
+            except TheoremViolation as exc:
+                fail = {"error": str(exc)}
+            else:
+                if fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), fmt.p, fmt):
                     continue
-                for x, xn, xe, xm in xq:
-                    if not _xr_fits(xm * rm, xe + re + n, p):
-                        continue
-                    cases += 1
-                    try:
-                        zn, ze = _extract_pairs(xn, xe, rn, re, sigma.m, sigma.e, n, fmt, ties, True)[:2]
-                    except TheoremViolation as exc:
-                        fail = {"error": str(exc)}
-                    else:
-                        if fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), p, fmt):
-                            continue
-                        fail = {"z": _rounded(zn, ze, fmt).to_text()}
-                    failures.append({"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, **fail})
-    stats = {"r_values": len(rs), "skipped_r": skipped_r, "rc1_filtered": rc1_filtered}
-    return CheckResult("correct2", cfg.to_dict(), cases, sorted_failures(failures), stats)
+                fail = {"z": _rounded(zn, ze, fmt).to_text()}
+            failures.append({"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, **fail})
+    return cases, failures, {"skipped_r": skipped, "rc1_filtered": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +498,6 @@ def _random_in_range_pair(rng: random.Random, fmt: Format, rm: int, re: int, n: 
             return sign * m, e
 
 
-def _random_in_range_x(rng: random.Random, fmt: Format, r: Fpn, n: int) -> Fpn:
-    return _rounded(*_random_in_range_pair(rng, fmt, r.m, r.e, n), fmt)
-
-
 def _set_pairs(cs: ConstantSet, n: int) -> tuple:
     """What a thm6 case reads of cs at N, once per set: (cs, fmt, N, and
     R, sigma, C1, C2 as signed pairs).  An N above cs.n must be covered."""
@@ -518,7 +507,7 @@ def _set_pairs(cs: ConstantSet, n: int) -> tuple:
     return (cs, cs.fmt, n, *cs.pairs[:2], sigma.m, sigma.e, *cs.pairs[2:6])
 
 
-def _thm6_chunk(args: tuple) -> tuple[int, list[dict]]:
+def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     constant, fmt_label, n, q, seed, trials, ties = args
     fmt = FORMATS[fmt_label]
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
@@ -529,7 +518,7 @@ def _thm6_chunk(args: tuple) -> tuple[int, list[dict]]:
         entry = _run_second_step_case(*_random_in_range_pair(rng, fmt, rm, re, n), sp, ties)
         if entry is not None:
             failures.append(entry)
-    return trials, failures
+    return trials, failures, {}
 
 
 def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str) -> dict | None:
@@ -557,7 +546,10 @@ def check_thm6(cfg: CheckConfig) -> CheckResult:
     """
     if cfg.mode == "randomized":
         return _check_thm6_randomized(cfg)
-    return _check_thm6_exhaustive(cfg)
+    if tuple(cfg.q_values) != (2,):
+        raise ValueError(f"exhaustive thm6 runs q=2 only, got q_values={list(cfg.q_values)}")
+    cfg, rs, _ = _sweep_space(cfg, 10, 8)  # up to 8 C2 multiples per (R, N)
+    return _sweep(cfg, "thm6", _thm6_r, rs)
 
 
 def _check_at_least_1(cfg: CheckConfig, *names: str) -> None:
@@ -584,15 +576,20 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
     return [(idx, min(_CHUNK, trials - start)) for idx, start in enumerate(range(0, trials, _CHUNK))]
 
 
-def _run_campaign(fn, tasks: list, jobs: int) -> tuple[int, list[dict]]:
+def _run_campaign(fn, tasks: list, jobs: int) -> tuple[int, list[dict], dict]:
     """fn over the tasks in order, on a process pool when jobs > 1; each
-    task gives (cases, failures), and the sums come back."""
+    task gives (cases, failures, stats), and the sums come back: counts
+    add up, and a list stat (ell_values) is a sorted union."""
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(fn, tasks))
     else:
         parts = [fn(t) for t in tasks]
-    return sum(p[0] for p in parts), [f for _, fails in parts for f in fails]
+    stats = {}
+    for _, _, part in parts:
+        for key, v in part.items():
+            stats[key] = sorted({*stats.get(key, ()), *v}) if isinstance(v, list) else stats.get(key, 0) + v
+    return sum(p[0] for p in parts), [f for p in parts for f in p[1]], stats
 
 
 def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
@@ -606,50 +603,39 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
         for n in cfg.n_values
         for idx, take in _chunks(cfg.trials)
     ]
-    cases, failures = _run_campaign(_thm6_chunk, tasks, cfg.jobs)
+    cases, failures, _ = _run_campaign(_thm6_chunk, tasks, cfg.jobs)
     stats = {"ops_always_9": all(f.get("ops") in (None, 9) for f in failures), "chunks": len(tasks)}
     return CheckResult("thm6", cfg.to_dict(), cases, sorted_failures(failures), stats)
 
 
-def _check_thm6_exhaustive(cfg: CheckConfig) -> CheckResult:
-    _check_values(cfg, "n_values")
-    if tuple(cfg.q_values) != (2,):
-        raise ValueError(f"exhaustive thm6 runs q=2 only, got q_values={list(cfg.q_values)}")
-    # up to 8 C2 multiples per (R, N)
-    cfg = _own_window(cfg, 10)
-    fmt, xs, rs = _sweep_space(cfg, 8)
-    p, xq = fmt.p, [(x, x.sign * x.m, x.e, x.m) for x in xs]
+def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
+    """Exhaustive thm6 at one R: each N, each C2 multiple on the 8*ulp2(C1)
+    grid that the set takes, and every in-range x."""
     failures = []
-    cases = 0
-    skipped = 0
-    for r in rs:
-        rm, re = r.m, r.e
-        for n in cfg.n_values:
+    cases = skipped = 0
+    for n in cfg.n_values:
+        try:
+            base = synthetic_set(r, n=n, q=q)
+        except HypothesisViolation:
+            skipped += 1
+            continue
+        grid = 8 * ulp2(base.c1)
+        kmax = int((4 * ulp(base.c1)) / grid)
+        xs = _in_range(r, cfg.window, n)
+        for kk in sorted({0, 1, -1, 5, -5, kmax, -kmax, kmax - 1}):
             try:
-                base = synthetic_set(r, n=n, q=2)
-            except HypothesisViolation:
+                cs = synthetic_set(r, n=n, q=q, c2=Fpn.from_fraction(kk * grid, r.fmt))
+            except (HypothesisViolation, ValueError):
                 skipped += 1
                 continue
-            grid = 8 * ulp2(base.c1)
-            kmax = int((4 * ulp(base.c1)) / grid)
-            c2_multiples = sorted({0, 1, -1, 5, -5, kmax, -kmax, kmax - 1})
-            for kk in c2_multiples:
-                try:
-                    cs = synthetic_set(r, n=n, q=2, c2=Fpn.from_fraction(kk * grid, fmt))
-                except (HypothesisViolation, ValueError):
-                    skipped += 1
-                    continue
-                sp = _set_pairs(cs, n)
-                for x, xn, xe, xm in xq:
-                    if not _xr_fits(xm * rm, xe + re + n, p):
-                        continue
-                    cases += 1
-                    entry = _run_second_step_case(xn, xe, sp, cfg.ties)
-                    if entry is not None:
-                        entry.update({"R": r.to_text(), "C2": cs.c2.to_text()})
-                        failures.append(entry)
-    stats = {"r_values": len(rs), "skipped": skipped}
-    return CheckResult("thm6", cfg.to_dict(), cases, sorted_failures(failures), stats)
+            sp = _set_pairs(cs, n)
+            cases += len(xs)
+            for _, xn, xe, _ in xs:
+                entry = _run_second_step_case(xn, xe, sp, cfg.ties)
+                if entry is not None:
+                    entry.update({"R": r.to_text(), "C2": cs.c2.to_text()})
+                    failures.append(entry)
+    return cases, failures, {"skipped": skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +664,7 @@ def _sum2_scaled(p: Fpn, q: Fpn) -> tuple[int, int]:
     return (p.sign * p.m << (p.e - e0)) + (q.sign * q.m << (q.e - e0)), e0
 
 
-def _eft_chunk(args: tuple) -> tuple[int, list[dict]]:
+def _eft_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     seed, trials, ties = args
     rng = random.Random(seed)
     fmt = DOUBLE
@@ -702,14 +688,14 @@ def _eft_chunk(args: tuple) -> tuple[int, list[dict]]:
         pe = a.e + b.e
         if (hn << (he - pe) if he >= pe else hn) != (pn if he >= pe else pn << (pe - he)):
             failures.append({"op": "fast2mult", "a": a.to_text(), "b": b.to_text()})
-    return trials, failures
+    return trials, failures, {}
 
 
 def check_eft(cfg: CheckConfig) -> CheckResult:
     """Random valid Fast2Sum/Fast2Mult calls recompose exactly."""
     _check_at_least_1(cfg, "trials")
     tasks = [(cfg.seed + 104729 * idx, take, cfg.ties) for idx, take in _chunks(cfg.trials)]
-    cases, failures = _run_campaign(_eft_chunk, tasks, cfg.jobs)
+    cases, failures, _ = _run_campaign(_eft_chunk, tasks, cfg.jobs)
     return CheckResult("eft", cfg.to_dict(), cases, sorted_failures(failures), {})
 
 

@@ -124,7 +124,7 @@ def test_criterion_04_sterbenz2_exhaustive():
 
 def _correct3_full(ties: str):
     return check_correct3(
-        CheckConfig(theorem="correct3", p=8, r_step=1, n_values=(0, 1, 2), window=12, ties=ties)
+        CheckConfig(theorem="correct3", p=8, r_step=1, n_values=(0, 1, 2), window=12, ties=ties, jobs=JOBS)
     )
 
 

@@ -208,6 +208,13 @@ CUSTOM = [
     for (c, q, n), digest in CUSTOM_DIGESTS.items()
 ]
 CASES = [(name, argv.split(), digest) for name, argv, digest in VERIFY + OTHER + CUSTOM] + REDUCE
+# each exhaustive sweep again on two worker processes, one task per (q, R):
+# the same bytes for any --jobs
+CASES += [
+    (f"{name} jobs=2", [*argv, "--jobs", "2"], digest)
+    for name, argv, digest in CASES
+    if argv[0] == "verify" and (argv[2] in ("thm3", "correct1", "correct2", "correct3") or "--exhaustive" in argv)
+]
 
 
 def _digest(argv):

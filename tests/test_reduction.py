@@ -32,7 +32,7 @@ from argred.softfp import (
 from argred.softfp import _rounded
 from argred.realnum import LN2, PI, Constant
 from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
-from argred.theorems import CheckConfig, _random_in_range_x, _sweep_space
+from argred.theorems import CheckConfig, _random_in_range_pair, _sweep_space
 import argred.reduction as reduction
 from argred.reduction import (
     ReductionRangeError,
@@ -50,6 +50,11 @@ from argred.reduction import (
 
 CS_PI = gen_constants(PI, DOUBLE)
 CS_LN2 = gen_constants(LN2, DOUBLE)
+
+
+def _random_in_range_x(rng, fmt, r, n):
+    """The thm6 campaign's draw of an in-range x for R = r at N, as an Fpn."""
+    return _rounded(*_random_in_range_pair(rng, fmt, r.m, r.e, n), fmt)
 
 
 def test_sigma_and_bound():
@@ -527,7 +532,8 @@ def test_second_step_lane_matches_the_public_ops_on_p8_sets(ties):
     # the synthetic p = 8 sets of exhaustive thm6, every C2 multiple it
     # takes, on strided R and x
     cfg = CheckConfig(theorem="thm6", p=8, r_step=32, window=10)
-    fmt, xs, rs = _sweep_space(cfg, 8)
+    _, rs, xs = _sweep_space(cfg, 10, 8)
+    fmt = rs[0].fmt
     cases = 0
     raised = set()
     for r in rs:
@@ -543,7 +549,7 @@ def test_second_step_lane_matches_the_public_ops_on_p8_sets(ties):
                     cs = synthetic_set(r, n=n, c2=Fpn.from_fraction(kk * grid, fmt))
                 except (HypothesisViolation, ValueError):
                     continue
-                for x in xs[::23]:
+                for x, *_ in xs[::23]:
                     if xr_in_bounds(x, r, n):
                         cases += 1
                         for out, _ in _assert_lane_matches_reference(x, cs, n, ties):
@@ -664,7 +670,7 @@ def test_z_extraction_and_third_step_lane_match_the_public_ops(constant, ties):
 def test_z_extraction_and_third_step_lane_match_the_public_ops_on_p8_sets(ties):
     # every 23rd x of the p = 8 sweep, on strided R
     cfg = CheckConfig(theorem="correct3", p=8, r_step=8, window=12)
-    fmt, xs, rs = _sweep_space(cfg, 1)
+    _, rs, xs = _sweep_space(cfg, 12, 1)
     cases = 0
     for r in rs:
         for n in cfg.n_values:
@@ -672,7 +678,7 @@ def test_z_extraction_and_third_step_lane_match_the_public_ops_on_p8_sets(ties):
                 cs = synthetic_set(r, n=n)
             except HypothesisViolation:
                 continue
-            for x in xs[::23]:
+            for x, *_ in xs[::23]:
                 out, _ = _assert_z_lane_matches_reference(x, cs, n, ties)
                 cases += not isinstance(out[0], type)
     assert cases > 2_000
@@ -922,7 +928,9 @@ def _scale_inputs(cs, n, rng):
 
 def test_reduce_rounds_integers_of_at_most_4p_bits(monkeypatch):
     # a zero at e_min_q would shift the other operands of every later
-    # alignment down to it: at quad, integers of about 148p bits
+    # alignment down to it: at quad, integers of about 148p bits.  The
+    # public stages get their zeros (x, z, u, v2) as Fpn values, stored at
+    # e_min_q, and must give them the scale of the terms they meet
     import argred.softfp as softfp
 
     peak = {}
@@ -938,9 +946,10 @@ def test_reduce_rounds_integers_of_at_most_4p_bits(monkeypatch):
         for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
             for n in (0, 5, 10):
                 cs = _preset_set(constant, fmt, n)
-                for x in _scale_inputs(cs, n, rng):
+                for x in [Fpn.zero(fmt), *_scale_inputs(cs, n, rng)]:
                     for ties in (TIES_EVEN, TIES_AWAY):
                         out = reduce(x, cs, ties)
+                        assert _reduce_by_hand(x, cs, ties, True) == tuple(out)
                         zeros += out.z.is_zero() + out.u.is_zero() + out.v2.is_zero()
     assert zeros and set(peak) == {24, 53, 64, 113}
     assert all(bits <= 4 * p for p, bits in peak.items()), peak

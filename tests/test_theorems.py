@@ -361,6 +361,28 @@ def test_sweeps_refuse_a_window_or_r_step_below_1(fields, bad):
         run_check(CheckConfig(p=8, **fields, **bad))
 
 
+def test_sweeps_run_their_r_tasks_on_the_process_pool(monkeypatch):
+    # jobs reaches every sweep: at jobs=2 each runs its (q, R) tasks on a
+    # pool of two workers, with the cases, failures and stats of jobs=1
+    import dataclasses
+
+    import argred.theorems as theorems
+
+    pools = []
+    real_pool = theorems.ProcessPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", spy)
+    for fields in SWEEPS:
+        cfg = CheckConfig(p=8, r_step=32, window=2, n_values=(0, 1), **fields)
+        one, two = run_check(cfg), run_check(dataclasses.replace(cfg, jobs=2))
+        assert one.cases > 0 and (one.cases, one.failures, one.stats) == (two.cases, two.failures, two.stats)
+    assert pools == [2] * len(SWEEPS)
+
+
 def test_thm6_refuses_q_values_it_would_ignore():
     # randomized runs one q; exhaustive runs q = 2 only
     for mode, q_values in (("randomized", (2, 3)), ("exhaustive", (5,)), ("exhaustive", (2, 3))):
@@ -376,10 +398,10 @@ def test_thm6_exhaustive_counts_c2_multiples_against_the_cap():
     # p=9, 20 binades: 10 240 x values * 512 R values * 3 N values is
     # 1.57e7 triples, under the cap once but not with 8 C2 multiples each
     cfg = CheckConfig(theorem="thm6", mode="exhaustive", p=9, window=20)
-    fmt, xs, rs = _sweep_space(cfg, 1)
+    _, rs, xs = _sweep_space(cfg, 10, 1)
     assert len(xs) * len(rs) * 3 <= EXHAUSTIVE_CAP < len(xs) * len(rs) * 3 * 8
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
-        _sweep_space(cfg, 8)
+        _sweep_space(cfg, 10, 8)
 
 
 def test_thm3_records_a_small_z_off_the_grid(monkeypatch):
@@ -477,19 +499,20 @@ def _public_chunk(args):
     cs = theorems.gen_constants(theorems.NAMED_CONSTANTS[constant], fmt, n=n, q=q)
     rng = random.Random(seed)
     records = [_public_case(_public_draw(rng, fmt, cs.r, n), cs, n, ties) for _ in range(trials)]
-    return trials, [f for f in records if f is not None]
+    return trials, [f for f in records if f is not None], {}
 
 
 def _public_thm6_exhaustive(cfg):
-    """_check_thm6_exhaustive through the public stages: (cases, failures, stats)."""
+    """Exhaustive thm6 through the public stages: (cases, failures, stats)."""
     import argred.theorems as theorems
     from argred.constgen import HypothesisViolation
     from argred.reduction import xr_in_bounds
     from argred.softfp import Fpn, ulp, ulp2
 
-    fmt, xs, rs = theorems._sweep_space(cfg, 8)
+    _, rs, xs = theorems._sweep_space(cfg, 10, 8)
     failures, cases, skipped = [], 0, 0
     for r in rs:
+        fmt = r.fmt
         for n in cfg.n_values:
             try:
                 base = theorems.synthetic_set(r, n=n, q=2)
@@ -504,7 +527,7 @@ def _public_thm6_exhaustive(cfg):
                 except (HypothesisViolation, ValueError):
                     skipped += 1
                     continue
-                for x in xs:
+                for x, *_ in xs:
                     if xr_in_bounds(x, r, n):
                         cases += 1
                         entry = _public_case(x, cs, n, cfg.ties)
@@ -538,17 +561,18 @@ def _c2_off_grid(real_synthetic_set):
 
 
 def test_random_in_range_x_draws_as_the_fpn_draw_did():
+    # the campaign's draw of x as a pair, rounded to an Fpn, against the Fpn draw
     import random
 
     from argred.constgen import gen_constants
     from argred.realnum import LN2
-    from argred.softfp import DOUBLE, SINGLE
-    from argred.theorems import _random_in_range_x
+    from argred.softfp import DOUBLE, SINGLE, _rounded
+    from argred.theorems import _random_in_range_pair
 
     for fmt, n in ((DOUBLE, 0), (DOUBLE, 7), (SINGLE, 3)):
         cs = gen_constants(LN2, fmt, n=n)
         a, b = random.Random(11), random.Random(11)
-        assert [_random_in_range_x(a, fmt, cs.r, n) for _ in range(3000)] == [
+        assert [_rounded(*_random_in_range_pair(a, fmt, cs.r.m, cs.r.e, n), fmt) for _ in range(3000)] == [
             _public_draw(b, fmt, cs.r, n) for _ in range(3000)
         ]
         assert a.random() == b.random()
