@@ -39,6 +39,7 @@ from .softfp import (
     _fast2mult_scaled,
     _fast2sum_scaled,
     _op_result,
+    _pair,
     _round_int,
     _rounded,
     _trailing_zeros,
@@ -115,12 +116,6 @@ def _check_fmt(fmt: Format, *vals: Fpn) -> None:
     for v in vals:
         if v.fmt is not fmt and v.fmt != fmt:
             raise ValueError(_FMT_MISMATCH)
-
-
-def _pair(v: Fpn, e: int) -> tuple[int, int]:
-    """v as a signed pair, a zero v at exponent e: an Fpn zero is stored at
-    e_min_q, and the core would align the other terms down to it."""
-    return (v.sign * v.m, v.e) if v.m else (0, e)
 
 
 def _require_covered(cs: ConstantSet, n: int) -> None:

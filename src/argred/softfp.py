@@ -416,9 +416,17 @@ def round_nearest(
 
 _FMT_MISMATCH = "operands must share a format"
 
+
+def _pair(v: Fpn, e: int) -> tuple[int, int]:
+    """v as a signed pair, a zero v at exponent e: an Fpn zero is stored at
+    e_min_q, and the core would align the other terms down to it."""
+    return (v.sign * v.m, v.e) if v.m else (0, e)
+
+
 # The rounded ops below inline the format check and the counter bump, and
-# align the two addends by shifting only the one with the larger exponent:
-# they run a dozen times per reduction.
+# align the two addends by shifting only the one with the larger exponent,
+# a zero one at the other's scale (_pair): they run a dozen times per
+# reduction.
 
 
 def add(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
@@ -427,11 +435,12 @@ def add(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         raise ValueError(_FMT_MISMATCH)
     if counter is not None:
         counter.rounded += 1
-    ea, eb = a.e, b.e
+    an, ea = _pair(a, b.e)
+    bn, eb = _pair(b, ea)
     if ea >= eb:
-        m, e, exact = _round_int((a.sign * a.m << (ea - eb)) + b.sign * b.m, eb, fmt.p, fmt, ties)
+        m, e, exact = _round_int((an << (ea - eb)) + bn, eb, fmt.p, fmt, ties)
     else:
-        m, e, exact = _round_int(a.sign * a.m + (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
+        m, e, exact = _round_int(an + (bn << (eb - ea)), ea, fmt.p, fmt, ties)
     return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
@@ -441,11 +450,12 @@ def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         raise ValueError(_FMT_MISMATCH)
     if counter is not None:
         counter.rounded += 1
-    ea, eb = a.e, b.e
+    an, ea = _pair(a, b.e)
+    bn, eb = _pair(b, ea)
     if ea >= eb:
-        m, e, exact = _round_int((a.sign * a.m << (ea - eb)) - b.sign * b.m, eb, fmt.p, fmt, ties)
+        m, e, exact = _round_int((an << (ea - eb)) - bn, eb, fmt.p, fmt, ties)
     else:
-        m, e, exact = _round_int(a.sign * a.m - (b.sign * b.m << (eb - ea)), ea, fmt.p, fmt, ties)
+        m, e, exact = _round_int(an - (bn << (eb - ea)), ea, fmt.p, fmt, ties)
     return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
 
@@ -472,11 +482,13 @@ def fma(
         raise ValueError(_FMT_MISMATCH)
     if counter is not None:
         counter.rounded += 1
-    ep, ec = a.e + b.e, c.e
+    pn = a.sign * b.sign * a.m * b.m
+    cn, ec = _pair(c, a.e + b.e)
+    ep = a.e + b.e if pn else ec  # a zero product at c's scale
     if ep >= ec:
-        n, e0 = (a.sign * b.sign * a.m * b.m << (ep - ec)) + c.sign * c.m, ec
+        n, e0 = (pn << (ep - ec)) + cn, ec
     else:
-        n, e0 = a.sign * b.sign * a.m * b.m + (c.sign * c.m << (ec - ep)), ep
+        n, e0 = pn + (cn << (ec - ep)), ep
     m, e, exact = _round_int(n, e0, fmt.p, fmt, ties)
     return _op_result(OpResult, (_rounded(m, e, fmt), exact))
 
@@ -595,7 +607,9 @@ def fast2sum(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = 
     fmt = a.fmt
     if b.fmt is not fmt and b.fmt != fmt:
         raise ValueError(_FMT_MISMATCH)
-    sn, se, en, ee = _fast2sum_scaled(a.sign * a.m, a.e, b.sign * b.m, b.e, fmt, ties, counter)
+    an, ae = _pair(a, b.e)
+    bn, be = _pair(b, ae)
+    sn, se, en, ee = _fast2sum_scaled(an, ae, bn, be, fmt, ties, counter)
     return _rounded(sn, se, fmt), _rounded(en, ee, fmt)
 
 

@@ -18,6 +18,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
 from .constgen import first_failure, gen_constants, nearest_c1, synthetic_set
@@ -478,24 +479,39 @@ def _correct2_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict
 # ---------------------------------------------------------------------------
 
 
-def _random_in_range_pair(rng: random.Random, fmt: Format, rm: int, re: int, n: int) -> tuple[int, int]:
-    """A random x, as a signed pair, with |x*R| in range at N for R = rm * 2^re:
-    a random sign, p-bit significand and exponent in the p + 25 binades below
-    2^(-N-2), drawn again until in range; Fpn() canonicalizes an exponent
-    outside fmt's normal range, or refuses it."""
-    p = fmt.p
-    lo_m, hi_m = 1 << (p - 1), 1 << p
-    e_hi = -n - 2
-    e_lo = e_hi - p - 24
+def _random_fields(rng: random.Random, p: int, e_lo: int, e_width: int):
+    """Endless (sign, m, e): a random sign, a p-bit significand and an
+    exponent in [e_lo, e_lo + e_width), as rng.random() and two randrange
+    calls draw them, each randrange taken straight from getrandbits by its
+    own rule (k = width.bit_length() bits, again while >= width), so a seed
+    yields randrange's stream."""
+    lo_m = 1 << (p - 1)  # the significand's width: p bits a try
+    e_bits = e_width.bit_length()
+    random_, getrandbits = rng.random, rng.getrandbits
     while True:
-        sign = 1 if rng.random() < 0.5 else -1
-        m = rng.randrange(lo_m, hi_m)
-        e = rng.randrange(e_lo, e_hi + 1)
-        if not fmt.e_min_q <= e <= fmt.e_max - p + 1:
+        sign = 1 if random_() < 0.5 else -1
+        m = getrandbits(p)
+        while m >= lo_m:
+            m = getrandbits(p)
+        e = getrandbits(e_bits)
+        while e >= e_width:
+            e = getrandbits(e_bits)
+        yield sign, m + lo_m, e + e_lo
+
+
+def _random_xs(rng: random.Random, fmt: Format, rm: int, re: int, n: int):
+    """Random x, as signed pairs, with |x*R| in range at N for R = rm * 2^re:
+    _random_fields with the exponent in the p + 25 binades below 2^(-N-2),
+    drawn again until in range; Fpn() canonicalizes an exponent outside
+    fmt's normal range, or refuses it."""
+    p = fmt.p
+    e_min, e_top, shift = fmt.e_min_q, fmt.e_max - p + 1, re + n
+    for sign, m, e in _random_fields(rng, p, -n - p - 26, p + 25):
+        if not e_min <= e <= e_top:
             x = Fpn(sign, m, e, fmt)
             m, e = x.m, x.e
-        if _xr_fits(m * rm, e + re + n, p):
-            return sign * m, e
+        if _xr_fits(m * rm, e + shift, p):
+            yield sign * m, e
 
 
 def _set_pairs(cs: ConstantSet, n: int) -> tuple:
@@ -512,10 +528,9 @@ def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     fmt = FORMATS[fmt_label]
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
     sp, rm, re = _set_pairs(cs, n), cs.r.m, cs.r.e
-    rng = random.Random(seed)
     failures = []
-    for _ in range(trials):
-        entry = _run_second_step_case(*_random_in_range_pair(rng, fmt, rm, re, n), sp, ties)
+    for xn, xe in islice(_random_xs(random.Random(seed), fmt, rm, re, n), trials):
+        entry = _run_second_step_case(xn, xe, sp, ties)
         if entry is not None:
             failures.append(entry)
     return trials, failures, {}
@@ -666,13 +681,11 @@ def _sum2_scaled(p: Fpn, q: Fpn) -> tuple[int, int]:
 
 def _eft_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     seed, trials, ties = args
-    rng = random.Random(seed)
     fmt = DOUBLE
-    lo_m, hi_m = 1 << (fmt.p - 1), 1 << fmt.p
+    fields = _random_fields(random.Random(seed), fmt.p, -30, 60)  # a, then b, from one stream
     failures = []
-    for _ in range(trials):
-        a = Fpn(1 if rng.random() < 0.5 else -1, rng.randrange(lo_m, hi_m), rng.randrange(-30, 30), fmt)
-        b = Fpn(1 if rng.random() < 0.5 else -1, rng.randrange(lo_m, hi_m), rng.randrange(-30, 30), fmt)
+    for (sa, ma, ea), (sb, mb, eb) in islice(zip(fields, fields), trials):
+        a, b = Fpn(sa, ma, ea, fmt), Fpn(sb, mb, eb, fmt)
         d = a.e - b.e
         a_ge_b = (a.m << d) >= b.m if d >= 0 else a.m >= (b.m << -d)
         big, small = (a, b) if a_ge_b else (b, a)

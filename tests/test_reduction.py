@@ -32,7 +32,7 @@ from argred.softfp import (
 from argred.softfp import _rounded
 from argred.realnum import LN2, PI, Constant
 from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
-from argred.theorems import CheckConfig, _random_in_range_pair, _sweep_space
+from argred.theorems import CheckConfig, _random_xs, _sweep_space
 import argred.reduction as reduction
 from argred.reduction import (
     ReductionRangeError,
@@ -54,7 +54,7 @@ CS_LN2 = gen_constants(LN2, DOUBLE)
 
 def _random_in_range_x(rng, fmt, r, n):
     """The thm6 campaign's draw of an in-range x for R = r at N, as an Fpn."""
-    return _rounded(*_random_in_range_pair(rng, fmt, r.m, r.e, n), fmt)
+    return _rounded(*next(_random_xs(rng, fmt, r.m, r.e, n)), fmt)
 
 
 def test_sigma_and_bound():

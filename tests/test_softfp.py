@@ -251,6 +251,42 @@ def test_round_int_zero_keeps_its_scale():
                 assert (z.sign, z.m, z.e) == (1, 0, P5.e_min_q) and z == Fpn.zero(P5)
 
 
+def test_ops_align_a_zero_operand_at_the_other_operands_scale(monkeypatch):
+    # an Fpn zero is stored at e_min_q: aligned there, add(10, 0) at quad
+    # rounds a 16 498-bit integer and fma(0, 10, 10) a 16 607-bit one.  The
+    # ops give a zero operand the other term's scale, with the same values
+    # and exact flags as the exact oracle
+    import argred.softfp as softfp
+
+    zero, ten = Fpn.zero(QUAD), Fpn.from_int(10, QUAD)
+    big = Fpn(-1, (1 << QUAD.p) - 3, 40, QUAD)
+    pairs = [(ten, zero), (zero, ten), (big, zero), (zero, big), (zero, zero)]
+    triples = [(ten, ten, zero), (zero, ten, ten), (ten, zero, big), (big, big, zero), (zero, zero, zero)]
+
+    def want(v):
+        return round_rational(v.numerator, v.denominator, QUAD), round_rational(v.numerator, v.denominator, QUAD).value == v
+
+    sums = [want(a.value + b.value) for a, b in pairs]
+    diffs = [want(a.value - b.value) for a, b in pairs]
+    fmas = [want(a.value * b.value + c.value) for a, b, c in triples]
+    bits = []
+
+    def spy(n, e, digits, fmt, ties, real=softfp._round_int):
+        bits.append(abs(n).bit_length())
+        return real(n, e, digits, fmt, ties)
+
+    monkeypatch.setattr(softfp, "_round_int", spy)
+    for ties in (TIES_EVEN, TIES_AWAY):
+        assert [tuple(add(a, b, ties)) for a, b in pairs] == sums
+        assert [tuple(sub(a, b, ties)) for a, b in pairs] == diffs
+        assert [tuple(fma(a, b, c, ties)) for a, b, c in triples] == fmas
+        assert not fmas[3][1]
+        for a, b in pairs:
+            s, err = fast2sum(a, b, ties)
+            assert (s, err.value) == (sums[pairs.index((a, b))][0], a.value + b.value - s.value)
+    assert bits and max(bits) <= 2 * QUAD.p + 1, max(bits)
+
+
 def test_subnormal_rounding_and_zero_ties():
     lam = Fpn.pow2(P4.e_min_q, P4)
     assert round_nearest(lam.value / 2, P4) == Fpn.zero(P4)  # tie to even 0

@@ -157,6 +157,41 @@ def test_eft_small():
     assert res.passed and res.cases == 20000
 
 
+def test_eft_chunk_draws_its_operands_as_randrange_did(monkeypatch):
+    # the eft chunk's getrandbits draw against a randrange-based one: the
+    # same (a, b) reach fast2mult, and the RNG state after is the same
+    import random
+
+    import argred.theorems as theorems
+    from argred.softfp import DOUBLE, Fpn
+
+    real_random, real_fast2mult = random.Random, theorems.fast2mult
+    made, seen = [], []
+
+    class Kept(real_random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    def spy(a, b, ties):
+        seen.append((a, b))
+        return real_fast2mult(a, b, ties)
+
+    monkeypatch.setattr(random, "Random", Kept)
+    monkeypatch.setattr(theorems, "fast2mult", spy)
+    for seed, ties in ((1234, "even"), (5, "away")):
+        made.clear()
+        seen.clear()
+        assert theorems._eft_chunk((seed, 3000, ties)) == (3000, [], {})
+        ref = real_random(seed)
+
+        def draw():
+            return Fpn(1 if ref.random() < 0.5 else -1, ref.randrange(1 << 52, 1 << 53), ref.randrange(-30, 30), DOUBLE)
+
+        assert seen == [(draw(), draw()) for _ in range(3000)]
+        assert made[0].getstate() == ref.getstate()
+
+
 def test_demo_codywaite():
     report = demo_codywaite()
     assert report["fma_exact"] is True
@@ -560,22 +595,46 @@ def _c2_off_grid(real_synthetic_set):
     return make
 
 
+def _campaign_draws(rng, fmt, r, n, count):
+    """count x of the campaign's draw as Fpns, a refused one as _outcome
+    gives it; the generator starts again after a refusal."""
+    from argred.softfp import _rounded
+    from argred.theorems import _random_xs
+
+    out = []
+    while len(out) < count:
+        try:
+            for xn, xe in _random_xs(rng, fmt, r.m, r.e, n):
+                out.append(_rounded(xn, xe, fmt))
+                if len(out) == count:
+                    break
+        except ValueError as exc:
+            out.append((ValueError, str(exc)))
+    return out
+
+
 def test_random_in_range_x_draws_as_the_fpn_draw_did():
-    # the campaign's draw of x as a pair, rounded to an Fpn, against the Fpn draw
+    # the campaign's getrandbits draw against the randrange-based Fpn draw:
+    # the same x, and the same RNG state after, for both constants, every
+    # preset and N in {0, 5, 10}.  At single with N = 100 the window starts
+    # at 2^-150, below e_min_q: both sides canonicalize an even m there to
+    # a subnormal and refuse an odd one
     import random
 
     from argred.constgen import gen_constants
-    from argred.realnum import LN2
-    from argred.softfp import DOUBLE, SINGLE, _rounded
-    from argred.theorems import _random_in_range_pair
+    from argred.realnum import LN2, PI
+    from argred.softfp import FORMATS, SINGLE
 
-    for fmt, n in ((DOUBLE, 0), (DOUBLE, 7), (SINGLE, 3)):
-        cs = gen_constants(LN2, fmt, n=n)
+    cases = [(c, fmt, n) for c in (LN2, PI) for fmt in FORMATS.values() for n in (0, 5, 10)]
+    for constant, fmt, n in cases + [(LN2, SINGLE, 100)]:
+        cs = gen_constants(constant, fmt, n=n)
         a, b = random.Random(11), random.Random(11)
-        assert [_rounded(*_random_in_range_pair(a, fmt, cs.r.m, cs.r.e, n), fmt) for _ in range(3000)] == [
-            _public_draw(b, fmt, cs.r, n) for _ in range(3000)
-        ]
-        assert a.random() == b.random()
+        drawn = _campaign_draws(a, fmt, cs.r, n, 2000)
+        assert drawn == [_outcome(_public_draw, b, fmt, cs.r, n) for _ in range(2000)], (constant.name, fmt, n)
+        assert a.getstate() == b.getstate()
+        refused = [x for x in drawn if isinstance(x, tuple)]
+        subnormal = [x for x in drawn if not isinstance(x, tuple) and x.m >> (fmt.p - 1) == 0]
+        assert bool(refused) == bool(subnormal) == (n == 100)
 
 
 @pytest.mark.parametrize(
@@ -609,21 +668,29 @@ def test_thm6_chunk_skips_an_x_one_ulp_past_the_range_as_the_public_draw_does(mo
     past = top.next_up()
     assert not xr_in_bounds(past, cs.r, n) and past.e == top.e == -n - 2
 
+    # randrange's raw draws: the significand above 2^(p-1), the exponent
+    # above the window's lowest, e_lo = -N - p - 26
+    e_lo = -n - DOUBLE.p - 26
+    made = []
+
     class Scripted(random.Random):
         def __init__(self, seed):
             super().__init__(seed)
-            self.queue = [v for x in (past, top) for v in (0.0, x.m, x.e)]
+            self.queue = [v for x in (past, top) for v in (0.0, x.m - (1 << (DOUBLE.p - 1)), x.e - e_lo)]
+            made.append(self)
 
         def random(self):
             return self.queue.pop(0) if self.queue else super().random()
 
-        def randrange(self, *args):
-            return self.queue.pop(0) if self.queue else super().randrange(*args)
+        def getrandbits(self, k):
+            return self.queue.pop(0) if self.queue else super().getrandbits(k)
 
     monkeypatch.setattr(random, "Random", Scripted)
     for ties in ("even", "away"):
         args = ("ln2", "double", n, 2, 77, 400, ties)
         assert _thm6_chunk(args) == _public_chunk(args)
+    # each side of each tie mode took the whole script
+    assert len(made) == 4 and not any(rng.queue for rng in made)
 
 
 def test_thm6_chunk_matches_the_public_stages_on_injected_faults(monkeypatch):
