@@ -8,7 +8,7 @@ Run:  python demos/02_constant_tables.py
 
 from argred.constgen import audit, format_table, gen_constants
 from argred.realnum import LN2, PI
-from argred.theorems import FORMATS
+from argred.softfp import FORMATS
 
 for constant in (PI, LN2):
     sets = [gen_constants(constant, fmt) for fmt in FORMATS.values()]

@@ -65,6 +65,20 @@ from .reduction import (
     second_step,
     third_step,
 )
-from .theorems import CheckConfig, CheckResult, demo_codywaite, run_check
 
 __version__ = "0.1.0"
+
+# the verification harness loads on first use: `import argred` skips theorems.py
+_HARNESS = ("CheckConfig", "CheckResult", "demo_codywaite", "run_check")
+
+
+def __getattr__(name: str):
+    if name in _HARNESS:
+        from . import theorems
+
+        return getattr(theorems, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HARNESS})

@@ -19,17 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .constgen import HypothesisViolation, audit, format_table, gen_constants, set_to_record
-from .realnum import AmbiguousRoundingError, Constant, RealEnclosure
+from .realnum import NAMED_CONSTANTS, AmbiguousRoundingError, Constant, RealEnclosure
 from .reduction import ReductionRangeError, reduce
 from .softfp import FORMATS, TIES_AWAY, TIES_EVEN, Format, Fpn, round_nearest
-from .theorems import (
-    _CHECKS,
-    NAMED_CONSTANTS,
-    CheckConfig,
-    default_jobs,
-    demo_codywaite,
-    run_check,
-)
 
 __all__ = ["main"]
 
@@ -100,10 +92,7 @@ def frac_sci(f: Fraction, digits: int = 6) -> str:
     a = abs(f)
     e10 = len(str(a.numerator)) - len(str(a.denominator))
     t = a * Fraction(10) ** (-e10)
-    while t >= 10:
-        t /= 10
-        e10 += 1
-    while t < 1:
+    while t < 1:  # the digit counts put t in (1/10, 10)
         t *= 10
         e10 -= 1
     scaled = int(t * 10 ** (digits - 1) + Fraction(1, 2))
@@ -125,7 +114,6 @@ def _emit_json(obj) -> None:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     jobs = [(c, f) for c in ("pi", "ln2") for f in FORMATS] if args.all else [(args.const, None)]
-    records = []
     grouped: dict[str, list] = {}
     for cname, flabel in jobs:
         constant = load_constant(cname)
@@ -135,11 +123,10 @@ def cmd_constants(args: argparse.Namespace) -> int:
         except HypothesisViolation as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        records.append(set_to_record(cs))
         grouped.setdefault(constant.name, []).append(cs)
     audit_failures = []
     if args.json:
-        _emit_json(records)
+        _emit_json([set_to_record(cs) for sets in grouped.values() for cs in sets])
     else:
         for cname, sets in grouped.items():
             print(f"constant: {cname}  (N={args.N}, q={args.q})")
@@ -221,22 +208,16 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .theorems import CheckConfig, default_jobs, run_check
+
+    same = ("theorem", "beta", "p", "p1", "p2", "window", "seed", "trials", "ties", "r_step")
     cfg = CheckConfig(
-        theorem=args.theorem,
-        beta=args.beta,
-        p=args.p,
-        p1=args.p1,
-        p2=args.p2,
-        window=args.window,
+        **{name: getattr(args, name) for name in same},
         n_values=_int_list(args.N) if args.N else (0, 1, 2),
         q_values=_int_list(args.q) if args.q else (2,),
         mode="exhaustive" if args.exhaustive else "randomized",
-        seed=args.seed,
-        trials=args.trials,
-        ties=args.ties,
         constant=args.const,
         fmt=args.format,
-        r_step=args.r_step,
         jobs=default_jobs() if args.jobs is None else args.jobs,
     )
     res = run_check(cfg)
@@ -257,6 +238,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_codywaite(args: argparse.Namespace) -> int:
+    from .theorems import demo_codywaite
+
     report = demo_codywaite()
     if args.json:
         _emit_json(report)
@@ -279,14 +262,21 @@ def cmd_demo_codywaite(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_format_args(sp: argparse.ArgumentParser) -> None:
+def _add_set_args(sp: argparse.ArgumentParser) -> None:
+    """The options that pick a constant set: its format, N and q."""
     sp.add_argument("--format", choices=sorted(FORMATS), default="double")
     sp.add_argument("--p", type=int, default=None, help="explicit precision (with --e-min-q)")
     sp.add_argument("--e-min-q", type=int, default=None)
     sp.add_argument("--e-max", type=int, default=16383)
+    sp.add_argument("--N", type=int, default=0)
+    sp.add_argument("--q", type=int, default=2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argred parser with only `command`'s options added; every
+    subcommand's name and help stay, for --help and invalid-choice errors.
+    Parsing leaves a parser unchanged, so main() calls share one."""
     ap = argparse.ArgumentParser(
         prog="argred",
         description="fma-based argument reduction: constants, reductions, verification",
@@ -294,59 +284,58 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="generate and print constant sets")
-    c.add_argument("--const", default="pi", help="pi, ln2, or a JSON enclosure file")
-    _add_format_args(c)
-    c.add_argument("--N", type=int, default=0)
-    c.add_argument("--q", type=int, default=2)
-    c.add_argument("--all", action="store_true", help="both constants x all four presets")
-    c.add_argument("--audit", action="store_true")
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(fn=cmd_constants)
+    if command == "constants":
+        c.add_argument("--const", default="pi", help="pi, ln2, or a JSON enclosure file")
+        _add_set_args(c)
+        c.add_argument("--all", action="store_true", help="both constants x all four presets")
+        c.add_argument("--audit", action="store_true")
+        c.add_argument("--json", action="store_true")
+        c.set_defaults(fn=cmd_constants)
 
     r = sub.add_parser("reduce", help="run one reduction")
-    r.add_argument("--x", required=True, help="decimal or 'm * 2^e'")
-    r.add_argument("--const", default="pi")
-    _add_format_args(r)
-    r.add_argument("--N", type=int, default=0)
-    r.add_argument("--q", type=int, default=2)
-    r.add_argument("--json", action="store_true")
-    r.add_argument("--ties", choices=(TIES_EVEN, TIES_AWAY), default=TIES_EVEN)
-    r.set_defaults(fn=cmd_reduce)
+    if command == "reduce":
+        r.add_argument("--x", required=True, help="decimal or 'm * 2^e'")
+        r.add_argument("--const", default="pi")
+        _add_set_args(r)
+        r.add_argument("--json", action="store_true")
+        r.add_argument("--ties", choices=(TIES_EVEN, TIES_AWAY), default=TIES_EVEN)
+        r.set_defaults(fn=cmd_reduce)
 
     v = sub.add_parser("verify", help="run a theorem check")
-    v.add_argument("--theorem", required=True, choices=tuple(_CHECKS))
-    v.add_argument("--beta", type=int, default=2)
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--p1", type=int, default=None)
-    v.add_argument("--p2", type=int, default=None)
-    v.add_argument("--window", type=int, default=None, help="binades (default: the check's own)")
-    v.add_argument("--N", default=None, help="comma-separated list")
-    v.add_argument("--q", default=None, help="comma-separated list")
-    v.add_argument("--exhaustive", action="store_true")
-    v.add_argument("--trials", type=int, default=10000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--const", choices=("pi", "ln2"), default="pi")
-    v.add_argument("--format", choices=sorted(FORMATS), default="double")
-    v.add_argument("--r-step", type=int, default=1)
-    v.add_argument("--ties", choices=(TIES_EVEN, TIES_AWAY), default=TIES_EVEN)
-    v.add_argument("--jobs", type=int, default=None, help="worker processes (default: $ARGRED_JOBS or 1)")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(fn=cmd_verify)
+    if command == "verify":
+        from .theorems import _CHECKS
+
+        v.add_argument("--theorem", required=True, choices=tuple(_CHECKS))
+        v.add_argument("--beta", type=int, default=2)
+        v.add_argument("--p", type=int, default=None)
+        v.add_argument("--p1", type=int, default=None)
+        v.add_argument("--p2", type=int, default=None)
+        v.add_argument("--window", type=int, default=None, help="binades (default: the check's own)")
+        v.add_argument("--N", default=None, help="comma-separated list")
+        v.add_argument("--q", default=None, help="comma-separated list")
+        v.add_argument("--exhaustive", action="store_true")
+        v.add_argument("--trials", type=int, default=10000)
+        v.add_argument("--seed", type=int, default=0)
+        v.add_argument("--const", choices=("pi", "ln2"), default="pi")
+        v.add_argument("--format", choices=sorted(FORMATS), default="double")
+        v.add_argument("--r-step", type=int, default=1)
+        v.add_argument("--ties", choices=(TIES_EVEN, TIES_AWAY), default=TIES_EVEN)
+        v.add_argument("--jobs", type=int, default=None, help="worker processes (default: $ARGRED_JOBS or 1)")
+        v.add_argument("--json", action="store_true")
+        v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("demo-codywaite", help="show a two-rounding failure the fma avoids")
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_demo_codywaite)
+    if command == "demo-codywaite":
+        d.add_argument("--json", action="store_true")
+        d.set_defaults(fn=cmd_demo_codywaite)
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser unchanged, so main() calls can share one
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # no top-level option takes a value: the first other argument is the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OverflowError, AmbiguousRoundingError) as exc:

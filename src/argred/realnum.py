@@ -26,6 +26,7 @@ __all__ = [
     "AmbiguousRoundingError",
     "Constant",
     "LN2",
+    "NAMED_CONSTANTS",
     "PI",
     "RealEnclosure",
     "ln2_enclosure",
@@ -199,6 +200,7 @@ class Constant:
 
 PI = Constant("pi", pi_enclosure)
 LN2 = Constant("ln2", ln2_enclosure)
+NAMED_CONSTANTS = {"pi": PI, "ln2": LN2}
 
 
 _REFINE_CAP = 64

@@ -15,14 +15,13 @@ from __future__ import annotations
 import functools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
 from .constgen import first_failure, gen_constants, nearest_c1, synthetic_set
-from .realnum import LN2, PI
+from .realnum import NAMED_CONSTANTS, PI
 from .reduction import ReductionRangeError, TheoremViolation, extract_z, first_step, sigma_for
 from .reduction import _extract_pairs, _minus_zc_pairs, _require_covered, _second_step_pairs, _xr_fits
 from .softfp import DOUBLE, FORMATS, TIES_EVEN, Fpn, Format, _rounded, fast2mult, fast2sum, fits_scaled, mul
@@ -45,8 +44,6 @@ __all__ = [
     "demo_codywaite",
     "run_check",
 ]
-
-NAMED_CONSTANTS = {"pi": PI, "ln2": LN2}
 
 EXHAUSTIVE_CAP = 10**8
 
@@ -502,11 +499,13 @@ def _random_fields(rng: random.Random, p: int, e_lo: int, e_width: int):
 def _random_xs(rng: random.Random, fmt: Format, rm: int, re: int, n: int):
     """Random x, as signed pairs, with |x*R| in range at N for R = rm * 2^re:
     _random_fields with the exponent in the p + 25 binades below 2^(-N-2),
-    drawn again until in range; Fpn() canonicalizes an exponent outside
-    fmt's normal range, or refuses it."""
+    drawn again until an FPN in range; Fpn() canonicalizes an exponent
+    outside fmt's normal range, or refuses one above it."""
     p = fmt.p
     e_min, e_top, shift = fmt.e_min_q, fmt.e_max - p + 1, re + n
     for sign, m, e in _random_fields(rng, p, -n - p - 26, p + 25):
+        if e < e_min and m & ((1 << e_min - e) - 1):
+            continue
         if not e_min <= e <= e_top:
             x = Fpn(sign, m, e, fmt)
             m, e = x.m, x.e
@@ -596,6 +595,8 @@ def _run_campaign(fn, tasks: list, jobs: int) -> tuple[int, list[dict], dict]:
     task gives (cases, failures, stats), and the sums come back: counts
     add up, and a list stat (ell_values) is a sorted union."""
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(fn, tasks))
     else:

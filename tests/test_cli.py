@@ -1,5 +1,6 @@
 """CLI: argument handling, output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -314,11 +315,11 @@ def test_verify_records_the_window_that_ran(capsys, argv, window, x_values):
 
 def test_verify_jobs_default_follows_environment(monkeypatch, capsys):
     # the shared parser must not freeze ARGRED_JOBS at its first use
-    import argred.cli as cli
+    import argred.theorems as theorems
 
     seen = []
-    real = cli.run_check
-    monkeypatch.setattr(cli, "run_check", lambda cfg: seen.append(cfg.jobs) or real(cfg))
+    real = theorems.run_check
+    monkeypatch.setattr(theorems, "run_check", lambda cfg: seen.append(cfg.jobs) or real(cfg))
     for jobs in ("1", "2"):
         monkeypatch.setenv("ARGRED_JOBS", jobs)
         code, _, _ = run(capsys, "verify", "--theorem", "thm7")
@@ -392,3 +393,82 @@ def test_reduce_prints_a_reduction_at_the_smallest_normal(capsys, fmt):
     # --x parsing keeps the limit
     code, out, err = run(capsys, "reduce", "--x", "1" * (limit + 1), "--format", fmt)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_thm6_redraws_an_x_below_the_quantum(capsys):
+    # at single with N = 100 the draw's window starts at 2^-150, below
+    # e_min_q = -149: an odd m there is no FPN and is drawn again
+    argv = ("verify", "--theorem", "thm6", "--const", "ln2", "--format", "single", "--N", "100", "--trials", "2000")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("thm6: pass (2000 cases)\n")
+
+
+# start-up: what each command loads, and the texts argparse prints
+
+_ENV = dict(os.environ, PYTHONPATH=str(Path(argred.__file__).parents[1]), COLUMNS="80")
+_HARNESS_MODULES = {"argred.theorems", "concurrent.futures.process", "multiprocessing"}
+
+
+def _imported(*argv: str) -> set[str]:
+    """The modules a fresh `python <argv>` imports, as -X importtime lists them."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120, env=_ENV
+    )
+    assert done.returncode == 0, done.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-c", "import argred"),
+        ("-m", "argred", "reduce", "--x", "10", "--json"),
+        ("-m", "argred", "constants", "--all", "--audit", "--json"),
+    ],
+    ids=["import", "reduce", "constants"],
+)
+def test_import_and_one_shot_commands_skip_the_harness(argv):
+    assert "argred.reduction" in _imported(*argv)
+    assert not _imported(*argv) & _HARNESS_MODULES
+
+
+def test_verify_loads_the_process_pool_only_for_a_pool():
+    verify = ("-m", "argred", "verify", "--theorem", "thm6", "--trials", "200")
+    one = _imported(*verify, "--N", "0", "--jobs", "1")
+    assert "argred.theorems" in one and not one & {"concurrent.futures.process", "multiprocessing"}
+    assert _HARNESS_MODULES <= _imported(*verify, "--N", "0,1", "--jobs", "2")
+
+
+def test_harness_names_resolve_on_first_use():
+    code = (
+        "import sys, argred; assert 'argred.theorems' not in sys.modules; "
+        "from argred import run_check, CheckConfig, CheckResult, demo_codywaite; "
+        "import argred.theorems as t; "
+        "assert (run_check, CheckConfig, CheckResult, demo_codywaite) == "
+        "(t.run_check, t.CheckConfig, t.CheckResult, t.demo_codywaite); "
+        "assert {'run_check', 'CheckConfig', 'CheckResult', 'demo_codywaite', 'reduce'} <= set(dir(argred)); "
+        "assert not hasattr(argred, 'nosuch')"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=_ENV)
+
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+# (exit code, sha256 of stdout, sha256 of stderr) at COLUMNS=80, taken while
+# the parser still held every subcommand's options; on Python 3.10-3.12
+_PINNED_TEXTS = {
+    "--help": (0, "146033baad12697159e562302a49789f887584fc21a555e3f3931d44c5d7c140", _EMPTY),
+    "verify --help": (0, "353e23ac9645692636eb411632c54befd945924878f0614effc14091e39d450d", _EMPTY),
+    "reduce --help": (0, "8782f89f633ddd504d9bbe772f10b4973c5835f18c35d606c1610aaaf8211fd1", _EMPTY),
+    "verify --theorem nosuch": (2, _EMPTY, "72c88a5b360bf52d9d48d09fd9e282e87714dbc3687fb1880a12a8b052bf4169"),
+    "nosuch": (2, _EMPTY, "fd924adec3b33cf792d6179289466688390ed64f00ec726808ea11b565628214"),
+}
+
+
+@pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 12), reason="argparse wraps usage lines per version")
+@pytest.mark.parametrize("argv", sorted(_PINNED_TEXTS))
+def test_help_and_usage_errors_are_unchanged(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "argred", *argv.split()], capture_output=True, timeout=120, env=_ENV
+    )
+    got = (done.returncode, hashlib.sha256(done.stdout).hexdigest(), hashlib.sha256(done.stderr).hexdigest())
+    assert got == _PINNED_TEXTS[argv]
