@@ -428,8 +428,8 @@ def _imported(*argv: str) -> set[str]:
     ids=["import", "reduce", "constants"],
 )
 def test_import_and_one_shot_commands_skip_the_harness(argv):
-    assert "argred.reduction" in _imported(*argv)
-    assert not _imported(*argv) & _HARNESS_MODULES
+    loaded = _imported(*argv)
+    assert "argred.reduction" in loaded and not loaded & _HARNESS_MODULES
 
 
 def test_verify_loads_the_process_pool_only_for_a_pool():
