@@ -761,3 +761,76 @@ def test_thm6_exhaustive_records_match_the_public_stages(monkeypatch, fault, tie
         assert "second-step last line rounded" in errors
     elif fault == "fast2mult_underflow":
         assert "error-free transformation failed" in errors
+
+
+def _forged_extraction(real):
+    """_extract_pairs raising a TheoremViolation for every x whose signed
+    significand is 3 mod 7."""
+    from argred.reduction import TheoremViolation
+
+    def make(xn, xe, *rest):
+        if xn % 7 == 3:
+            raise TheoremViolation(f"forged extraction fault: x = {xn} * 2^{xe}")
+        return real(xn, xe, *rest)
+
+    return make
+
+
+def _first_step_one_ulp_up(real):
+    """_minus_zc_pairs one ulp above, and flagged inexact, for a z whose
+    signed significand is 2 mod 5: the second step then runs on a wrong u.
+    (C1 itself one ulp off leaves every first step of this window exact:
+    z has at most 5 bits, so x - z*C1 still fits 8.)"""
+
+    def make(xn, xe, zn, *rest):
+        un, ue, exact = real(xn, xe, zn, *rest)
+        return (un + 1, ue, False) if zn % 5 == 2 else (un, ue, exact)
+
+    return make
+
+
+def _miscounting_fast2mult(real):
+    """_fast2mult_scaled counting one rounding too many for a z whose signed
+    significand is 1 mod 3: the second step then reports 10 ops."""
+
+    def make(zn, ze, cn, ce, fmt, ties, counter):
+        if zn % 3 == 1:
+            counter.rounded += 1
+        return real(zn, ze, cn, ce, fmt, ties, counter)
+
+    return make
+
+
+# sha256 of json.dumps(to_record()) for exhaustive thm6 at p = 8, r_step 64,
+# N in {0, 2}, window 4, under each injected fault; pinned before the sweep
+# ran z-extraction and the first step once per x for all C2 multiples
+THM6_FAILING_DIGESTS = {
+    ("extraction", "even"): "a0bf361c726b69a3b0357da69be0017544886783675961ad6b40f223858ae43b",
+    ("extraction", "away"): "8795ec88907cf5c350b0cefded8fc340c58b0712fc79ec3e66a3b61a4d512664",
+    ("first_step", "even"): "be599c8441ea6b45440e04df4c94ea93b40edff3f1138c1fe84e11b713416304",
+    ("first_step", "away"): "6907f9b4cdee4a81a4115875e4b13c135cd69b6204b68411dafadddc30496f10",
+    ("ops", "even"): "9bfccdb85bf355c645fd4d71dfcc42afdbbcd75150fc3a1da7a90fdf0ac73bea",
+    ("ops", "away"): "d5199aa62c66fc2fab801220abc6c86f156eb978056cf4f1f08f72c4192e6ad6",
+}
+
+
+@pytest.mark.parametrize("fault, ties", list(THM6_FAILING_DIGESTS), ids=lambda v: v)
+def test_thm6_exhaustive_failing_records_are_pinned(monkeypatch, fault, ties):
+    import hashlib
+    import json
+
+    import argred.reduction as reduction
+    import argred.theorems as theorems
+
+    if fault == "extraction":
+        monkeypatch.setattr(theorems, "_extract_pairs", _forged_extraction(theorems._extract_pairs))
+    elif fault == "first_step":
+        monkeypatch.setattr(theorems, "_minus_zc_pairs", _first_step_one_ulp_up(theorems._minus_zc_pairs))
+    else:
+        monkeypatch.setattr(reduction, "_fast2mult_scaled", _miscounting_fast2mult(reduction._fast2mult_scaled))
+    cfg = CheckConfig(theorem="thm6", mode="exhaustive", p=8, r_step=64, n_values=(0, 2), window=4, ties=ties)
+    res = run_check(cfg)
+    assert not res.passed and res.cases > 0
+    kinds = {"extraction": {"error"}, "first_step": {"error", "exact_first", "ops"}, "ops": {"exact_first", "ops"}}
+    assert {k for f in res.failures for k in f if k in ("error", "exact_first", "ops")} == kinds[fault]
+    assert hashlib.sha256(json.dumps(res.to_record()).encode()).hexdigest() == THM6_FAILING_DIGESTS[fault, ties]
