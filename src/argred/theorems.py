@@ -12,11 +12,11 @@ asserted as a converse.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 import random
 from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
 from itertools import islice
 
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
@@ -262,7 +262,8 @@ def _sweep_rs(fmt: Format, step: int) -> list[Fpn]:
 def _sweep_xs(fmt: Format, window: int) -> tuple[tuple[Fpn, int, int, int], ...]:
     """Both signs, all significands, `window` value binades centered on 1,
     each as (x, signed significand, exponent, significand); built once per
-    format and window in a process, for all of its (q, R) tasks."""
+    format and window in a process, for all of its (q, R) tasks.  Ordered
+    by binade, then significand, each +x next to its -x: |x| never falls."""
     p = fmt.p
     lo_e = -(window // 2) - (p - 1)
     return tuple(
@@ -273,10 +274,11 @@ def _sweep_xs(fmt: Format, window: int) -> tuple[tuple[Fpn, int, int, int], ...]
     )
 
 
-def _in_range(r: Fpn, window: int, n: int) -> list[tuple[Fpn, int, int, int]]:
-    """The sweep's x values with |x*R| in range at N (see xr_in_bounds)."""
-    p, rm, shift = r.fmt.p, r.m, r.e + n
-    return [t for t in _sweep_xs(r.fmt, window) if _xr_fits(t[3] * rm, t[2] + shift, p)]
+def _in_range(r: Fpn, window: int, n: int) -> tuple[tuple[Fpn, int, int, int], ...]:
+    """The sweep's x values with |x*R| in range at N (see xr_in_bounds): a
+    prefix of _sweep_xs, as |x| never falls there, found by bisection."""
+    p, rm, shift, xs = r.fmt.p, r.m, r.e + n, _sweep_xs(r.fmt, window)
+    return xs[:bisect.bisect_left(xs, True, key=lambda t: not _xr_fits(t[3] * rm, t[2] + shift, p))]
 
 
 def _sweep(cfg: CheckConfig, name: str, per_r, rs: list[Fpn], **space) -> CheckResult:
@@ -320,11 +322,10 @@ def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int
         xs = _in_range(r, cfg.window, n)
         cases += len(xs)
         for x, xn, xe, _ in xs:
-            fail = {}
             try:
                 zn, ze, _, ell, _, _, in_range = _extract_pairs(xn, xe, rm, re, sigma.m, sigma.e, n, fmt, ties, True)
             except TheoremViolation as exc:
-                fail["error"] = str(exc)
+                fail = {"error": str(exc)}
             else:
                 if not zn:
                     zero_z += 1
@@ -332,15 +333,14 @@ def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int
                     ell_seen.add(ell)
                 else:
                     below_thm_range += 1
-                if want_first:
-                    exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)[2]
-                    representable = fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), fmt.p, fmt)
-                    if not exact or not representable:
-                        fail["exact_first"] = exact
-                        fail["representable"] = representable
-            if fail:
-                fail.update({"x": x.to_text(), "R": r.to_text(), "N": n, "q": q, "p": fmt.p})
-                failures.append(fail)
+                if not want_first:
+                    continue
+                exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)[2]
+                representable = fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), fmt.p, fmt)
+                if exact and representable:
+                    continue
+                fail = {"exact_first": exact, "representable": representable}
+            failures.append({**fail, "x": x.to_text(), "R": r.to_text(), "N": n, "q": q, "p": fmt.p})
     stats = {"candidates": len(_sweep_xs(fmt, cfg.window)) * len(n_values), "skipped_r": int(not n_values),
              "zero_z": zero_z, "below_thm_range": below_thm_range, "ell_values": sorted(ell_seen)}
     return cases, failures, stats
@@ -364,16 +364,6 @@ def check_correct3(cfg: CheckConfig) -> CheckResult:
 # ---------------------------------------------------------------------------
 # free-z first step (general q), and the R*C1 <= 1 variant
 # ---------------------------------------------------------------------------
-
-
-def _fpns_in_interval(lo: Fraction, hi: Fraction, fmt: Format):
-    """Canonical FPNs x with lo <= x <= hi, ascending."""
-    x = round_nearest(lo, fmt)  # a neighbour of lo
-    if x.value < lo:
-        x = x.next_up()
-    while x.value <= hi:
-        yield x
-        x = x.next_up()
 
 
 def _general_q_set(r: Fpn, q: int, ties: str) -> ConstantSet | None:
@@ -402,8 +392,7 @@ def check_correct1(cfg: CheckConfig) -> CheckResult:
 def _correct1_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
     """correct1 at one (q, R): each N, ell, ell-bit k and sign of z, and
     every x with |x*R - z| <= 2^(-N-1)."""
-    fmt = r.fmt
-    p = fmt.p
+    fmt, p = r.fmt, r.fmt.p
     cs = _general_q_set(r, q, cfg.ties)
     if cs is None:
         return 0, [], {"skipped_r": 1}
@@ -414,19 +403,27 @@ def _correct1_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict
         if not C1_BOUND_Q.holds(cs, n):
             skipped += 1
             continue
-        half = Fraction(1, 1 << (n + 1))
         for ell in range(max(2, q), p):
             for k in range(1 << (ell - 1), 1 << ell):
-                for sgn in (1, -1):
-                    z = Fpn(sgn, k, -n, fmt)
-                    zv = z.value
-                    for x in _fpns_in_interval((zv - half) / r.value, (zv + half) / r.value, fmt):
-                        cases += 1
-                        num, e0 = _x_minus_zc1(x.sign * x.m, x.e, sgn * k, -n, c1n, c1e)
-                        if not fits_scaled(num, e0, p, fmt):
-                            fail = {"x": x.to_text(), "z": z.to_text(), "ell": ell}
-                            failures.append({**fail, "R": r.to_text(), "N": n, "q": q})
+                for m, e in _correct1_cell(k, n, r.m, r.e, fmt):
+                    cases += 2  # the cell of -z is this one negated, and x - z*C1 just changes sign
+                    if not fits_scaled(*_x_minus_zc1(m, e, k, -n, c1n, c1e), p, fmt):
+                        for sgn in (1, -1):
+                            x, z = Fpn(sgn, m, e, fmt).to_text(), Fpn(sgn, k, -n, fmt).to_text()
+                            failures.append({"x": x, "z": z, "ell": ell, "R": r.to_text(), "N": n, "q": q})
     return cases, failures, {"skipped_r": skipped}
+
+
+def _correct1_cell(k: int, n: int, rm: int, re: int, fmt: Format):
+    """(m, e) of each FPN x > 0 with |x*R - k*2^-N| <= 2^(-N-1), R = rm * 2^re, ascending:
+    m*rm*2^s in [2k - 1, 2k + 1] for s = e + re + N + 1, one m range per binade, m >= 1 at e_min_q."""
+    p, e_min, lo, hi, c = fmt.p, fmt.e_min_q, 2 * k - 1, 2 * k + 1, re + n + 1
+    b = rm.bit_length() + c + p  # the cell spans binades lo.bl - b to hi.bl - b + 1
+    for e in range(max(lo.bit_length() - b, e_min), max(hi.bit_length() - b + 1, e_min) + 1):
+        s = e + c
+        d, a, z = (rm << s, lo, hi) if s >= 0 else (rm, lo << -s, hi << -s)
+        for m in range(max(-(-a // d), 1 if e == e_min else 1 << (p - 1)), min(z // d, (1 << p) - 1) + 1):
+            yield m, e
 
 
 # what check_correct2 asks at each N: z extraction's hypotheses, and the
@@ -527,21 +524,32 @@ def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     fmt = FORMATS[fmt_label]
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
     sp, rm, re = _set_pairs(cs, n), cs.r.m, cs.r.e
-    failures = []
-    for xn, xe in islice(_random_xs(random.Random(seed), fmt, rm, re, n), trials):
-        entry = _run_second_step_case(xn, xe, sp, ties)
-        if entry is not None:
-            failures.append(entry)
-    return trials, failures, {}
+    xs = islice(_random_xs(random.Random(seed), fmt, rm, re, n), trials)
+    records = [_run_second_step_case(xn, xe, sp, ties) for xn, xe in xs]
+    return trials, [f for f in records if f is not None], {}
 
 
-def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str) -> dict | None:
-    """One thm6 case on the pair core: x = xn * 2^xe, in range, against the
-    set pairs sp of _set_pairs.  A failure record, or None."""
-    cs, fmt, n, rn, re, sn, se, c1n, c1e, c2n, c2e = sp
+def _first_step_head(xn: int, xe: int, sp: tuple, ties: str) -> tuple | dict:
+    """z-extraction and the first step of a thm6 case, which read no C2:
+    (zn, ze, un, ue, exact1), or the failure record of a TheoremViolation."""
+    _, fmt, n, rn, re, sn, se, c1n, c1e = sp[:9]
     try:
         zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
-        un, ue, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+        return (zn, ze, *_minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties))
+    except TheoremViolation as exc:
+        return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
+
+
+def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | dict = ()) -> dict | None:
+    """One thm6 case on the pair core: x = xn * 2^xe, in range, against the
+    set pairs sp of _set_pairs, from its _first_step_head, computed here
+    unless given.  A failure record, or None."""
+    head = head or _first_step_head(xn, xe, sp, ties)
+    if isinstance(head, dict):
+        return head
+    cs, fmt, n, _, _, _, _, c1n, c1e, c2n, c2e = sp
+    zn, ze, un, ue, exact1 = head
+    try:
         exact2, ops = _second_step_pairs(xn, xe, zn, ze, un, ue, c1n, c1e, c2n, c2e, cs, fmt, ties)[4:]
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
@@ -626,7 +634,8 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
 
 def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
     """Exhaustive thm6 at one R: each N, each C2 multiple on the 8*ulp2(C1)
-    grid that the set takes, and every in-range x."""
+    grid that the set takes, and every in-range x, whose _first_step_head
+    (no C2 in it) is computed once per N, on the first set taken."""
     failures = []
     cases = skipped = 0
     for n in cfg.n_values:
@@ -637,7 +646,7 @@ def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
             continue
         grid = 8 * ulp2(base.c1)
         kmax = int((4 * ulp(base.c1)) / grid)
-        xs = _in_range(r, cfg.window, n)
+        xs, heads = _in_range(r, cfg.window, n), None
         for kk in sorted({0, 1, -1, 5, -5, kmax, -kmax, kmax - 1}):
             try:
                 cs = synthetic_set(r, n=n, q=q, c2=Fpn.from_fraction(kk * grid, r.fmt))
@@ -645,12 +654,13 @@ def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
                 skipped += 1
                 continue
             sp = _set_pairs(cs, n)
+            if heads is None:
+                heads = [(xn, xe, _first_step_head(xn, xe, sp, cfg.ties)) for _, xn, xe, _ in xs]
             cases += len(xs)
-            for _, xn, xe, _ in xs:
-                entry = _run_second_step_case(xn, xe, sp, cfg.ties)
+            for xn, xe, head in heads:
+                entry = _run_second_step_case(xn, xe, sp, cfg.ties, head)
                 if entry is not None:
-                    entry.update({"R": r.to_text(), "C2": cs.c2.to_text()})
-                    failures.append(entry)
+                    failures.append({**entry, "R": r.to_text(), "C2": cs.c2.to_text()})
     return cases, failures, {"skipped": skipped}
 
 

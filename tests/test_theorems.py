@@ -92,6 +92,73 @@ def test_correct1_mining_q1_reports_without_failing():
     assert res.cases > 0
 
 
+def _fpns_in_interval(lo, hi, fmt):
+    """Canonical FPNs x with lo <= x <= hi, ascending, walked from
+    round_nearest(lo) with next_up: the reference for correct1's cells."""
+    from argred.softfp import round_nearest
+
+    x = round_nearest(lo, fmt)  # a neighbour of lo
+    if x.value < lo:
+        x = x.next_up()
+    while x.value <= hi:
+        yield x
+        x = x.next_up()
+
+
+@pytest.mark.parametrize("p", [6, pytest.param(7, marks=pytest.mark.slow), pytest.param(8, marks=pytest.mark.slow)])
+def test_correct1_cells_match_the_fraction_route(p):
+    # every R, ell-bit k (ell in [2, p-1]) and N from 0 through the largest
+    # N that C1_BOUND_Q lets correct1 run at any q (39 at p = 8, for q = 6),
+    # and to 40: at p = 8 the cells reach the subnormal binade at
+    # e_min_q = -40 from N = 33 on, and at N = 40 lie deep in it
+    from fractions import Fraction
+
+    from argred.constgen import C1_BOUND_Q
+    from argred.theorems import _correct1_cell, _general_q_set, _sweep_format, _sweep_rs
+
+    fmt = _sweep_format(p)
+    rs = _sweep_rs(fmt, 1)
+    sets = [cs for r in rs for q in range(1, p - 1) if (cs := _general_q_set(r, q, "even")) is not None]
+    n_top = max(n for cs in sets for n in range(60) if C1_BOUND_Q.holds(cs, n))
+    assert n_top <= 40
+    subnormal = 0
+    for r in rs:
+        for n in range(41):
+            half = Fraction(1, 1 << (n + 1))
+            for k in range(2, 1 << (p - 1)):
+                z = Fraction(k, 1 << n)
+                want = [(x.m, x.e) for x in _fpns_in_interval((z - half) / r.value, (z + half) / r.value, fmt)]
+                got = list(_correct1_cell(k, n, r.m, r.e, fmt))
+                assert got == want, (r.to_text(), n, k)
+                subnormal += any(m >> (p - 1) == 0 for m, _ in got)
+    assert subnormal > 0
+    # the cell of -z is the cell of z negated
+    r, n, k = rs[3], 2, 5
+    z, half = Fraction(-k, 1 << n), Fraction(1, 1 << (n + 1))
+    negated = [(-x).to_text() for x in _fpns_in_interval((z - half) / r.value, (z + half) / r.value, fmt)]
+    assert negated[::-1] == [f"{m} * 2^{e}" for m, e in _correct1_cell(k, n, r.m, r.e, fmt)]
+
+
+@pytest.mark.parametrize("p", [6, 8])
+def test_in_range_is_the_linear_filter(p):
+    # the bisected prefix of _sweep_xs against the filter over all of it,
+    # for every R; the windows and N include an (R, N) with no x in range
+    # and one with every x in range
+    from argred.reduction import xr_in_bounds
+    from argred.theorems import _in_range, _sweep_format, _sweep_rs, _sweep_xs
+
+    fmt = _sweep_format(p)
+    sizes = set()
+    for window in (1, 4, 12):
+        xs = _sweep_xs(fmt, window)
+        for r in _sweep_rs(fmt, 1):
+            for n in (0, 1, 2, 5):
+                got = _in_range(r, window, n)
+                assert list(got) == [t for t in xs if xr_in_bounds(t[0], r, n)], (window, r.to_text(), n)
+                sizes.add("none" if not got else "all" if len(got) == len(xs) else "some")
+    assert sizes == {"none", "all", "some"}
+
+
 def test_correct2_small():
     res = check_correct2(
         CheckConfig(theorem="correct2", p=8, r_step=32, n_values=(0, 1), q_values=(2, 3, 4))
