@@ -260,10 +260,10 @@ def _sweep_rs(fmt: Format, step: int) -> list[Fpn]:
 
 @functools.cache
 def _sweep_xs(fmt: Format, window: int) -> tuple[tuple[Fpn, int, int, int], ...]:
-    """Both signs, all significands, `window` value binades centered on 1,
-    each as (x, signed significand, exponent, significand); built once per
-    format and window in a process, for all of its (q, R) tasks.  Ordered
-    by binade, then significand, each +x next to its -x: |x| never falls."""
+    """Both signs, all significands, `window` value binades centered on 1, each as (x,
+    signed significand, exponent, significand), by binade, then significand, +x next to
+    -x, so |x| never falls; built once per format and window in a process, for all of
+    its (q, R) tasks."""
     p = fmt.p
     lo_e = -(window // 2) - (p - 1)
     return tuple(
@@ -275,8 +275,7 @@ def _sweep_xs(fmt: Format, window: int) -> tuple[tuple[Fpn, int, int, int], ...]
 
 
 def _in_range(r: Fpn, window: int, n: int) -> tuple[tuple[Fpn, int, int, int], ...]:
-    """The sweep's x values with |x*R| in range at N (see xr_in_bounds): a
-    prefix of _sweep_xs, as |x| never falls there, found by bisection."""
+    """The prefix of _sweep_xs with |x*R| in range at N (see xr_in_bounds), by bisection."""
     p, rm, shift, xs = r.fmt.p, r.m, r.e + n, _sweep_xs(r.fmt, window)
     return xs[:bisect.bisect_left(xs, True, key=lambda t: not _xr_fits(t[3] * rm, t[2] + shift, p))]
 
@@ -408,9 +407,8 @@ def _correct1_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict
                 for m, e in _correct1_cell(k, n, r.m, r.e, fmt):
                     cases += 2  # the cell of -z is this one negated, and x - z*C1 just changes sign
                     if not fits_scaled(*_x_minus_zc1(m, e, k, -n, c1n, c1e), p, fmt):
-                        for sgn in (1, -1):
-                            x, z = Fpn(sgn, m, e, fmt).to_text(), Fpn(sgn, k, -n, fmt).to_text()
-                            failures.append({"x": x, "z": z, "ell": ell, "R": r.to_text(), "N": n, "q": q})
+                        failures += ({"x": Fpn(sgn, m, e, fmt).to_text(), "z": Fpn(sgn, k, -n, fmt).to_text(),
+                                      "ell": ell, "R": r.to_text(), "N": n, "q": q} for sgn in (1, -1))
     return cases, failures, {"skipped_r": skipped}
 
 
@@ -524,32 +522,26 @@ def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     fmt = FORMATS[fmt_label]
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
     sp, rm, re = _set_pairs(cs, n), cs.r.m, cs.r.e
-    xs = islice(_random_xs(random.Random(seed), fmt, rm, re, n), trials)
-    records = [_run_second_step_case(xn, xe, sp, ties) for xn, xe in xs]
-    return trials, [f for f in records if f is not None], {}
+    failures = []
+    for xn, xe in islice(_random_xs(random.Random(seed), fmt, rm, re, n), trials):
+        entry = _run_second_step_case(xn, xe, sp, ties)
+        if entry is not None:
+            failures.append(entry)
+    return trials, failures, {}
 
 
-def _first_step_head(xn: int, xe: int, sp: tuple, ties: str) -> tuple | dict:
-    """z-extraction and the first step of a thm6 case, which read no C2:
-    (zn, ze, un, ue, exact1), or the failure record of a TheoremViolation."""
-    _, fmt, n, rn, re, sn, se, c1n, c1e = sp[:9]
+def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | dict | None = None) -> dict | None:
+    """One thm6 case on the pair core: x = xn * 2^xe, in range, against the set
+    pairs sp of _set_pairs, from its _first_step_head if given.  A failure record, or None."""
+    cs, fmt, n, rn, re, sn, se, c1n, c1e, c2n, c2e = sp
     try:
-        zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
-        return (zn, ze, *_minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties))
-    except TheoremViolation as exc:
-        return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
-
-
-def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | dict = ()) -> dict | None:
-    """One thm6 case on the pair core: x = xn * 2^xe, in range, against the
-    set pairs sp of _set_pairs, from its _first_step_head, computed here
-    unless given.  A failure record, or None."""
-    head = head or _first_step_head(xn, xe, sp, ties)
-    if isinstance(head, dict):
-        return head
-    cs, fmt, n, _, _, _, _, c1n, c1e, c2n, c2e = sp
-    zn, ze, un, ue, exact1 = head
-    try:
+        if head is None:  # inline for the campaign, where a _first_step_head call costs ~3% a case
+            zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
+            un, ue, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+        elif isinstance(head, dict):
+            return head
+        else:
+            zn, ze, un, ue, exact1 = head
         exact2, ops = _second_step_pairs(xn, xe, zn, ze, un, ue, c1n, c1e, c2n, c2e, cs, fmt, ties)[4:]
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
@@ -557,6 +549,16 @@ def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | 
         x = _rounded(xn, xe, fmt).to_text()
         return {"x": x, "N": n, "exact_first": exact1, "exact_second": exact2, "ops": ops}
     return None
+
+
+def _first_step_head(xn: int, xe: int, sp: tuple, ties: str) -> tuple | dict:
+    """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, un, ue, exact1) or an error record."""
+    _, fmt, n, rn, re, sn, se, c1n, c1e, _, _ = sp
+    try:
+        zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
+    except TheoremViolation as exc:
+        return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
+    return (zn, ze, *_minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties))
 
 
 def check_thm6(cfg: CheckConfig) -> CheckResult:
@@ -633,9 +635,8 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
 
 
 def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
-    """Exhaustive thm6 at one R: each N, each C2 multiple on the 8*ulp2(C1)
-    grid that the set takes, and every in-range x, whose _first_step_head
-    (no C2 in it) is computed once per N, on the first set taken."""
+    """Exhaustive thm6 at one R: each N, each C2 multiple on the 8*ulp2(C1) grid that the set
+    takes, and every in-range x, whose C2-free _first_step_head is taken once per N."""
     failures = []
     cases = skipped = 0
     for n in cfg.n_values:
@@ -654,8 +655,7 @@ def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
                 skipped += 1
                 continue
             sp = _set_pairs(cs, n)
-            if heads is None:
-                heads = [(xn, xe, _first_step_head(xn, xe, sp, cfg.ties)) for _, xn, xe, _ in xs]
+            heads = heads or [(xn, xe, _first_step_head(xn, xe, sp, cfg.ties)) for _, xn, xe, _ in xs]
             cases += len(xs)
             for xn, xe, head in heads:
                 entry = _run_second_step_case(xn, xe, sp, cfg.ties, head)

@@ -159,6 +159,27 @@ def test_in_range_is_the_linear_filter(p):
     assert sizes == {"none", "all", "some"}
 
 
+def test_sweeps_bisect_the_range_and_extract_each_x_once(monkeypatch):
+    # _in_range probes ceil(log2(3 072 + 1)) = 12 x of a 12-binade p = 8
+    # window, not all 3 072; exhaustive thm6 extracts each x once per (R, N)
+    # for all of its C2 multiples
+    import argred.theorems as theorems
+
+    probes, extracted = [], []
+    real_fits, real_extract = theorems._xr_fits, theorems._extract_pairs
+    monkeypatch.setattr(theorems, "_xr_fits", lambda *a: probes.append(a) or real_fits(*a))
+    fmt = theorems._sweep_format(8)
+    for r in theorems._sweep_rs(fmt, 16):
+        probes.clear()
+        assert theorems._in_range(r, 12, 1) and len(probes) <= 12
+    monkeypatch.setattr(
+        theorems, "_extract_pairs", lambda xn, xe, rn, re, sn, se, n, *rest: extracted.append((xn, xe, rn, re, n))
+        or real_extract(xn, xe, rn, re, sn, se, n, *rest)
+    )
+    res = run_check(CheckConfig(theorem="thm6", mode="exhaustive", p=8, r_step=64, n_values=(0, 2), window=4))
+    assert res.passed and len(set(extracted)) == len(extracted) and res.cases > 4 * len(extracted)
+
+
 def test_correct2_small():
     res = check_correct2(
         CheckConfig(theorem="correct2", p=8, r_step=32, n_values=(0, 1), q_values=(2, 3, 4))
