@@ -36,6 +36,7 @@ from .softfp import (
     OpResult,
     PreconditionError,
     UnderflowError,
+    _dyadic,
     _fast2mult_scaled,
     _fast2sum_scaled,
     _op_result,
@@ -371,13 +372,12 @@ def _residual_pairs(
 
 
 def _over(n: int, den: int, e0: int) -> Fraction:
-    """n * 2^e0 / den, exactly.  For e0 < 0 the power of two that n shares
-    with 2^-e0 is taken out first (all of 2^-e0 when n = 0), so that the
-    Fraction's gcd runs over n's odd part, not over an alignment shift."""
-    if e0 >= 0:
-        return Fraction(n << e0, den)
-    t = _trailing_zeros(n | 1 << -e0)
-    return Fraction(n >> t, den << (-e0 - t))
+    """n * 2^e0 / den, exactly: built by softfp._dyadic with no gcd when den
+    is a power of two (s's 1, the named constants', a --const file's); any
+    other den (a non-dyadic Constant.from_enclosure) goes through Fraction."""
+    if den & (den - 1):
+        return _dyadic(n, e0) / den
+    return _dyadic(n, e0 - den.bit_length() + 1)
 
 
 class ReductionOutput(NamedTuple):

@@ -104,7 +104,7 @@ class Format:
     @property
     def lam(self) -> Fraction:
         """Smallest positive subnormal, 2**e_min_q."""
-        return _pow2(self.e_min_q)
+        return _dyadic(1, self.e_min_q)
 
 
 SINGLE = Format(p=24, e_min_q=-149, e_max=127)
@@ -115,10 +115,17 @@ QUAD = Format(p=113, e_min_q=-16494, e_max=16383)
 FORMATS = {"single": SINGLE, "double": DOUBLE, "double-extended": DOUBLE_EXTENDED, "quad": QUAD}
 
 
-def _pow2(k: int) -> Fraction:
-    if k >= 0:
-        return Fraction(1 << k)
-    return Fraction(1, 1 << -k)
+def _dyadic(n: int, e: int) -> Fraction:
+    """The exact n * 2**e, with no gcd: taking out the power of two n shares
+    with 2**-e (all of it for n = 0) leaves the lowest terms, stored straight
+    into Fraction.__slots__, ('_numerator', '_denominator') on CPython 3.10-3.13."""
+    v = object.__new__(Fraction)
+    if e >= 0:
+        v._numerator, v._denominator = n << e, 1
+    else:
+        t = _trailing_zeros(n | 1 << -e)
+        v._numerator, v._denominator = n >> t, 1 << (-e - t)
+    return v
 
 
 class Fpn:
@@ -213,9 +220,7 @@ class Fpn:
 
     @property
     def value(self) -> Fraction:
-        if self.e >= 0:
-            return Fraction(self.sign * self.m << self.e)
-        return Fraction(self.sign * self.m, 1 << -self.e)
+        return _dyadic(self.sign * self.m, self.e)
 
     def is_zero(self) -> bool:
         return self.m == 0
@@ -504,7 +509,7 @@ def ulp(x: Fpn) -> Fraction:
     Canonical form makes this the stored quantum: 2**x.e, which is
     2**e_min_q for zero and subnormals.
     """
-    return _pow2(x.e)
+    return _dyadic(1, x.e)
 
 
 def ulp2_exp(x: Fpn) -> int:
@@ -514,7 +519,7 @@ def ulp2_exp(x: Fpn) -> int:
 
 def ulp2(x: Fpn) -> Fraction:
     """ulp(ulp(x)): the quantum of x's quantum."""
-    return _pow2(ulp2_exp(x))
+    return _dyadic(1, ulp2_exp(x))
 
 
 def fits_scaled(num: int, exp: int, digits: int, fmt: Format) -> bool:

@@ -3,7 +3,9 @@
 import dataclasses
 import functools
 import random
+import sys
 from fractions import Fraction
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -29,8 +31,8 @@ from argred.softfp import (
     ulp2,
     ulp2_exp,
 )
-from argred.softfp import _rounded
-from argred.realnum import LN2, PI, Constant
+from argred.softfp import _dyadic, _rounded
+from argred.realnum import LN2, PI, Constant, RealEnclosure
 from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
 from argred.theorems import CheckConfig, _random_xs, _sweep_space
 import argred.reduction as reduction
@@ -400,11 +402,23 @@ def residual_reference(x, z, v1, w, constant, bits):
     return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
 
 
-@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+def _on_3_adic_grid(enc, k):
+    """enc widened outward to the 3^-k grid: a non-dyadic enclosure."""
+    g = 3**k
+    return RealEnclosure(Fraction(floor(enc.lo * g), g), Fraction(ceil(enc.hi * g), g), enc.bits)
+
+
+# its scaled enclosure's den is a power of three, so _over divides by Fraction
+PI_3_ADIC = Constant.from_enclosure("pi", _on_3_adic_grid(PI.enclosure(800), 300))
+
+
+@pytest.mark.parametrize("constant", [PI, LN2, PI_3_ADIC], ids=["pi", "ln2", "pi-3-adic"])
 def test_residual_interval_matches_fraction_reference(constant):
     rng = random.Random(17)
     branches = set()
     for fmt in (SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD):
+        den = constant.scaled_enclosure(6 * fmt.p)[2]
+        assert den % 3 == 0 if constant is PI_3_ADIC else den & (den - 1) == 0
         for n in (0, 5, 10):
             cs = gen_constants(constant, fmt, n=n)
             xs = [Fpn.zero(fmt)] + [
@@ -842,6 +856,8 @@ def test_reduce_matches_the_public_chain_property():
             assert isinstance(got, reduction.ReductionOutput)
             assert (got.residual_lo is None) is not measure
             assert edge != "small" or got.z.is_zero()
+            for v in (got.s, got.residual_lo, got.residual_hi)[: 3 if measure else 1]:
+                assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0
 
     agree()
     # the range test comes before the format check, as in extract_z
@@ -973,6 +989,19 @@ def test_over_is_exact_property():
     def exact(form, sign, odd, k, den_odd, den_shift, den_pow2, e0):
         n = {"zero": 0, "odd": sign * (2 * odd + 1), "shifted": sign * (2 * odd + 1) << k}[form]
         den = 1 << den_shift if den_pow2 else 2 * den_odd + 1
-        assert reduction._over(n, den, e0) == Fraction(n) * Fraction(2) ** e0 / den
+        # field for field against Fraction(), never against Fpn.value,
+        # which is built by _dyadic too
+        want = Fraction(n) * Fraction(2) ** e0
+        for got, ref in ((reduction._over(n, den, e0), want / den), (_dyadic(n, e0), want)):
+            assert (got.numerator, got.denominator, hash(got), str(got)) == (
+                ref.numerator, ref.denominator, hash(ref), str(ref)
+            )
+            assert got == ref
 
-    exact()
+    # str() of a 20 000-bit term passes the interpreter's default digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        exact()
+    finally:
+        sys.set_int_max_str_digits(limit)
