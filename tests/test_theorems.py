@@ -922,3 +922,29 @@ def test_thm6_exhaustive_failing_records_are_pinned(monkeypatch, fault, ties):
     kinds = {"extraction": {"error"}, "first_step": {"error", "exact_first", "ops"}, "ops": {"exact_first", "ops"}}
     assert {k for f in res.failures for k in f if k in ("error", "exact_first", "ops")} == kinds[fault]
     assert hashlib.sha256(json.dumps(res.to_record()).encode()).hexdigest() == THM6_FAILING_DIGESTS[fault, ties]
+
+
+# sha256 of json.dumps(to_record()) for randomized thm6 on pi/double, N in
+# {0, 10}, 200 trials, seed 1, with the first step one ulp up
+# (_first_step_one_ulp_up); pinned before the case ran on one common scale
+THM6_RANDOMIZED_FAILING_DIGESTS = {
+    "even": "a2c4875d672a0cf865aea5fec4a7672867dd372f19a278eab46796e9424e8923",
+    "away": "bfb6d18a2cc07d01df297fea71e6de775a18d0fe0787c1d5dbaa9f8279ae715b",
+}
+
+
+@pytest.mark.parametrize("ties", list(THM6_RANDOMIZED_FAILING_DIGESTS))
+def test_thm6_randomized_failing_records_are_pinned(monkeypatch, ties):
+    import hashlib
+    import json
+
+    import argred.theorems as theorems
+
+    monkeypatch.setattr(theorems, "_minus_zc_pairs", _first_step_one_ulp_up(theorems._minus_zc_pairs))
+    cfg = CheckConfig(
+        theorem="thm6", mode="randomized", constant="pi", fmt="double", n_values=(0, 10), trials=200, seed=1, ties=ties
+    )
+    res = run_check(cfg)
+    assert res.cases == 400 and len(res.failures) == 57
+    assert all(not f["exact_first"] and not f["exact_second"] and f["ops"] == 9 for f in res.failures)
+    assert hashlib.sha256(json.dumps(res.to_record()).encode()).hexdigest() == THM6_RANDOMIZED_FAILING_DIGESTS[ties]
