@@ -12,13 +12,16 @@ Four stages, all driven by one fma-capable kernel:
 
 Every stage reports exactness flags computed against the exact value,
 and the second step counts its rounded operations (always 9).  The
-arithmetic and checks are written once, in a core on signed (n, e)
-integer pairs (_extract_pairs, _minus_zc_pairs, _second_step_pairs,
-_residual_pairs) that rounds with softfp._round_int, the kernel's one
-rounding and tie rule.  reduce runs the core directly, once per x, and
-builds an Fpn only for the five values it returns.  The four public
-stages stay as thin Fpn wrappers over it, for callers that want one
-stage.  The thm6 campaign and the small-precision sweeps call it too.
+arithmetic and checks are written once, in a core on signed integers
+(_extract_pairs, _minus_zc_pairs, _second_step_pairs, _residual_pairs)
+that rounds with softfp._round_int, the kernel's one rounding and tie
+rule.  Each stage puts its terms on one common scale 2^e once and rounds
+plain integer expressions there, so exactness is r == n and the second
+step's recompositions are integer equalities: the first step runs at
+min(x.e, z.e + C1.e), lowered to z.e + C2.e for the second.  reduce runs
+the core once per x and builds an Fpn, on the trusted path, only for the
+five values it returns; the four public stages are thin Fpn wrappers
+over it, and the thm6 campaign and the sweeps call it directly.
 """
 
 from __future__ import annotations
@@ -180,18 +183,23 @@ def _extract_pairs(
     xn: int, xe: int, rn: int, re: int, sn: int, se: int, n: int, fmt: Format, ties: str, check: bool
 ) -> tuple[int, int, int, int, int, int, bool]:
     """z = o(o(x*R + sigma) - sigma) for an in-range x and sigma > 0, and
-    its diagnostics: (zn, ze, k, ell, s_num, s_exp, in_thm_range)."""
+    its diagnostics: (zn, ze, k, ell, s_num, s_exp, in_thm_range), z's
+    canonical pair, or (0, e) at the rounding's scale for z = 0."""
     xr_num, xr_exp = xn * rn, xe + re
     e0 = xr_exp if xr_exp < se else se
-    tn, te, _ = _round_int((xr_num << (xr_exp - e0)) + (sn << (se - e0)), e0, fmt.p, fmt, ties)
-    e0 = te if te < se else se
-    zn, ze, _ = _round_int((tn << (te - e0)) - (sn << (se - e0)), e0, fmt.p, fmt, ties)
+    xr, sn = xr_num << (xr_exp - e0), sn << (se - e0)
+    p, e_min = fmt.p, fmt.e_min_q
+    tn = _round_int(xr + sn, e0, p, fmt, ties)[0]
+    zn = _round_int(tn - sn, e0, p, fmt, ties)[0]
 
-    # diagnostics, exactly in scaled integers; t - sigma is exact, so a
-    # nonzero (zn, ze) is z's canonical pair; ZExtractInfo reports s over
+    # diagnostics, exactly in scaled integers; ZExtractInfo reports s over
     # z's canonical exponent, e_min_q for z = 0
-    k, in_range = 0, False
+    k, in_range, ze = 0, False, e0
     if zn:
+        d = (zn if zn > 0 else -zn).bit_length() - p
+        if e0 + d < e_min:
+            d = e_min - e0
+        zn, ze = (zn >> d if d >= 0 else zn << -d), e0 + d
         shift = ze + n
         if shift >= 0:
             k = zn << shift
@@ -201,12 +209,12 @@ def _extract_pairs(
             raise TheoremViolation(f"z*2^N is not an integer: z={_rounded(zn, ze, fmt).to_text()}, N={n}")
         in_range = (zn if zn > 0 else -zn).bit_length() - 1 + ze >= 1 - n
     ell = (k if k >= 0 else -k).bit_length()
-    e0 = ze if zn else fmt.e_min_q
+    e0 = ze if zn else e_min
     if xr_exp < e0:
         e0 = xr_exp
     s_num = (xr_num << (xr_exp - e0)) - (zn << (ze - e0))
     if check and in_range:
-        if not 2 <= ell <= fmt.p - 2:
+        if not 2 <= ell <= p - 2:
             raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={_rounded(zn, ze, fmt).to_text()}")
         if not s_within_half(s_num, e0, n):
             raise TheoremViolation(f"|x*R - z| = {abs(_over(s_num, 1, e0))} > 2^-(N+1)")
@@ -215,48 +223,51 @@ def _extract_pairs(
 
 def _minus_zc_pairs(
     xn: int, xe: int, zn: int, ze: int, cn: int, ce: int, fmt: Format, ties: str
-) -> tuple[int, int, bool]:
-    """o(x - z*c) in one rounding, the fma of the first and third steps: (m, e, exact)."""
-    ep = ze + ce
-    e0 = ep if ep < xe else xe
-    return _round_int((xn << (xe - e0)) - (zn * cn << (ep - e0)), e0, fmt.p, fmt, ties)
+) -> tuple[int, int, int, bool]:
+    """o(x - z*c) in one rounding, the fma of the first and third steps,
+    on the scale e = min(xe, ze + ce), xe for z = 0: (e, d, r, exact) with
+    x - z*c = d * 2^e exactly and the result r * 2^e."""
+    if zn:
+        ep = ze + ce
+        if ep < xe:
+            e, d = ep, (xn << (xe - ep)) - zn * cn
+        else:
+            e, d = xe, xn - (zn * cn << (ep - xe))
+    else:
+        e, d = xe, xn
+    r, exact = _round_int(d, e, fmt.p, fmt, ties)
+    return e, d, r, exact
 
 
 _OFF_GRID = "%s is not a multiple of 2^(-N-1)*ulp2(C1): %s"
 
 
 def _second_step_pairs(
-    xn: int, xe: int, zn: int, ze: int, un: int, ue: int,
-    c1n: int, c1e: int, c2n: int, c2e: int, cs: ConstantSet, fmt: Format, ties: str,
-) -> tuple[int, int, int, int, bool, int]:
-    """second_step's nine roundings and checks: (v1n, v1e, v2n, v2e, exact, ops)."""
+    xn: int, xe: int, zn: int, ze: int, e: int, d: int, un: int,
+    c2n: int, c2e: int, cs: ConstantSet, fmt: Format, ties: str,
+) -> tuple[int, int, int, bool, int]:
+    """second_step's nine roundings and checks, for x - z*C1 = d * 2^e and
+    u = un * 2^e, on the scale e lowered to z.e + C2.e: (e, v1n, v2n,
+    exact, ops), v1 and v2 at the scale e returned."""
     ops = OpCounter()
-    zc2, ze2 = zn * c2n, ze + c2e
-    e0 = ze2 if ze2 < ue else ue
-    v1n, v1e, _ = _round_int((un << (ue - e0)) - (zc2 << (ze2 - e0)), e0, fmt.p, fmt, ties)
+    p = fmt.p
+    zc2 = zn * c2n
+    if zc2:
+        ep = ze + c2e
+        if ep < e:
+            d, un, e = d << (e - ep), un << (e - ep), ep
+        zc2 <<= ep - e
+    v1n = _round_int(un - zc2, e, p, fmt, ties)[0]
     try:
-        p1n, p1e, p2n, p2e = _fast2mult_scaled(zn, ze, c2n, c2e, fmt, ties, ops)
-        t1n, t1e, t2n, t2e = _fast2sum_scaled(un, ue, -p1n, p1e, fmt, ties, ops)
+        p1n, p2n = _fast2mult_scaled(zn, ze, c2n, c2e, e, fmt, ties, ops)
+        t1n, t2n = _fast2sum_scaled(un, -p1n, e, fmt, ties, ops)
     except (PreconditionError, UnderflowError) as exc:
         raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
-    e0 = t1e if t1e < v1e else v1e
-    d1n, d1e, ex1 = _round_int((t1n << (t1e - e0)) - (v1n << (v1e - e0)), e0, fmt.p, fmt, ties)
-    e0 = d1e if d1e < t2e else t2e
-    d2n, d2e, ex2 = _round_int((d1n << (d1e - e0)) + (t2n << (t2e - e0)), e0, fmt.p, fmt, ties)
-    e0 = d2e if d2e < p2e else p2e
-    v2n, v2e, ex3 = _round_int((d2n << (d2e - e0)) - (p2n << (p2e - e0)), e0, fmt.p, fmt, ties)
+    d1n, ex1 = _round_int(t1n - v1n, e, p, fmt, ties)
+    d2n, ex2 = _round_int(d1n + t2n, e, p, fmt, ties)
+    v2n, ex3 = _round_int(d2n - p2n, e, p, fmt, ties)
     ops.rounded += 4  # v1 and the last line
-
-    # v1 + v2 - x + z*C1 + z*C2 == 0, exactly, as integers over 2^e0
-    ze1 = ze + c1e
-    e0 = min(v1e, v2e, xe, ze1, ze2)
-    exact = (
-        (v1n << (v1e - e0))
-        + (v2n << (v2e - e0))
-        - (xn << (xe - e0))
-        + (zn * c1n << (ze1 - e0))
-        + (zc2 << (ze2 - e0))
-    ) == 0
+    exact = v1n + v2n == d - zc2  # v1 + v2 == x - z*C1 - z*C2
 
     if not (ex1 and ex2 and ex3):
         x, z = _rounded(xn, xe, fmt).to_text(), _rounded(zn, ze, fmt).to_text()
@@ -266,15 +277,18 @@ def _second_step_pairs(
     # 2^-N' grid with N' > cs.n is also what extraction at N' gives, as
     # |x*R - z| <= 2^(-N'-1), so the facts hold at N' if the set's do.
     if zn:
-        n = max(-ze - _trailing_zeros(zn), cs.n)
+        n = -ze - _trailing_zeros(zn)
         if n > cs.n:
             _require_covered(cs, n)
-        g = -n - 1 + cs.c1_ulp2_exp
-        if t1n and t1e + _trailing_zeros(t1n) < g:
-            raise TheoremViolation(_OFF_GRID % ("t1", _rounded(t1n, t1e, fmt).to_text()))
-        if v1n and v1e + _trailing_zeros(v1n) < g:
-            raise TheoremViolation(_OFF_GRID % ("v1", _rounded(v1n, v1e, fmt).to_text()))
-    return v1n, v1e, v2n, v2e, exact, ops.rounded
+        else:
+            n = cs.n
+        g = -n - 1 + cs.c1_ulp2_exp - e  # the grid is 2^g at scale e: the low g bits are zero
+        off = (1 << g) - 1 if g > 0 else 0
+        if t1n & off:
+            raise TheoremViolation(_OFF_GRID % ("t1", _rounded(t1n, e, fmt).to_text()))
+        if v1n & off:
+            raise TheoremViolation(_OFF_GRID % ("v1", _rounded(v1n, e, fmt).to_text()))
+    return e, v1n, v2n, exact, ops.rounded
 
 
 def _minus_zc(x: Fpn, z: Fpn, c: Fpn, ties: str, counter: OpCounter | None) -> OpResult:
@@ -283,10 +297,9 @@ def _minus_zc(x: Fpn, z: Fpn, c: Fpn, ties: str, counter: OpCounter | None) -> O
     _check_fmt(fmt, c, x)
     if counter is not None:
         counter.rounded += 1
-    xn, xe = _pair(x, z.e + c.e)  # a zero x or z at the scale of the other term
-    zn, ze = _pair(z, xe - c.e)
-    m, e, exact = _minus_zc_pairs(xn, xe, zn, ze, c.sign * c.m, c.e, fmt, ties)
-    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
+    xn, xe = _pair(x, z.e + c.e)  # a zero x at the scale of z*c
+    e, _, r, exact = _minus_zc_pairs(xn, xe, z.sign * z.m, z.e, c.sign * c.m, c.e, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
 
 
 def first_step(
@@ -324,12 +337,19 @@ def second_step(
     """
     fmt = z.fmt
     _check_fmt(fmt, cs.c2, u, x)
-    un, ue = _pair(u, z.e + cs.c2.e)  # a zero u or z*C2 at the scale of the other, a zero x at u's
-    zn, ze = _pair(z, ue - cs.c2.e)
-    v1n, v1e, v2n, v2e, exact, ops = _second_step_pairs(*_pair(x, ue), zn, ze, un, ue, *cs.pairs[2:6], cs, fmt, ties)
+    c1n, c1e, c2n, c2e = cs.pairs[2:6]
+    zn, ze = z.sign * z.m, z.e
+    un, ue = _pair(u, ze + c1e)  # a zero u at the scale of z*C1, a zero x at u's
+    xn, xe = _pair(x, ue)
+    zc1, e = zn * c1n, min(xe, ue)  # x - z*C1 = d * 2^e exactly, u = un * 2^e
+    if zc1:
+        e = min(e, ze + c1e)
+        zc1 <<= ze + c1e - e
+    d, un = (xn << (xe - e)) - zc1, un << (ue - e)
+    e, v1n, v2n, exact, ops = _second_step_pairs(xn, xe, zn, ze, e, d, un, c2n, c2e, cs, fmt, ties)
     if counter is not None:
         counter.rounded += ops
-    return SecondStepResult(_rounded(v1n, v1e, fmt), _rounded(v2n, v2e, fmt), exact, ops, True)
+    return SecondStepResult(_rounded(v1n, e, fmt), _rounded(v2n, e, fmt), exact, ops, True)
 
 
 def third_step(
@@ -407,14 +427,14 @@ def reduce(x: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, measure_residual: boo
     fmt, xn, xe = x.fmt, x.sign * x.m, x.e
     _, _, c1n, c1e, c2n, c2e, c3n, c3e = cs.pairs
     _check_fmt(fmt, cs.c1)
-    un, ue, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+    ue, d, un, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
     _check_fmt(fmt, cs.c2)
-    v1n, v1e, v2n, v2e, exact2, ops = _second_step_pairs(xn, xe, zn, ze, un, ue, c1n, c1e, c2n, c2e, cs, fmt, ties)
+    e, v1n, v2n, exact2, ops = _second_step_pairs(xn, xe, zn, ze, ue, d, un, c2n, c2e, cs, fmt, ties)
     _check_fmt(fmt, cs.c3)
-    wn, we, _ = _minus_zc_pairs(v2n, v2e, zn, ze, c3n, c3e, fmt, ties)
+    we, _, wn, _ = _minus_zc_pairs(v2n, e, zn, ze, c3n, c3e, fmt, ties)
     measured = measure_residual and cs.constant is not None
-    res = _residual_pairs(xn, xe, zn, ze, v1n, v1e, wn, we, cs, None) if measured else (None, None)
+    res = _residual_pairs(xn, xe, zn, ze, v1n, e, wn, we, cs, None) if measured else (None, None)
     return tuple.__new__(ReductionOutput, (
-        _rounded(zn, ze, fmt), _rounded(un, ue, fmt), _rounded(v1n, v1e, fmt), _rounded(v2n, v2e, fmt),
+        _rounded(zn, ze, fmt), _rounded(un, ue, fmt), _rounded(v1n, e, fmt), _rounded(v2n, e, fmt),
         _rounded(wn, we, fmt), ell, _over(s_num, 1, s_exp), exact1, exact2, ops, in_range, *res,
     ))

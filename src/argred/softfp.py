@@ -12,26 +12,21 @@ result we ever want to check is finite and a silent infinity would mask
 a violated precondition.
 
 Trusted construction.  ``Fpn(...)`` checks and canonicalizes its fields;
-``_rounded`` builds one from a signed pair (m, e) and skips that work
-when m is zero or |m| has exactly p bits.  It is given only pairs with e
-at or above e_min_q and in range: ``_round_int`` results (which it has
-already clamped and checked for overflow), the canonical zero of
-``Fpn.zero``, and the fields of a canonical value for ``-x`` and
-``abs(x)`` (flipping the sign changes neither m nor e).  A carry, a short
-or subnormal m goes through ``Fpn()``.
+``_rounded`` builds the canonical Fpn of a signed pair (n, e) without that
+work, shifting n to p bits or to the quantum 2**e_min_q.  It is given only
+pairs whose value is an FPN: ``_round_int`` results (rounded at or above
+e_min_q and checked for overflow), zeros, and the fields of FPNs (``-x``,
+``abs(x)``, operands named in error messages).  Everything else,
+``round_rational`` (the oracle) included, goes through ``Fpn(...)``.
 
-Everything else, ``round_rational`` (the oracle) included, goes through
-``Fpn(...)``.
-
-The lane.  ``_round_int`` rounds a signed integer pair (n, e), the exact
-value n * 2**e, to another.  The EFT cores here and the reduction's pair
-core (z-extraction, the x - z*c fma of the first and third steps, the
-second step) chain pairs; the public stages wrap that core and build an
-``Fpn`` only for what they return, and the thm6 campaign and the sweeps
-run it directly.  A pair is an exact value, not a canonical form (a
-carry leaves m = 2**p, and a zero keeps the exponent it was rounded at,
-so that aligning it with other pairs shifts nothing toward e_min_q); an
-exact nonzero rounding to p digits is canonical.
+The lane.  ``_round_int`` rounds the exact n * 2**e and returns the result
+at the same scale: any rounding of an integer at scale 2**e is again one,
+as its quantum is at or above 2**e unless the result is n itself (the
+e_min_q clamp keeps this so).  The EFT cores here and the reduction's pair
+core put a case's terms on one common scale once and round plain integer
+expressions there: exactness is r == n and a recomposition an integer
+equality.  The public ops and stages build an ``Fpn`` only for what they
+return.
 """
 
 from __future__ import annotations
@@ -313,53 +308,55 @@ _op_result = tuple.__new__
 # ---------------------------------------------------------------------------
 
 
-def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int, int, bool]:
+def _round_int(
+    n: int, e: int, digits: int, fmt: Format, ties: str, s: int | None = None
+) -> tuple[int, bool]:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
-    Returns (m, eq, exact): the rounded value is m * 2**eq, m signed like
-    n, eq >= e_min_q, and |m| < 2**digits or, after a carry, 2**digits;
-    zero keeps its operands' scale, (0, max(e, e_min_q)), so a later
-    alignment does not shift toward e_min_q.  The kernel's only tie rule.
-    A result above fmt's range raises OverflowError, exact or not, as
+    Returns (r, exact): the rounded value is r * 2**e, at n's own scale,
+    and exact is r == n.  s, when given, is the number of low bits of n
+    below the result's quantum, max(bits(n) - digits, e_min_q - e), as a
+    caller that derived it passes it.  The kernel's only tie rule.  A
+    result above fmt's range raises OverflowError, exact or not, as
     Fpn() does.
     """
-    if n == 0:
-        return 0, (e if e > fmt.e_min_q else fmt.e_min_q), True
     a = n if n > 0 else -n
-    top = a.bit_length() - 1 + e
-    eq = top - digits + 1
-    if eq < fmt.e_min_q:
-        eq = fmt.e_min_q
-    s = eq - e
-    if s <= 0:
-        m, exact = a << -s, True
-    else:
-        m, rem = a >> s, a & ((1 << s) - 1)
-        exact = rem == 0
-        if not exact:
+    if s is None:
+        s = a.bit_length() - digits
+        if e + s < fmt.e_min_q:
+            s = fmt.e_min_q - e
+    r, exact = n, True
+    if s > 0:
+        m = a >> s
+        rem = a - (m << s)
+        if rem:
             half = 1 << (s - 1)
             if rem > half or (rem == half and (ties == TIES_AWAY or m & 1)):
                 m += 1
-    if top >= fmt.e_max and m.bit_length() - 1 + eq > fmt.e_max:
-        Fpn(1, m, eq, fmt)  # raises Fpn()'s OverflowError
-    return (m if n > 0 else -m), eq, exact
+            r, exact = (m << s if n > 0 else -m << s), False
+    if e + s + digits > fmt.e_max and r:  # the result's top bit can pass e_max
+        m = (r if r > 0 else -r) >> s if s > 0 else a << -s
+        if m.bit_length() - 1 + e + s > fmt.e_max:
+            Fpn(1, m, e + s, fmt)  # raises Fpn()'s OverflowError
+    return r, exact
 
 
-def _rounded(m: int, e: int, fmt: Format) -> Fpn:
-    """The Fpn of a signed pair m * 2**e, such as a _round_int result:
-    zero (stored at e_min_q, whatever its e) and a p-bit |m| are built
-    without Fpn.__init__ (see the module docstring); a carry, a short or
-    subnormal m goes through Fpn()."""
+def _rounded(n: int, e: int, fmt: Format) -> Fpn:
+    """The canonical Fpn of a signed pair n * 2**e whose value is an FPN
+    of fmt, such as a _round_int result, built without Fpn.__init__ (see
+    the module docstring): n shifted to p bits, or to the quantum
+    2**e_min_q, and a zero at e_min_q."""
     sign = 1
-    if m < 0:
-        sign, m = -1, -m
-    if m >> (fmt.p - 1) != 1:
-        if m:
-            return Fpn(sign, m, e, fmt)
+    if n < 0:
+        sign, n = -1, -n
+    if n:
+        d = max(n.bit_length() - fmt.p, fmt.e_min_q - e)
+        n, e = (n >> d if d >= 0 else n << -d), e + d
+    else:
         e = fmt.e_min_q
     x = object.__new__(Fpn)
     x.sign = sign
-    x.m = m
+    x.m = n
     x.e = e
     x.fmt = fmt
     return x
@@ -367,15 +364,16 @@ def _rounded(m: int, e: int, fmt: Format) -> Fpn:
 
 def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResult:
     """_round_int's result as an OpResult: the canonical Fpn and the exact flag."""
-    m, eq, exact = _round_int(n, e, digits, fmt, ties)
-    return _op_result(OpResult, (_rounded(m, eq, fmt), exact))
+    r, exact = _round_int(n, e, digits, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
 
 
 def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn:
     """The Fpn nearest the exact rational num/den (den > 0) at digits bits.
 
     The quotient at the result's quantum goes to _round_int with two
-    sticky bits below it: 00 exact, 01 below half, 10 half, 11 above.
+    sticky bits below it (00 exact, 01 below half, 10 half, 11 above) and
+    with those two bits as its s: the quantum is derived here only.
     """
     a = num if num > 0 else -num
     t = a.bit_length() - den.bit_length()  # floor(log2(a/den)), or one above it
@@ -386,8 +384,8 @@ def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn
     q, r = divmod(a, d)
     half, rest = divmod(r << 1, d)
     n = q << 2 | half << 1 | (rest != 0)
-    m, e, _ = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties)
-    return _rounded(m, e, fmt)
+    r, _ = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties, 2)
+    return _rounded(r, eq - 2, fmt)
 
 
 def round_nearest(
@@ -442,11 +440,9 @@ def add(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         counter.rounded += 1
     an, ea = _pair(a, b.e)
     bn, eb = _pair(b, ea)
-    if ea >= eb:
-        m, e, exact = _round_int((an << (ea - eb)) + bn, eb, fmt.p, fmt, ties)
-    else:
-        m, e, exact = _round_int(an + (bn << (eb - ea)), ea, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
+    n, e = ((an << (ea - eb)) + bn, eb) if ea >= eb else (an + (bn << (eb - ea)), ea)
+    r, exact = _round_int(n, e, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
 
 
 def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
@@ -457,11 +453,9 @@ def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         counter.rounded += 1
     an, ea = _pair(a, b.e)
     bn, eb = _pair(b, ea)
-    if ea >= eb:
-        m, e, exact = _round_int((an << (ea - eb)) - bn, eb, fmt.p, fmt, ties)
-    else:
-        m, e, exact = _round_int(an - (bn << (eb - ea)), ea, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
+    n, e = ((an << (ea - eb)) - bn, eb) if ea >= eb else (an - (bn << (eb - ea)), ea)
+    r, exact = _round_int(n, e, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
 
 
 def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
@@ -470,8 +464,9 @@ def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
         raise ValueError(_FMT_MISMATCH)
     if counter is not None:
         counter.rounded += 1
-    m, e, exact = _round_int(a.sign * b.sign * a.m * b.m, a.e + b.e, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
+    e = a.e + b.e
+    r, exact = _round_int(a.sign * b.sign * a.m * b.m, e, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
 
 
 def fma(
@@ -494,8 +489,8 @@ def fma(
         n, e0 = (pn << (ep - ec)) + cn, ec
     else:
         n, e0 = pn + (cn << (ec - ep)), ep
-    m, e, exact = _round_int(n, e0, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(m, e, fmt), exact))
+    r, exact = _round_int(n, e0, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e0, fmt), exact))
 
 
 # ---------------------------------------------------------------------------
@@ -551,47 +546,45 @@ def is_representable(v: Union[Fraction, int], digits: int, fmt: Format) -> bool:
 
 
 def _fast2sum_scaled(
-    an: int, ae: int, bn: int, be: int, fmt: Format, ties: str, counter: OpCounter | None
-) -> tuple[int, int, int, int]:
-    """Fast2Sum of the pairs (an, ae), (bn, be): (sn, se, en, ee) with
-    s = o(a + b) and err = b - o(o(a + b) - a), exact; see fast2sum."""
+    an: int, bn: int, e: int, fmt: Format, ties: str, counter: OpCounter | None
+) -> tuple[int, int]:
+    """Fast2Sum of a = an * 2**e and b = bn * 2**e on their common scale:
+    (sn, en) with s = o(a + b) and err = b - o(o(a + b) - a), exact, both
+    at the same scale; see fast2sum."""
     p = fmt.p
     if an and bn:
-        # |a| >= |b|, or a's widest exponent, ae + tz(a), reaches b's
+        # |a| >= |b|, or a's widest exponent, e + tz(a), reaches b's
         # narrowest, its canonical one: p-bit representations with e_a >= e_b
         a, b = (an if an > 0 else -an), (bn if bn > 0 else -bn)
-        if (a << (ae - be) < b) if ae >= be else (a < b << (be - ae)):
-            if ae + _trailing_zeros(a) < max(b.bit_length() - p + be, fmt.e_min_q):
-                raise PreconditionError(
-                    f"fast2sum precondition fails for {_rounded(an, ae, fmt)!r}, "
-                    f"{_rounded(bn, be, fmt)!r}: no representations with e_a >= e_b and |a| < |b|"
-                )
-    e0 = ae if ae < be else be
-    sn, se, _ = _round_int((an << (ae - e0)) + (bn << (be - e0)), e0, p, fmt, ties)
-    e0 = se if se < ae else ae
-    zn, ze, _ = _round_int((sn << (se - e0)) - (an << (ae - e0)), e0, p, fmt, ties)
-    e0 = be if be < ze else ze
-    en, ee, _ = _round_int((bn << (be - e0)) - (zn << (ze - e0)), e0, p, fmt, ties)
+        if a < b and _trailing_zeros(a) < max(b.bit_length() - p, fmt.e_min_q - e):
+            raise PreconditionError(
+                f"fast2sum precondition fails for {_rounded(an, e, fmt)!r}, "
+                f"{_rounded(bn, e, fmt)!r}: no representations with e_a >= e_b and |a| < |b|"
+            )
+    sn = _round_int(an + bn, e, p, fmt, ties)[0]
+    zn = _round_int(sn - an, e, p, fmt, ties)[0]
+    en = _round_int(bn - zn, e, p, fmt, ties)[0]
     if counter is not None:
         counter.rounded += 3
     # The three-op sequence is exact under the precondition; verify anyway.
-    e0 = min(ae, be, se, ee)
-    if (sn << (se - e0)) + (en << (ee - e0)) != (an << (ae - e0)) + (bn << (be - e0)):
+    if sn + en != an + bn:
         raise PreconditionError(
-            f"fast2sum produced a wrong error term for {_rounded(an, ae, fmt)!r}, {_rounded(bn, be, fmt)!r}"
+            f"fast2sum produced a wrong error term for {_rounded(an, e, fmt)!r}, {_rounded(bn, e, fmt)!r}"
         )
-    return sn, se, en, ee
+    return sn, en
 
 
 def _fast2mult_scaled(
-    an: int, ae: int, bn: int, be: int, fmt: Format, ties: str, counter: OpCounter | None
-) -> tuple[int, int, int, int]:
-    """Fast2Mult of the pairs (an, ae), (bn, be): (hn, he, ln, le) with
-    h = o(a*b) and low = fma(a, b, -h), exact; see fast2mult."""
-    prod, ep = an * bn, ae + be
-    hn, he, _ = _round_int(prod, ep, fmt.p, fmt, ties)
-    e0 = ep if ep < he else he
-    ln, le, exact = _round_int((prod << (ep - e0)) - (hn << (he - e0)), e0, fmt.p, fmt, ties)
+    an: int, ae: int, bn: int, be: int, e: int, fmt: Format, ties: str, counter: OpCounter | None
+) -> tuple[int, int]:
+    """Fast2Mult of the pairs (an, ae), (bn, be) at a scale e <= ae + be
+    (any e for a zero product): (hn, ln) with h = o(a*b) and low =
+    fma(a, b, -h), exact, both at scale e; see fast2mult."""
+    prod = an * bn
+    if prod:
+        prod <<= ae + be - e
+    hn = _round_int(prod, e, fmt.p, fmt, ties)[0]
+    ln, exact = _round_int(prod - hn, e, fmt.p, fmt, ties)
     if counter is not None:
         counter.rounded += 2
     if not exact:
@@ -599,7 +592,7 @@ def _fast2mult_scaled(
             f"fast2mult error term of {_rounded(an, ae, fmt)!r}*{_rounded(bn, be, fmt)!r}"
             " is not representable"
         )
-    return hn, he, ln, le
+    return hn, ln
 
 
 def fast2sum(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> tuple[Fpn, Fpn]:
@@ -614,8 +607,9 @@ def fast2sum(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = 
         raise ValueError(_FMT_MISMATCH)
     an, ae = _pair(a, b.e)
     bn, be = _pair(b, ae)
-    sn, se, en, ee = _fast2sum_scaled(an, ae, bn, be, fmt, ties, counter)
-    return _rounded(sn, se, fmt), _rounded(en, ee, fmt)
+    e = ae if ae < be else be
+    sn, en = _fast2sum_scaled(an << (ae - e), bn << (be - e), e, fmt, ties, counter)
+    return _rounded(sn, e, fmt), _rounded(en, e, fmt)
 
 
 def fast2mult(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> tuple[Fpn, Fpn]:
@@ -628,5 +622,6 @@ def fast2mult(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None =
     fmt = a.fmt
     if b.fmt is not fmt and b.fmt != fmt:
         raise ValueError(_FMT_MISMATCH)
-    hn, he, ln, le = _fast2mult_scaled(a.sign * a.m, a.e, b.sign * b.m, b.e, fmt, ties, counter)
-    return _rounded(hn, he, fmt), _rounded(ln, le, fmt)
+    e = a.e + b.e
+    hn, ln = _fast2mult_scaled(a.sign * a.m, a.e, b.sign * b.m, b.e, e, fmt, ties, counter)
+    return _rounded(hn, e, fmt), _rounded(ln, e, fmt)

@@ -334,8 +334,9 @@ def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int
                     below_thm_range += 1
                 if not want_first:
                     continue
-                exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)[2]
-                representable = fits_scaled(*_x_minus_zc1(xn, xe, zn, ze, c1n, c1e), fmt.p, fmt)
+                # x - z*C1 = d * 2^e, built once: the kernel's rounding of it, and fits_scaled
+                e, d, _, exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+                representable = fits_scaled(d, e, fmt.p, fmt)
                 if exact and representable:
                     continue
                 fail = {"exact_first": exact, "representable": representable}
@@ -537,12 +538,12 @@ def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | 
     try:
         if head is None:  # inline for the campaign, where a _first_step_head call costs ~3% a case
             zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
-            un, ue, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+            e, d, un, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
         elif isinstance(head, dict):
             return head
         else:
-            zn, ze, un, ue, exact1 = head
-        exact2, ops = _second_step_pairs(xn, xe, zn, ze, un, ue, c1n, c1e, c2n, c2e, cs, fmt, ties)[4:]
+            zn, ze, e, d, un, exact1 = head
+        exact2, ops = _second_step_pairs(xn, xe, zn, ze, e, d, un, c2n, c2e, cs, fmt, ties)[3:]
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
     if not exact1 or not exact2 or ops != 9:
@@ -552,7 +553,8 @@ def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | 
 
 
 def _first_step_head(xn: int, xe: int, sp: tuple, ties: str) -> tuple | dict:
-    """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, un, ue, exact1) or an error record."""
+    """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, e, d, un, exact1) with
+    x - z*C1 = d * 2^e and u = un * 2^e, or an error record."""
     _, fmt, n, rn, re, sn, se, c1n, c1e, _, _ = sp
     try:
         zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]

@@ -726,13 +726,17 @@ def _pair_chain(x, cs, n, ties, nudge):
     fmt, r, c1, c2, sigma = cs.fmt, cs.r, cs.c1, cs.c2, sigma_for(cs.fmt, n)
     xn, xe = x.sign * x.m, x.e
     zn, ze, *info = reduction._extract_pairs(xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True)
-    un, ue, exact1 = reduction._minus_zc_pairs(xn, xe, zn, ze, c1.sign * c1.m, c1.e, fmt, ties)
-    u = _rounded(un, ue, fmt)
-    u = u.next_up() if nudge else u
-    v1n, v1e, v2n, v2e, exact2, ops = reduction._second_step_pairs(
-        xn, xe, zn, ze, u.sign * u.m, u.e, c1.sign * c1.m, c1.e, c2.sign * c2.m, c2.e, cs, fmt, ties
+    e, d, un, exact1 = reduction._minus_zc_pairs(xn, xe, zn, ze, c1.sign * c1.m, c1.e, fmt, ties)
+    u = _rounded(un, e, fmt)
+    if nudge:  # u one ulp up, on a scale that holds it
+        u = u.next_up()
+        if u.m and u.e < e:
+            d, e = d << (e - u.e), u.e
+        un = u.sign * u.m << (u.e - e) if u.m else 0
+    e, v1n, v2n, exact2, ops = reduction._second_step_pairs(
+        xn, xe, zn, ze, e, d, un, c2.sign * c2.m, c2.e, cs, fmt, ties
     )
-    z, v1, v2 = (_rounded(m, e, fmt) for m, e in ((zn, ze), (v1n, v1e), (v2n, v2e)))
+    z, v1, v2 = (_rounded(m, e, fmt) for m, e in ((zn, ze), (v1n, e), (v2n, e)))
     return z, tuple(info), u, exact1, v1, v2, exact2, ops, 2 + 1 + ops
 
 
@@ -951,9 +955,9 @@ def test_reduce_rounds_integers_of_at_most_4p_bits(monkeypatch):
 
     peak = {}
     for module in (reduction, softfp):
-        def spy(n, e, digits, fmt, ties, real=module._round_int):
+        def spy(n, e, digits, fmt, ties, s=None, real=module._round_int):
             peak[fmt.p] = max(peak.get(fmt.p, 0), abs(n).bit_length())
-            return real(n, e, digits, fmt, ties)
+            return real(n, e, digits, fmt, ties, s)
 
         monkeypatch.setattr(module, "_round_int", spy)
     rng = random.Random(14)

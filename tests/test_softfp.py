@@ -232,22 +232,76 @@ def test_round_int_overflows_exactly_when_fpn_does():
                     except OverflowError:
                         fpn_raises = True
                     try:
-                        m, eq, _ = _round_int(n, e, digits, P5, ties)
-                        assert not fpn_raises and m * Fraction(2) ** eq == want.value, (n, e, digits, ties)
+                        r, _ = _round_int(n, e, digits, P5, ties)
+                        assert not fpn_raises and r * Fraction(2) ** e == want.value, (n, e, digits, ties)
                     except OverflowError:
                         assert fpn_raises, (n, e, digits, ties)
                     seen.add((want.value == n << e, fpn_raises))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_round_int_matches_the_oracle_property():
+    # _round_int against round_rational, the independent oracle: signed n
+    # whose top bit lies from 20 binades below e_min_q to 3 above e_max,
+    # every digits in [2, p], both tie modes, exact ties and roundings that
+    # carry to 2^digits forced; a result above the range raises Fpn()'s own
+    # OverflowError message, and a caller's s gives what the derived one does
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fmt = Format(p=12, e_min_q=-60, e_max=60)
+    wide = Format(fmt.p, fmt.e_min_q, 10 * fmt.e_max)
+    seen = set()
+
+    @hyp.settings(max_examples=2000, deadline=None, derandomize=True)
+    @hyp.given(
+        form=st.sampled_from(["any", "exact", "tie", "carry_tie", "carry_above"]),
+        sign=st.sampled_from([1, -1]),
+        digits=st.integers(2, fmt.p),
+        ties=st.sampled_from([TIES_EVEN, TIES_AWAY]),
+        bits=st.integers(1, (1 << 40) - 1),
+        s=st.integers(1, 30),
+        top=st.integers(fmt.e_min_q - 20, fmt.e_max + 3),
+    )
+    def agree(form, sign, digits, ties, bits, s, top):
+        m = (1 << digits) - 1 if form.startswith("carry") else 1 << (digits - 1) | bits % (1 << (digits - 1))
+        n = {"any": bits, "exact": m << s, "tie": m << s | 1 << (s - 1), "carry_tie": m << s | 1 << (s - 1),
+             "carry_above": m << s | (1 << s) - 1}[form]
+        e = top - n.bit_length() + 1
+        n *= sign
+        v = Fraction(n) * Fraction(2) ** e
+        want = round_rational(v.numerator, v.denominator, wide, digits, ties)
+        try:
+            Fpn(want.sign, want.m, want.e, fmt)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError) as got:
+                _round_int(n, e, digits, fmt, ties)
+            assert str(got.value) == str(exc)
+            seen.add(("overflow", want.value == v))
+            return
+        r, exact = _round_int(n, e, digits, fmt, ties)
+        assert r * Fraction(2) ** e == want.value and exact == (want.value == v) == (r == n)
+        derived = max(abs(n).bit_length() - digits, fmt.e_min_q - e)
+        assert _round_int(n, e, digits, fmt, ties, derived) == (r, exact)
+        if e + abs(n).bit_length() - digits < fmt.e_min_q:  # the quantum is clamped to e_min_q
+            seen.add("subnormal")
+        if 2 * abs(n) % (1 << derived + 1) == 1 << derived if derived > 0 else False:
+            seen.add(("tie", ties))
+        if abs(want.value) == Fraction(2) ** (top + 1):
+            seen.add(("carry", ties))
+
+    agree()
+    assert seen >= {("overflow", True), ("overflow", False), "subnormal", ("tie", TIES_EVEN), ("tie", TIES_AWAY),
+                    ("carry", TIES_EVEN), ("carry", TIES_AWAY)}, seen
+
+
 def test_round_int_zero_keeps_its_scale():
-    # an exact zero is (0, max(e, e_min_q)), so aligning it shifts nothing
-    # toward e_min_q; the Fpn built from it is still the canonical zero
+    # an exact zero is 0 at its operands' scale e, so a case on that scale
+    # shifts nothing toward e_min_q; the Fpn built from it is still the
+    # canonical zero
     for e in (P5.e_min_q + 7, P5.e_min_q - 7):
         for ties in (TIES_EVEN, TIES_AWAY):
-            m, eq, exact = _round_int(0, e, P5.p, P5, ties)
-            assert (m, eq, exact) == (0, max(e, P5.e_min_q), True)
-            for z in (_rounded(m, eq, P5), _round_scaled(0, e, P5.p, P5, ties).value):
+            assert _round_int(0, e, P5.p, P5, ties) == (0, True)
+            for z in (_rounded(0, e, P5), _round_scaled(0, e, P5.p, P5, ties).value):
                 assert (z.sign, z.m, z.e) == (1, 0, P5.e_min_q) and z == Fpn.zero(P5)
 
 
@@ -271,9 +325,9 @@ def test_ops_align_a_zero_operand_at_the_other_operands_scale(monkeypatch):
     fmas = [want(a.value * b.value + c.value) for a, b, c in triples]
     bits = []
 
-    def spy(n, e, digits, fmt, ties, real=softfp._round_int):
+    def spy(n, e, digits, fmt, ties, s=None, real=softfp._round_int):
         bits.append(abs(n).bit_length())
-        return real(n, e, digits, fmt, ties)
+        return real(n, e, digits, fmt, ties, s)
 
     monkeypatch.setattr(softfp, "_round_int", spy)
     for ties in (TIES_EVEN, TIES_AWAY):
@@ -507,14 +561,15 @@ def test_fast2sum_precondition_checked():
 
 
 def test_fast2sum_core_reads_the_narrowest_exponent_from_the_value():
-    # the pair (2^p, e) a carry leaves is the value of the canonical
-    # (2^(p-1), e+1): b's narrowest exponent is e+1 either way, above the
-    # widest exponent e of the odd a = -(2^p - 1) * 2^e, so the
-    # precondition fails for both forms, though this sum comes out exact
-    a, e = -((1 << P5.p) - 1), -3
-    for bn, be in ((1 << P5.p, e), (1 << (P5.p - 1), e + 1)):
+    # b = 2^p * 2^e, the value of the canonical (2^(p-1), e+1), has the
+    # narrowest exponent e+1, above the widest exponent e of the odd
+    # a = -(2^p - 1) * 2^e, so the precondition fails, though this sum
+    # comes out exact; on the lower common scale e-2 as well, where both
+    # integers carry two more trailing zeros
+    a, b, e = -((1 << P5.p) - 1), 1 << P5.p, -3
+    for shift in (0, 2):
         with pytest.raises(PreconditionError, match="precondition fails"):
-            _fast2sum_scaled(a, e, bn, be, P5, TIES_EVEN, None)
+            _fast2sum_scaled(a << shift, b << shift, e - shift, P5, TIES_EVEN, None)
 
 
 def test_fast2mult_random_recomposition():

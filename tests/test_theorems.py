@@ -454,7 +454,7 @@ def test_sweeps_refuse_oversized_spaces_before_running(monkeypatch, fields):
 
     for name in (
         "_sweep_format", "_sweep_xs", "_sweep_rs", "synthetic_set", "extract_z", "_run_second_step_case",
-        "_extract_pairs", "_minus_zc_pairs", "_second_step_pairs", "_set_pairs",
+        "_extract_pairs", "_minus_zc_pairs", "_second_step_pairs", "_set_pairs", "_first_step_head",
     ):
         monkeypatch.setattr(theorems, name, never)
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
@@ -535,12 +535,15 @@ def test_thm3_records_a_small_z_off_the_grid(monkeypatch):
     real_round_int = reduction._round_int
 
     def off_grid(n, e, digits, fmt, ties):
-        m, eq, exact = real_round_int(n, e, digits, fmt, ties)
-        # z = o(t - sigma) rounds at e = -N, sigma's exponent, and z = +-2^-N
-        # is +-2^(p-1) * 2^(e-p+1); t = o(x*R + sigma) >= 2^(p-N-1) never is
-        if abs(m) == 1 << (fmt.p - 1) and eq == e - (fmt.p - 1):
-            return m + (1 if m > 0 else -1), eq, False
-        return m, eq, exact
+        r, exact = real_round_int(n, e, digits, fmt, ties)
+        # z = o(t - sigma) = +-2^-N, N in {0, 1, 2}, is r = +-2^j * 2^-e with
+        # j in {0, -1, -2}; t = o(x*R + sigma) >= 2^(p-N-1) never is.  Its
+        # ulp 2^(j-p+1) is at or above the scale e of x*R
+        a = abs(r)
+        if a & (a - 1) == 0 and -2 <= a.bit_length() - 1 + e <= 0 and a.bit_length() > fmt.p:
+            ulp = 1 << (a.bit_length() - fmt.p)
+            return r + (ulp if r > 0 else -ulp), False
+        return r, exact
 
     monkeypatch.setattr(reduction, "_round_int", off_grid)
     res = check_thm3(CheckConfig(theorem="thm3", p=8, r_step=64))
@@ -556,8 +559,8 @@ def test_thm6_flop_count_is_live(monkeypatch):
 
     real_fast2sum = reduction._fast2sum_scaled
 
-    def uncounted(an, ae, bn, be, fmt, ties, counter):
-        return real_fast2sum(an, ae, bn, be, fmt, ties, None)
+    def uncounted(an, bn, e, fmt, ties, counter):
+        return real_fast2sum(an, bn, e, fmt, ties, None)
 
     monkeypatch.setattr(reduction, "_fast2sum_scaled", uncounted)
     cfg = CheckConfig(
@@ -867,12 +870,19 @@ def _forged_extraction(real):
 def _first_step_one_ulp_up(real):
     """_minus_zc_pairs one ulp above, and flagged inexact, for a z whose
     signed significand is 2 mod 5: the second step then runs on a wrong u.
+    The ulp is that of u's quantum, 2^max(e + bits(d) - p, e_min_q), or of
+    max(e, e_min_q) for a zero u; the case's scale e drops to it if needed.
     (C1 itself one ulp off leaves every first step of this window exact:
     z has at most 5 bits, so x - z*C1 still fits 8.)"""
 
-    def make(xn, xe, zn, *rest):
-        un, ue, exact = real(xn, xe, zn, *rest)
-        return (un + 1, ue, False) if zn % 5 == 2 else (un, ue, exact)
+    def make(xn, xe, zn, ze, cn, ce, fmt, ties):
+        e, d, un, exact = real(xn, xe, zn, ze, cn, ce, fmt, ties)
+        if zn % 5 != 2:
+            return e, d, un, exact
+        q = max(e + d.bit_length() - fmt.p if d else e, fmt.e_min_q)
+        if q < e:
+            d, un, e = d << (e - q), un << (e - q), q
+        return e, d, un + (1 << (q - e)), False
 
     return make
 
@@ -881,10 +891,10 @@ def _miscounting_fast2mult(real):
     """_fast2mult_scaled counting one rounding too many for a z whose signed
     significand is 1 mod 3: the second step then reports 10 ops."""
 
-    def make(zn, ze, cn, ce, fmt, ties, counter):
+    def make(zn, ze, cn, ce, e, fmt, ties, counter):
         if zn % 3 == 1:
             counter.rounded += 1
-        return real(zn, ze, cn, ce, fmt, ties, counter)
+        return real(zn, ze, cn, ce, e, fmt, ties, counter)
 
     return make
 
