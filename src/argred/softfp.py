@@ -349,11 +349,11 @@ def _rounded(n: int, e: int, fmt: Format) -> Fpn:
     sign = 1
     if n < 0:
         sign, n = -1, -n
-    if n:
+    if not n:
+        e = fmt.e_min_q
+    elif n >> (fmt.p - 1) != 1 or e < fmt.e_min_q:  # not already canonical
         d = max(n.bit_length() - fmt.p, fmt.e_min_q - e)
         n, e = (n >> d if d >= 0 else n << -d), e + d
-    else:
-        e = fmt.e_min_q
     x = object.__new__(Fpn)
     x.sign = sign
     x.m = n
@@ -382,10 +382,10 @@ def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn
     eq = max(t - digits + 1, fmt.e_min_q)
     a, d = (a << -eq, den) if eq <= 0 else (a, den << eq)
     q, r = divmod(a, d)
-    half, rest = divmod(r << 1, d)
-    n = q << 2 | half << 1 | (rest != 0)
+    r2 = r << 1  # the half bit is r2 >= d; the sticky bit, a remainder below it
+    n = q << 2 | (r2 >= d) << 1 | (r != 0 and r2 != d)
     r, _ = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties, 2)
-    return _rounded(r, eq - 2, fmt)
+    return _rounded(r >> 2, eq, fmt)
 
 
 def round_nearest(

@@ -274,6 +274,19 @@ def test_second_step_grid_violation_raises():
             second_step(x, z, Fpn(1, 1, on_grid_exp - 1, DOUBLE), cs)
 
 
+def test_second_step_v1_grid_violation_raises():
+    # C2 = (2^52 + 1) * 2^-105 is off the 2^-104 grid, so z*C2 = 3*C2 rounds
+    # to p1 with the error p2 = -2^-105.  With u = p1, t1 = o(u - p1) = 0 is
+    # on the grid and the last line is exact, while v1 = o(u - z*C2) = -p2
+    # is not: only v1's grid check can object
+    cs = dataclasses.replace(synthetic_set(CS_PI.r), c2=Fpn(1, (1 << 52) + 1, -105, DOUBLE))
+    z = Fpn.from_int(3, DOUBLE)
+    p1, p2 = fast2mult(z, cs.c2)
+    assert p2.value == -Fraction(1, 2**105)
+    with pytest.raises(TheoremViolation, match=r"v1 is not a multiple of 2\^\(-N-1\)\*ulp2\(C1\): 4503599627370496 \* 2\^-157"):
+        second_step(Fpn.from_int(10, DOUBLE), z, p1, cs)
+
+
 def test_third_step_and_residual():
     x = Fpn.from_int(10, DOUBLE)
     out = reduce(x, CS_PI)
@@ -914,12 +927,18 @@ def test_reduce_runs_the_core_once_and_builds_five_fpns(monkeypatch):
 
     for name in ("extract_z", "first_step", "second_step", "third_step", "residual_interval"):
         monkeypatch.setattr(reduction, name, never)
+    checked = []
+    init = Fpn.__init__
     for x, cs in (
         (Fpn.from_int(10, DOUBLE), CS_PI), (Fpn.from_int(-700, DOUBLE), CS_LN2), (Fpn.zero(QUAD), _preset_set(PI, QUAD, 5))
     ):
+        reduce(x, cs)  # sigma_for builds its Fpn once per (format, N)
         built.clear()
+        # the five results are built on the trusted path, not by Fpn.__init__
+        monkeypatch.setattr(Fpn, "__init__", lambda self, *a: checked.append(a) or init(self, *a))
         out = reduce(x, cs)
-        assert [rounded(*pair) for pair in built] == list(out[:5])
+        monkeypatch.setattr(Fpn, "__init__", init)
+        assert [rounded(*pair) for pair in built] == list(out[:5]) and not checked
     # the fields, their order and defaults; the output is immutable
     assert reduction.ReductionOutput._fields == (
         "z", "u", "v1", "v2", "w", "ell", "s", "exact_first", "exact_second", "rounding_ops_second",
