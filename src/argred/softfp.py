@@ -308,9 +308,7 @@ _op_result = tuple.__new__
 # ---------------------------------------------------------------------------
 
 
-def _round_int(
-    n: int, e: int, digits: int, fmt: Format, ties: str, s: int | None = None
-) -> tuple[int, bool]:
+def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str, s: int | None = None) -> tuple[int, bool]:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
     Returns (r, exact): the rounded value is r * 2**e, at n's own scale,
@@ -349,11 +347,13 @@ def _rounded(n: int, e: int, fmt: Format) -> Fpn:
     sign = 1
     if n < 0:
         sign, n = -1, -n
-    if not n:
-        e = fmt.e_min_q
-    elif n >> (fmt.p - 1) != 1 or e < fmt.e_min_q:  # not already canonical
-        d = max(n.bit_length() - fmt.p, fmt.e_min_q - e)
+    if n:
+        d = n.bit_length() - fmt.p
+        if e + d < fmt.e_min_q:
+            d = fmt.e_min_q - e
         n, e = (n >> d if d >= 0 else n << -d), e + d
+    else:
+        e = fmt.e_min_q
     x = object.__new__(Fpn)
     x.sign = sign
     x.m = n
@@ -545,9 +545,7 @@ def is_representable(v: Union[Fraction, int], digits: int, fmt: Format) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fast2sum_scaled(
-    an: int, bn: int, e: int, fmt: Format, ties: str, counter: OpCounter | None
-) -> tuple[int, int]:
+def _fast2sum_scaled(an: int, bn: int, e: int, fmt: Format, ties: str, counter: OpCounter | None) -> tuple[int, int]:
     """Fast2Sum of a = an * 2**e and b = bn * 2**e on their common scale:
     (sn, en) with s = o(a + b) and err = b - o(o(a + b) - a), exact, both
     at the same scale; see fast2sum."""
