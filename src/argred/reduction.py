@@ -39,6 +39,7 @@ from .softfp import (
     OpResult,
     PreconditionError,
     UnderflowError,
+    _canonical,
     _dyadic,
     _fast2mult_scaled,
     _fast2sum_scaled,
@@ -196,10 +197,7 @@ def _extract_pairs(
     # z's canonical exponent, e_min_q for z = 0
     k, in_range, ze = 0, False, e0
     if zn:
-        d = (zn if zn > 0 else -zn).bit_length() - p
-        if e0 + d < e_min:
-            d = e_min - e0
-        zn, ze = (zn >> d if d >= 0 else zn << -d), e0 + d
+        zn, ze = _canonical(zn, e0, fmt)
         shift = ze + n
         if shift >= 0:
             k = zn << shift

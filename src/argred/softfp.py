@@ -308,21 +308,17 @@ _op_result = tuple.__new__
 # ---------------------------------------------------------------------------
 
 
-def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str, s: int | None = None) -> tuple[int, bool]:
+def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int, bool]:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
     Returns (r, exact): the rounded value is r * 2**e, at n's own scale,
-    and exact is r == n.  s, when given, is the number of low bits of n
-    below the result's quantum, max(bits(n) - digits, e_min_q - e), as a
-    caller that derived it passes it.  The kernel's only tie rule.  A
-    result above fmt's range raises OverflowError, exact or not, as
-    Fpn() does.
+    and exact is r == n.  The kernel's only tie rule.  A result above
+    fmt's range raises OverflowError, exact or not, as Fpn() does.
     """
     a = n if n > 0 else -n
-    if s is None:
-        s = a.bit_length() - digits
-        if e + s < fmt.e_min_q:
-            s = fmt.e_min_q - e
+    s = a.bit_length() - digits  # the low bits of n below the result's quantum
+    if e + s < fmt.e_min_q:
+        s = fmt.e_min_q - e
     r, exact = n, True
     if s > 0:
         m = a >> s
@@ -339,19 +335,24 @@ def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str, s: int | Non
     return r, exact
 
 
+def _canonical(n: int, e: int, fmt: Format) -> tuple[int, int]:
+    """The canonical signed pair of a nonzero n * 2**e whose value is an
+    FPN of fmt: n shifted to p bits, or to the quantum 2**e_min_q."""
+    d = (n if n > 0 else -n).bit_length() - fmt.p
+    if e + d < fmt.e_min_q:
+        d = fmt.e_min_q - e
+    return (n >> d if d >= 0 else n << -d), e + d
+
+
 def _rounded(n: int, e: int, fmt: Format) -> Fpn:
     """The canonical Fpn of a signed pair n * 2**e whose value is an FPN
     of fmt, such as a _round_int result, built without Fpn.__init__ (see
-    the module docstring): n shifted to p bits, or to the quantum
-    2**e_min_q, and a zero at e_min_q."""
+    the module docstring): _canonical's pair, and a zero at e_min_q."""
     sign = 1
     if n < 0:
         sign, n = -1, -n
     if n:
-        d = n.bit_length() - fmt.p
-        if e + d < fmt.e_min_q:
-            d = fmt.e_min_q - e
-        n, e = (n >> d if d >= 0 else n << -d), e + d
+        n, e = _canonical(n, e, fmt)
     else:
         e = fmt.e_min_q
     x = object.__new__(Fpn)
@@ -372,8 +373,7 @@ def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn
     """The Fpn nearest the exact rational num/den (den > 0) at digits bits.
 
     The quotient at the result's quantum goes to _round_int with two
-    sticky bits below it (00 exact, 01 below half, 10 half, 11 above) and
-    with those two bits as its s: the quantum is derived here only.
+    sticky bits below it: 00 exact, 01 below half, 10 half, 11 above.
     """
     a = num if num > 0 else -num
     t = a.bit_length() - den.bit_length()  # floor(log2(a/den)), or one above it
@@ -382,9 +382,9 @@ def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn
     eq = max(t - digits + 1, fmt.e_min_q)
     a, d = (a << -eq, den) if eq <= 0 else (a, den << eq)
     q, r = divmod(a, d)
-    r2 = r << 1  # the half bit is r2 >= d; the sticky bit, a remainder below it
-    n = q << 2 | (r2 >= d) << 1 | (r != 0 and r2 != d)
-    r, _ = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties, 2)
+    half, rest = divmod(r << 1, d)
+    n = q << 2 | half << 1 | (rest != 0)
+    r, _ = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties)
     return _rounded(r >> 2, eq, fmt)
 
 

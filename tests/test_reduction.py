@@ -974,9 +974,9 @@ def test_reduce_rounds_integers_of_at_most_4p_bits(monkeypatch):
 
     peak = {}
     for module in (reduction, softfp):
-        def spy(n, e, digits, fmt, ties, s=None, real=module._round_int):
+        def spy(n, e, digits, fmt, ties, real=module._round_int):
             peak[fmt.p] = max(peak.get(fmt.p, 0), abs(n).bit_length())
-            return real(n, e, digits, fmt, ties, s)
+            return real(n, e, digits, fmt, ties)
 
         monkeypatch.setattr(module, "_round_int", spy)
     rng = random.Random(14)

@@ -245,7 +245,7 @@ def test_round_int_matches_the_oracle_property():
     # whose top bit lies from 20 binades below e_min_q to 3 above e_max,
     # every digits in [2, p], both tie modes, exact ties and roundings that
     # carry to 2^digits forced; a result above the range raises Fpn()'s own
-    # OverflowError message, and a caller's s gives what the derived one does
+    # OverflowError message
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     fmt = Format(p=12, e_min_q=-60, e_max=60)
@@ -281,7 +281,6 @@ def test_round_int_matches_the_oracle_property():
         r, exact = _round_int(n, e, digits, fmt, ties)
         assert r * Fraction(2) ** e == want.value and exact == (want.value == v) == (r == n)
         derived = max(abs(n).bit_length() - digits, fmt.e_min_q - e)
-        assert _round_int(n, e, digits, fmt, ties, derived) == (r, exact)
         if e + abs(n).bit_length() - digits < fmt.e_min_q:  # the quantum is clamped to e_min_q
             seen.add("subnormal")
         if 2 * abs(n) % (1 << derived + 1) == 1 << derived if derived > 0 else False:
@@ -325,9 +324,9 @@ def test_ops_align_a_zero_operand_at_the_other_operands_scale(monkeypatch):
     fmas = [want(a.value * b.value + c.value) for a, b, c in triples]
     bits = []
 
-    def spy(n, e, digits, fmt, ties, s=None, real=softfp._round_int):
+    def spy(n, e, digits, fmt, ties, real=softfp._round_int):
         bits.append(abs(n).bit_length())
-        return real(n, e, digits, fmt, ties, s)
+        return real(n, e, digits, fmt, ties)
 
     monkeypatch.setattr(softfp, "_round_int", spy)
     for ties in (TIES_EVEN, TIES_AWAY):
