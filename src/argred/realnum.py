@@ -32,7 +32,6 @@ __all__ = [
     "ln2_enclosure",
     "pi_enclosure",
     "round_rational",
-    "round_to_int",
     "safe_round",
 ]
 
@@ -214,11 +213,6 @@ def safe_round(
 ) -> Fpn:
     """Round the enclosed constant, refining until the answer is unique."""
     return _refined(enc, lambda v: round_nearest(v, fmt, target_p, ties))
-
-
-def round_to_int(enc: RealEnclosure, ties: str = TIES_EVEN) -> int:
-    """Round the enclosed value to an integer, refining across ties."""
-    return _refined(enc, lambda v: _int_nearest(v.numerator, v.denominator, ties))
 
 
 _CAPPED = "rounding still ambiguous after refinement cap; is the constant representable or exactly a tie?"

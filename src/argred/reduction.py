@@ -17,8 +17,10 @@ arithmetic and checks are written once, in a core on signed integers
 that rounds with softfp._round_int, the kernel's one rounding and tie
 rule.  Each stage puts its terms on one common scale 2^e once and rounds
 plain integer expressions there, so exactness is r == n and the second
-step's recompositions are integer equalities: the first step runs at
-min(x.e, z.e + C1.e), lowered to z.e + C2.e for the second.  reduce runs
+step's recompositions are integer equalities.  Extraction rounds and
+checks at e0 = min(x.e + R.e, sigma.e) and hands z on as the pair
+(k, -N); the first step runs at min(x.e, C1.e - N), lowered to
+C2.e - N for the second.  reduce runs
 the core once per x and builds an Fpn, on the trusted path, only for the
 five values it returns; the four public stages are thin Fpn wrappers
 over it, and the thm6 campaign and the sweeps call it directly.
@@ -39,7 +41,6 @@ from .softfp import (
     OpResult,
     PreconditionError,
     UnderflowError,
-    _canonical,
     _dyadic,
     _fast2mult_scaled,
     _fast2sum_scaled,
@@ -162,8 +163,11 @@ def extract_z(
         n = cs.n
     elif n > cs.n:
         _require_covered(cs, n)
-    zn, ze, *info = _extract(x, cs.r, n, ties, counter, check)
-    return _rounded(zn, ze, x.fmt), tuple.__new__(ZExtractInfo, info)
+    zn, ze, k, ell, s, e0, in_range = _extract(x, cs.r, n, ties, counter, check)
+    z = _rounded(zn, ze, x.fmt)
+    s_exp = min(z.e, x.e + cs.r.e)  # ZExtractInfo's s is over z's canonical exponent, or x*R's if lower
+    s = s << (e0 - s_exp) if e0 >= s_exp else s >> (s_exp - e0)
+    return z, tuple.__new__(ZExtractInfo, (k, ell, s, s_exp, in_range))
 
 
 def _extract(x: Fpn, r: Fpn, n: int, ties: str, counter: OpCounter | None, check: bool) -> tuple:
@@ -175,8 +179,8 @@ def _extract(x: Fpn, r: Fpn, n: int, ties: str, counter: OpCounter | None, check
     _check_fmt(fmt, r)
     if counter is not None:
         counter.rounded += 2
-    if not x.m:  # t = sigma, z = 0 exactly; s = 0 over min(z's e_min_q, x.e + R.e), as _extract_pairs puts it
-        return 0, fmt.e_min_q, 0, 0, 0, min(fmt.e_min_q, x.e + r.e), False
+    if not x.m:  # t = sigma, z = 0 exactly, and s = 0
+        return 0, -n, 0, 0, 0, 0, False
     return _extract_pairs(x.sign * x.m, x.e, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check)
 
 
@@ -184,39 +188,33 @@ def _extract_pairs(
     xn: int, xe: int, rn: int, re: int, sn: int, se: int, n: int, fmt: Format, ties: str, check: bool
 ) -> tuple[int, int, int, int, int, int, bool]:
     """z = o(o(x*R + sigma) - sigma) for an in-range x and sigma > 0, and
-    its diagnostics: (zn, ze, k, ell, s_num, s_exp, in_thm_range), z's
-    canonical pair, or (0, e) at the rounding's scale for z = 0."""
-    xr_num, xr_exp = xn * rn, xe + re
+    its diagnostics, checked at the rounding's scale e0 = min(x.e + R.e,
+    sigma.e): (zn, ze, k, ell, s, e0, in_thm_range) with z = zn * 2^ze the
+    pair (k, -N), or at e0 when check=False lets a z off the 2^-N grid
+    through, and x*R - z = s * 2^e0 exactly."""
+    xr_exp = xe + re
     e0 = xr_exp if xr_exp < se else se
-    xr, sn = xr_num << (xr_exp - e0), sn << (se - e0)
-    p, e_min = fmt.p, fmt.e_min_q
+    xr, sn = xn * rn << (xr_exp - e0), sn << (se - e0)
+    p = fmt.p
     tn = _round_int(xr + sn, e0, p, fmt, ties)[0]
     zn = _round_int(tn - sn, e0, p, fmt, ties)[0]
-
-    # diagnostics, exactly in scaled integers; ZExtractInfo reports s over
-    # z's canonical exponent, e_min_q for z = 0
-    k, in_range, ze = 0, False, e0
-    if zn:
-        zn, ze = _canonical(zn, e0, fmt)
-        shift = ze + n
-        if shift >= 0:
-            k = zn << shift
-        elif zn & ((1 << -shift) - 1) == 0:
-            k = zn >> -shift
-        elif check:
-            raise TheoremViolation(f"z*2^N is not an integer: z={_rounded(zn, ze, fmt).to_text()}, N={n}")
-        in_range = (zn if zn > 0 else -zn).bit_length() - 1 + ze >= 1 - n
+    s, shift = xr - zn, e0 + n
+    if shift >= 0:
+        k = zn << shift
+    elif zn & ((1 << -shift) - 1) == 0:
+        k = zn >> -shift
+    elif check:
+        raise TheoremViolation(f"z*2^N is not an integer: z={_rounded(zn, e0, fmt).to_text()}, N={n}")
+    else:  # k and ell stay 0; in_thm_range is |z| >= 2^(1-N)
+        return zn, e0, 0, 0, s, e0, (zn if zn > 0 else -zn).bit_length() + shift >= 2
     ell = (k if k >= 0 else -k).bit_length()
-    e0 = ze if zn else e_min
-    if xr_exp < e0:
-        e0 = xr_exp
-    s_num = (xr_num << (xr_exp - e0)) - (zn << (ze - e0))
+    in_range = ell >= 2  # |z| >= 2^(1-N)
     if check and in_range:
-        if not 2 <= ell <= p - 2:
-            raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={_rounded(zn, ze, fmt).to_text()}")
-        if not s_within_half(s_num, e0, n):
-            raise TheoremViolation(f"|x*R - z| = {abs(_over(s_num, 1, e0))} > 2^-(N+1)")
-    return zn, ze, k, ell, s_num, e0, in_range
+        if ell > p - 2:
+            raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={_rounded(k, -n, fmt).to_text()}")
+        if not s_within_half(s, e0, n):
+            raise TheoremViolation(f"|x*R - z| = {abs(_over(s, 1, e0))} > 2^-(N+1)")
+    return k, -n, k, ell, s, e0, in_range
 
 
 def _minus_zc_pairs(

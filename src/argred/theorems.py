@@ -533,7 +533,8 @@ def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
 
 def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | dict | None = None) -> dict | None:
     """One thm6 case on the pair core: x = xn * 2^xe, in range, against the set
-    pairs sp of _set_pairs, from its _first_step_head if given.  A failure record, or None."""
+    pairs sp of _set_pairs, from its _first_step_head if given; z goes on as
+    extraction's (k, -N).  A failure record, or None."""
     cs, fmt, n, rn, re, sn, se, c1n, c1e, c2n, c2e = sp
     try:
         if head is None:  # inline for the campaign, where a _first_step_head call costs ~3% a case
@@ -554,7 +555,7 @@ def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | 
 
 def _first_step_head(xn: int, xe: int, sp: tuple, ties: str) -> tuple | dict:
     """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, e, d, un, exact1) with
-    x - z*C1 = d * 2^e and u = un * 2^e, or an error record."""
+    z = zn * 2^ze as the pair (k, -N), x - z*C1 = d * 2^e and u = un * 2^e, or an error record."""
     _, fmt, n, rn, re, sn, se, c1n, c1e, _, _ = sp
     try:
         zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]

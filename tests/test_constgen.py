@@ -9,15 +9,17 @@ from pathlib import Path
 import pytest
 
 import argred.constgen as constgen
-from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, Fpn, Format, round_nearest, ulp, ulp2, ulp2_exp
+from argred.softfp import DOUBLE, DOUBLE_EXTENDED, QUAD, SINGLE, TIES_EVEN, Fpn, Format, round_nearest, ulp, ulp2
+from argred.softfp import ulp2_exp
 from argred.realnum import (
     LN2,
     PI,
     AmbiguousRoundingError,
     Constant,
     RealEnclosure,
+    _int_nearest,
+    _refined,
     pi_enclosure,
-    round_to_int,
     safe_round,
 )
 from argred.reduction import extract_z
@@ -297,6 +299,12 @@ def test_extract_z_refuses_above_the_set_n_exactly_when_generation_does():
 # ---------------------------------------------------------------------------
 # generation on the scaled integer enclosure against the Fraction route
 # ---------------------------------------------------------------------------
+
+
+def round_to_int(enc):
+    """The enclosed value rounded to an integer, ties to even, refined
+    across ties (test_realnum tests the same reference)."""
+    return _refined(enc, lambda v: _int_nearest(v.numerator, v.denominator, TIES_EVEN))
 
 
 def _fraction_route(constant, fmt, n, q):

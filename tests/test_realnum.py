@@ -17,12 +17,19 @@ from argred.realnum import (
     AmbiguousRoundingError,
     Constant,
     RealEnclosure,
+    _int_nearest,
+    _refined,
     ln2_enclosure,
     pi_enclosure,
     round_rational,
-    round_to_int,
     safe_round,
 )
+
+
+def round_to_int(enc, ties=TIES_EVEN):
+    """The enclosed value rounded to an integer, refined across ties: the
+    Fraction-route reference for C2's multiple (test_constgen has one too)."""
+    return _refined(enc, lambda v: _int_nearest(v.numerator, v.denominator, ties))
 
 
 def test_known_leading_digits():

@@ -31,7 +31,7 @@ from argred.softfp import (
     ulp2,
     ulp2_exp,
 )
-from argred.softfp import _dyadic, _rounded
+from argred.softfp import _canonical, _dyadic, _fast2mult_scaled, _fast2sum_scaled, _rounded
 from argred.realnum import LN2, PI, Constant, RealEnclosure
 from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
 from argred.theorems import CheckConfig, _random_xs, _sweep_space
@@ -613,7 +613,14 @@ def _reference_extract_z(x, cs, n=None, ties=TIES_EVEN, counter=None, check=True
         raise ReductionRangeError(
             f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; x={x.to_text()}, R={r.to_text()}"
         )
-    sigma = reduction.sigma_for(x.fmt, n)
+    z, k, ell, s, in_range = _reference_extraction(x, r, reduction.sigma_for(x.fmt, n), n, ties, counter, check)
+    s_exp = min(x.e + r.e, z.e)
+    return z, reduction.ZExtractInfo(k, ell, int(s / Fraction(2) ** s_exp), s_exp, in_range)
+
+
+def _reference_extraction(x, r, sigma, n, ties, counter, check):
+    """z = o(o(x*R + sigma) - sigma) by the public ops, and extraction's
+    three checks, in their order, on exact values: (z, k, ell, s, in_range)."""
     t, _ = fma(x, r, sigma, ties, counter)
     z, _ = sub(t, sigma, ties, counter)
     k, in_range = 0, False
@@ -626,14 +633,13 @@ def _reference_extract_z(x, cs, n=None, ties=TIES_EVEN, counter=None, check=True
         k = int(k)
         in_range = abs(z.value) >= Fraction(2) ** (1 - n)
     ell = abs(k).bit_length()
-    s_exp = min(x.e + r.e, z.e)
     s = x.value * r.value - z.value
     if check and in_range:
         if not 2 <= ell <= x.fmt.p - 2:
             raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={z.to_text()}")
         if abs(s) > Fraction(1, 2 ** (n + 1)):
             raise TheoremViolation(f"|x*R - z| = {abs(s)} > 2^-(N+1)")
-    return z, reduction.ZExtractInfo(k, ell, int(s / Fraction(2) ** s_exp), s_exp, in_range)
+    return z, k, ell, s, in_range
 
 
 def _reference_third_step(v1, v2, z, cs, ties=TIES_EVEN, counter=None):
@@ -711,6 +717,48 @@ def test_z_extraction_and_third_step_lane_match_the_public_ops_on_p8_sets(ties):
     assert cases > 2_000
 
 
+def _core_extraction(x, r, sigma, n, ties, check):
+    """_extract_pairs, the core the campaign calls, on Fpn operands: (z, k,
+    ell, s, in_range) as _reference_extraction gives them."""
+    fmt = x.fmt
+    zn, ze, k, ell, s, e0, in_range = reduction._extract_pairs(
+        x.sign * x.m, x.e, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check
+    )
+    return _rounded(zn, ze, fmt), k, ell, reduction._over(s, 1, e0), in_range
+
+
+@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+def test_extraction_core_raises_each_check_with_its_text(constant):
+    # a few ulps past the range, z = 2^(p-2-N): k is one bit over ell's
+    # bound; a sigma for N+1 leaves z off the 2^-N grid, one for N-1
+    # leaves |x*R - z| up to 2^-N: each check raises its own text, in its
+    # order
+    rng = random.Random(5)
+    texts = ("z*2^N is not an integer", "ell=", "|x*R - z| = ")
+    raised = set()
+    for fmt in (SINGLE, DOUBLE, QUAD):
+        for n in (1, 5):
+            cs = _preset_set(constant, fmt, n)
+            past, sigma = _top_of_range(cs, n).next_up(), sigma_for(fmt, n)
+            while _core_extraction(past, cs.r, sigma, n, TIES_EVEN, False)[2] < fmt.p - 1:
+                past = past.next_up()
+            for x in (past, -past):
+                z = Fpn(x.sign, 1, fmt.p - 2 - n, fmt).to_text()
+                want = (TheoremViolation, f"ell={fmt.p - 1} outside [2, p-2] for z={z}")
+                assert _outcome_of(_core_extraction, x, cs.r, sigma, n, TIES_EVEN, True) == want
+            xs = [past, -past] + [_random_in_range_x(rng, fmt, cs.r, n) for _ in range(40)]
+            for sigma in (sigma, sigma_for(fmt, n + 1), sigma_for(fmt, n - 1)):
+                for x in xs:
+                    for ties in (TIES_EVEN, TIES_AWAY):
+                        for check in (True, False):
+                            args = (x, cs.r, sigma, n, ties)
+                            got = _outcome_of(_core_extraction, *args, check)
+                            assert got == _outcome_of(_reference_extraction, *args, None, check), (x, sigma, check)
+                            if isinstance(got[0], type):
+                                raised.update(t for t in texts if got[1].startswith(t))
+    assert raised == set(texts)
+
+
 # ---------------------------------------------------------------------------
 # the pair core, composed as the thm6 campaign runs it, against the stages
 # ---------------------------------------------------------------------------
@@ -730,27 +778,36 @@ def _public_chain(x, cs, n, ties, nudge):
     u = u.next_up() if nudge else u
     ss = second_step(x, z, u, cs, ties, counter)
     assert ss.last_line_exact
-    return z, tuple(info), u, exact1, ss.v1, ss.v2, ss.exact, ss.ops, counter.rounded
+    info = (info.k, info.ell, info.s, info.in_thm_range)
+    return z, info, u, exact1, ss.v1, ss.v2, ss.exact, ss.ops, counter.rounded
+
+
+def _one_ulp_up(e, d, un, fmt):
+    """u = un * 2^e one ulp up, with x - z*C1 = d * 2^e, on a scale that holds it."""
+    u = _rounded(un, e, fmt).next_up()
+    if u.m and u.e < e:
+        d, e = d << (e - u.e), u.e
+    return e, d, (u.sign * u.m << (u.e - e) if u.m else 0)
 
 
 def _pair_chain(x, cs, n, ties, nudge):
     """The same on the pair core, its values read off the set once, as
-    _thm6_chunk reads them; an Fpn only for the comparison."""
+    _thm6_chunk reads them; an Fpn, and s by value, only for the comparison."""
     fmt, r, c1, c2, sigma = cs.fmt, cs.r, cs.c1, cs.c2, sigma_for(cs.fmt, n)
     xn, xe = x.sign * x.m, x.e
-    zn, ze, *info = reduction._extract_pairs(xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True)
+    zn, ze, k, ell, s, s_exp, in_range = reduction._extract_pairs(
+        xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True
+    )
     e, d, un, exact1 = reduction._minus_zc_pairs(xn, xe, zn, ze, c1.sign * c1.m, c1.e, fmt, ties)
+    if nudge:
+        e, d, un = _one_ulp_up(e, d, un, fmt)
     u = _rounded(un, e, fmt)
-    if nudge:  # u one ulp up, on a scale that holds it
-        u = u.next_up()
-        if u.m and u.e < e:
-            d, e = d << (e - u.e), u.e
-        un = u.sign * u.m << (u.e - e) if u.m else 0
     e, v1n, v2n, exact2, ops = reduction._second_step_pairs(
         xn, xe, zn, ze, e, d, un, c2.sign * c2.m, c2.e, cs, fmt, ties
     )
     z, v1, v2 = (_rounded(m, e, fmt) for m, e in ((zn, ze), (v1n, e), (v2n, e)))
-    return z, tuple(info), u, exact1, v1, v2, exact2, ops, 2 + 1 + ops
+    info = (k, ell, reduction._over(s, 1, s_exp), in_range)
+    return z, info, u, exact1, v1, v2, exact2, ops, 2 + 1 + ops
 
 
 def test_pair_core_matches_the_public_stages_property():
@@ -794,6 +851,118 @@ def test_pair_core_matches_the_public_stages_property():
 
     agree()
     assert seen == {None, ReductionRangeError, TheoremViolation}
+
+
+def _lower(n, e, j):
+    """The pair (n, e) re-expressed j bits lower."""
+    return n << j, e - j
+
+
+def _steps_outcome(x, z, cs, ties, nudge, jc, jd):
+    """_minus_zc_pairs and _second_step_pairs on the pairs x and z, with C1
+    and C2 jc bits and the step's terms jd bits lower: every result as a
+    value, the flags, the count, or the raise."""
+    fmt = cs.fmt
+    c1n, c1e, c2n, c2e = cs.pairs[2:6]
+    e, d, un, exact1 = reduction._minus_zc_pairs(*x, *z, *_lower(c1n, c1e, jc), fmt, ties)
+    if nudge:
+        e, d, un = _one_ulp_up(e, d, un, fmt)
+    d, e = _lower(d, e, jd)
+    un <<= jd
+    first = (_dyadic(d, e), _dyadic(un, e), exact1)
+    try:
+        e, v1n, v2n, exact2, ops = reduction._second_step_pairs(*x, *z, e, d, un, *_lower(c2n, c2e, jc), cs, fmt, ties)
+    except TheoremViolation as exc:
+        return first + (type(exc), str(exc))
+    return first + (_dyadic(v1n, e), _dyadic(v2n, e), exact2, ops)
+
+
+def _eft_outcome(fn, *args):
+    """An error-free transformation core's two results as values, at the
+    scale e of its last argument before fmt, and its count, or the raise."""
+    counter = OpCounter()
+    *_, e, fmt, ties = args
+    try:
+        hn, ln = fn(*args, counter)
+    except (PreconditionError, UnderflowError) as exc:
+        return type(exc), str(exc)
+    return _dyadic(hn, e), _dyadic(ln, e), counter.rounded
+
+
+def test_pair_core_does_not_depend_on_scale_property():
+    # the core reads values, not pairs: its operands j bits lower, or z as
+    # extraction's (k, -N) or canonical, give the same values, flags,
+    # counts and raises; Fast2Sum at its precondition's boundary too
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    shift = st.integers(0, 80)
+    seen = set()
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(
+        constant=st.sampled_from([PI, LN2]),
+        fmt=st.sampled_from([SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD]),
+        n=st.sampled_from([0, 1, 5, 10]),
+        ties=st.sampled_from([TIES_EVEN, TIES_AWAY]),
+        sign=st.sampled_from([1, -1]),
+        frac=st.integers(0, (1 << 112) - 1),
+        binade=st.integers(0, 137),
+        nudge=st.booleans(),
+        canonical=st.booleans(),
+        jx=shift, jz=shift, jc=shift, jd=shift,
+    )
+    def steps(constant, fmt, n, ties, sign, frac, binade, nudge, canonical, jx, jz, jc, jd):
+        cs = _preset_set(constant, fmt, n)
+        x = Fpn(sign, (1 << (fmt.p - 1)) | frac % (1 << (fmt.p - 1)), -n - 2 - binade % (fmt.p + 26) + 1, fmt)
+        if not xr_in_bounds(x, cs.r, n):
+            return
+        r, sigma, xp = cs.r, sigma_for(fmt, n), (x.sign * x.m, x.e)
+        z = reduction._extract_pairs(*xp, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True)[:2]
+        assert z[1] == -n
+        base = _steps_outcome(xp, z, cs, ties, nudge, 0, 0)
+        if canonical and z[0]:
+            z = _canonical(*z, fmt)
+        assert _steps_outcome(_lower(*xp, jx), _lower(*z, jz), cs, ties, nudge, jc, jd) == base
+        seen.add(base[3] if isinstance(base[3], type) else None)
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(
+        fmt=st.sampled_from([Format(p=8, e_min_q=-60, e_max=200), SINGLE, DOUBLE]),
+        ties=st.sampled_from([TIES_EVEN, TIES_AWAY]),
+        sa=st.sampled_from([1, -1]),
+        sb=st.sampled_from([1, -1]),
+        ma=st.integers(0, (1 << 113) - 1),
+        mb=st.integers(0, (1 << 113) - 1),
+        ta=st.integers(0, 30),
+        tb=st.integers(1, 30),
+        e=st.integers(-80, 0),
+        eb=st.integers(-30, 0),
+        boundary=st.sampled_from([None, "below", "at"]),
+        j=shift, i=shift,
+    )
+    def efts(fmt, ties, sa, sb, ma, mb, ta, tb, e, eb, boundary, j, i):
+        p, e = fmt.p, max(e, fmt.e_min_q)
+        mb = (1 << (p - 1)) | mb % (1 << (p - 1))
+        bn = sb * mb << tb  # b's narrowest exponent is e + tb
+        if boundary is None:
+            an = sa * (ma % (1 << p)) << ta
+        else:
+            # |a| < |b| with a an odd multiple of 2^t: t below b's narrowest
+            # exponent fails Fast2Sum's precondition, t at it holds
+            t = tb - (boundary == "below")
+            an = sa * (2 * (ma % (mb >> 1)) + 1) << t
+        got = _eft_outcome(_fast2sum_scaled, an, bn, e, fmt, ties)
+        assert _eft_outcome(_fast2sum_scaled, an << j, bn << j, e - j, fmt, ties) == got
+        if boundary is not None:
+            assert isinstance(got[0], type) == (boundary == "below")
+        seen.add(got[0] if isinstance(got[0], type) else None)
+        got = _eft_outcome(_fast2mult_scaled, an, e, bn, eb, e + eb, fmt, ties)
+        assert _eft_outcome(_fast2mult_scaled, an << j, e - j, bn, eb, e + eb - j - i, fmt, ties) == got
+        seen.add(got[0] if isinstance(got[0], type) else None)
+
+    steps()
+    efts()
+    assert seen == {None, TheoremViolation, PreconditionError, UnderflowError}
 
 
 def _outcome_of(fn, *args):

@@ -869,17 +869,20 @@ def _forged_extraction(real):
 
 def _first_step_one_ulp_up(real):
     """_minus_zc_pairs one ulp above, and flagged inexact, for a z whose
-    signed significand is 2 mod 5: the second step then runs on a wrong u.
-    The ulp is that of u's quantum, 2^max(e + bits(d) - p, e_min_q), or of
-    max(e, e_min_q) for a zero u; the case's scale e drops to it if needed.
-    (C1 itself one ulp off leaves every first step of this window exact:
-    z has at most 5 bits, so x - z*C1 still fits 8.)"""
+    canonical signed significand is 2 mod 5: the second step then runs on a
+    wrong u.  The ulp is that of u's quantum, 2^max(e + bits(d) - p, e_min_q),
+    or, for a zero u, of max(min(xe, ze + ce), e_min_q) with z's canonical
+    exponent ze; the case's scale e drops to it if needed.  (C1 itself one
+    ulp off leaves every first step of this window exact: z has at most 5
+    bits, so x - z*C1 still fits 8.)"""
+    from argred.softfp import _canonical
 
     def make(xn, xe, zn, ze, cn, ce, fmt, ties):
         e, d, un, exact = real(xn, xe, zn, ze, cn, ce, fmt, ties)
+        zn, ze = _canonical(zn, ze, fmt)
         if zn % 5 != 2:
             return e, d, un, exact
-        q = max(e + d.bit_length() - fmt.p if d else e, fmt.e_min_q)
+        q = max(e + d.bit_length() - fmt.p if d else min(xe, ze + ce), fmt.e_min_q)
         if q < e:
             d, un, e = d << (e - q), un << (e - q), q
         return e, d, un + (1 << (q - e)), False
@@ -888,11 +891,13 @@ def _first_step_one_ulp_up(real):
 
 
 def _miscounting_fast2mult(real):
-    """_fast2mult_scaled counting one rounding too many for a z whose signed
-    significand is 1 mod 3: the second step then reports 10 ops."""
+    """_fast2mult_scaled counting one rounding too many for a z whose
+    canonical signed significand is 1 mod 3: the second step then reports
+    10 ops."""
+    from argred.softfp import _canonical
 
     def make(zn, ze, cn, ce, e, fmt, ties, counter):
-        if zn % 3 == 1:
+        if _canonical(zn, ze, fmt)[0] % 3 == 1:
             counter.rounded += 1
         return real(zn, ze, cn, ce, e, fmt, ties, counter)
 
