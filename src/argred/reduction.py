@@ -196,8 +196,8 @@ def _extract_pairs(
     e0 = xr_exp if xr_exp < se else se
     xr, sn = xn * rn << (xr_exp - e0), sn << (se - e0)
     p = fmt.p
-    tn = _round_int(xr + sn, e0, p, fmt, ties)[0]
-    zn = _round_int(tn - sn, e0, p, fmt, ties)[0]
+    tn = _round_int(xr + sn, e0, p, fmt, ties)
+    zn = _round_int(tn - sn, e0, p, fmt, ties)
     s, shift = xr - zn, e0 + n
     if shift >= 0:
         k = zn << shift
@@ -231,8 +231,8 @@ def _minus_zc_pairs(
             e, d = xe, xn - (zn * cn << (ep - xe))
     else:
         e, d = xe, xn
-    r, exact = _round_int(d, e, fmt.p, fmt, ties)
-    return e, d, r, exact
+    r = _round_int(d, e, fmt.p, fmt, ties)
+    return e, d, r, r == d
 
 
 _OFF_GRID = "%s is not a multiple of 2^(-N-1)*ulp2(C1): %s"
@@ -253,19 +253,19 @@ def _second_step_pairs(
         if ep < e:
             d, un, e = d << (e - ep), un << (e - ep), ep
         zc2 <<= ep - e
-    v1n = _round_int(un - zc2, e, p, fmt, ties)[0]
+    v1n = _round_int(un - zc2, e, p, fmt, ties)
     try:
         p1n, p2n = _fast2mult_scaled(zn, ze, c2n, c2e, e, fmt, ties, ops)
         t1n, t2n = _fast2sum_scaled(un, -p1n, e, fmt, ties, ops)
     except (PreconditionError, UnderflowError) as exc:
         raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
-    d1n, ex1 = _round_int(t1n - v1n, e, p, fmt, ties)
-    d2n, ex2 = _round_int(d1n + t2n, e, p, fmt, ties)
-    v2n, ex3 = _round_int(d2n - p2n, e, p, fmt, ties)
+    d1n = _round_int(t1n - v1n, e, p, fmt, ties)
+    d2n = _round_int(d1n + t2n, e, p, fmt, ties)
+    v2n = _round_int(d2n - p2n, e, p, fmt, ties)
     ops.rounded += 4  # v1 and the last line
     exact = v1n + v2n == d - zc2  # v1 + v2 == x - z*C1 - z*C2
 
-    if not (ex1 and ex2 and ex3):
+    if d1n != t1n - v1n or d2n != d1n + t2n or v2n != d2n - p2n:
         x, z = _rounded(xn, xe, fmt).to_text(), _rounded(zn, ze, fmt).to_text()
         raise TheoremViolation(f"second-step last line rounded: x={x}, z={z}")
     # proof facts: for z != 0, t1 and v1 sit on the 2^(-N-1) * ulp2(C1)

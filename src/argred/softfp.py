@@ -19,14 +19,14 @@ e_min_q and checked for overflow), zeros, and the fields of FPNs (``-x``,
 ``abs(x)``, operands named in error messages).  Everything else,
 ``round_rational`` (the oracle) included, goes through ``Fpn(...)``.
 
-The lane.  ``_round_int`` rounds the exact n * 2**e and returns the result
-at the same scale: any rounding of an integer at scale 2**e is again one,
-as its quantum is at or above 2**e unless the result is n itself (the
-e_min_q clamp keeps this so).  The EFT cores here and the reduction's pair
-core put a case's terms on one common scale once and round plain integer
-expressions there: exactness is r == n and a recomposition an integer
-equality.  The public ops and stages build an ``Fpn`` only for what they
-return.
+The lane.  ``_round_int`` rounds the exact n * 2**e and returns only the
+rounded integer r, at the same scale: any rounding of an integer at scale
+2**e is again one, as its quantum is at or above 2**e unless the result is
+n itself (the e_min_q clamp keeps this so).  The EFT cores here and the
+reduction's pair core put a case's terms on one common scale once and round
+plain integer expressions there: a caller that needs exactness compares
+r == n itself, and a recomposition is an integer equality.  The public ops
+and stages build an ``Fpn`` only for what they return.
 """
 
 from __future__ import annotations
@@ -308,18 +308,21 @@ _op_result = tuple.__new__
 # ---------------------------------------------------------------------------
 
 
-def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int, bool]:
+def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> int:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
-    Returns (r, exact): the rounded value is r * 2**e, at n's own scale,
-    and exact is r == n.  The kernel's only tie rule.  A result above
-    fmt's range raises OverflowError, exact or not, as Fpn() does.
+    Returns r, the rounded value r * 2**e at n's own scale, so the rounding
+    was exact iff r == n; a zero n comes back at once.  The kernel's only
+    tie rule.  A result above fmt's range raises OverflowError, exact or
+    not, as Fpn() does.
     """
+    if not n:
+        return n
     a = n if n > 0 else -n
     s = a.bit_length() - digits  # the low bits of n below the result's quantum
     if e + s < fmt.e_min_q:
         s = fmt.e_min_q - e
-    r, exact = n, True
+    r = n
     if s > 0:
         m = a >> s
         rem = a - (m << s)
@@ -327,12 +330,12 @@ def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> tuple[int
             half = 1 << (s - 1)
             if rem > half or (rem == half and (ties == TIES_AWAY or m & 1)):
                 m += 1
-            r, exact = (m << s if n > 0 else -m << s), False
-    if e + s + digits > fmt.e_max and r:  # the result's top bit can pass e_max
+            r = m << s if n > 0 else -m << s
+    if e + s + digits > fmt.e_max:  # the result's top bit can pass e_max
         m = (r if r > 0 else -r) >> s if s > 0 else a << -s
         if m.bit_length() - 1 + e + s > fmt.e_max:
             Fpn(1, m, e + s, fmt)  # raises Fpn()'s OverflowError
-    return r, exact
+    return r
 
 
 def _canonical(n: int, e: int, fmt: Format) -> tuple[int, int]:
@@ -363,12 +366,6 @@ def _rounded(n: int, e: int, fmt: Format) -> Fpn:
     return x
 
 
-def _round_scaled(n: int, e: int, digits: int, fmt: Format, ties: str) -> OpResult:
-    """_round_int's result as an OpResult: the canonical Fpn and the exact flag."""
-    r, exact = _round_int(n, e, digits, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
-
-
 def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn:
     """The Fpn nearest the exact rational num/den (den > 0) at digits bits.
 
@@ -384,7 +381,7 @@ def _round_ratio(num: int, den: int, digits: int, fmt: Format, ties: str) -> Fpn
     q, r = divmod(a, d)
     half, rest = divmod(r << 1, d)
     n = q << 2 | half << 1 | (rest != 0)
-    r, _ = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties)
+    r = _round_int(n if num > 0 else -n, eq - 2, digits, fmt, ties)
     return _rounded(r >> 2, eq, fmt)
 
 
@@ -406,9 +403,9 @@ def round_nearest(
     if not 2 <= digits <= fmt.p:
         raise ValueError(f"target precision must be in [2, {fmt.p}], got {digits}")
     if isinstance(v, Fpn):
-        return _round_scaled(v.sign * v.m, v.e, digits, fmt, ties).value
+        return _rounded(_round_int(v.sign * v.m, v.e, digits, fmt, ties), v.e, fmt)
     if isinstance(v, int):
-        return _round_scaled(v, 0, digits, fmt, ties).value
+        return _rounded(_round_int(v, 0, digits, fmt, ties), 0, fmt)
     return _round_ratio(v.numerator, v.denominator, digits, fmt, ties)
 
 
@@ -441,8 +438,8 @@ def add(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
     an, ea = _pair(a, b.e)
     bn, eb = _pair(b, ea)
     n, e = ((an << (ea - eb)) + bn, eb) if ea >= eb else (an + (bn << (eb - ea)), ea)
-    r, exact = _round_int(n, e, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
+    r = _round_int(n, e, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), r == n))
 
 
 def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
@@ -454,8 +451,8 @@ def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
     an, ea = _pair(a, b.e)
     bn, eb = _pair(b, ea)
     n, e = ((an << (ea - eb)) - bn, eb) if ea >= eb else (an - (bn << (eb - ea)), ea)
-    r, exact = _round_int(n, e, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
+    r = _round_int(n, e, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), r == n))
 
 
 def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
@@ -465,8 +462,9 @@ def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None)
     if counter is not None:
         counter.rounded += 1
     e = a.e + b.e
-    r, exact = _round_int(a.sign * b.sign * a.m * b.m, e, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
+    n = a.sign * b.sign * a.m * b.m
+    r = _round_int(n, e, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e, fmt), r == n))
 
 
 def fma(
@@ -489,8 +487,8 @@ def fma(
         n, e0 = (pn << (ep - ec)) + cn, ec
     else:
         n, e0 = pn + (cn << (ec - ep)), ep
-    r, exact = _round_int(n, e0, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e0, fmt), exact))
+    r = _round_int(n, e0, fmt.p, fmt, ties)
+    return _op_result(OpResult, (_rounded(r, e0, fmt), r == n))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +557,9 @@ def _fast2sum_scaled(an: int, bn: int, e: int, fmt: Format, ties: str, counter: 
                 f"fast2sum precondition fails for {_rounded(an, e, fmt)!r}, "
                 f"{_rounded(bn, e, fmt)!r}: no representations with e_a >= e_b and |a| < |b|"
             )
-    sn = _round_int(an + bn, e, p, fmt, ties)[0]
-    zn = _round_int(sn - an, e, p, fmt, ties)[0]
-    en = _round_int(bn - zn, e, p, fmt, ties)[0]
+    sn = _round_int(an + bn, e, p, fmt, ties)
+    zn = _round_int(sn - an, e, p, fmt, ties)
+    en = _round_int(bn - zn, e, p, fmt, ties)
     if counter is not None:
         counter.rounded += 3
     # The three-op sequence is exact under the precondition; verify anyway.
@@ -581,11 +579,11 @@ def _fast2mult_scaled(
     prod = an * bn
     if prod:
         prod <<= ae + be - e
-    hn = _round_int(prod, e, fmt.p, fmt, ties)[0]
-    ln, exact = _round_int(prod - hn, e, fmt.p, fmt, ties)
+    hn = _round_int(prod, e, fmt.p, fmt, ties)
+    ln = _round_int(prod - hn, e, fmt.p, fmt, ties)
     if counter is not None:
         counter.rounded += 2
-    if not exact:
+    if ln != prod - hn:
         raise UnderflowError(
             f"fast2mult error term of {_rounded(an, ae, fmt)!r}*{_rounded(bn, be, fmt)!r}"
             " is not representable"

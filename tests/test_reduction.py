@@ -205,6 +205,20 @@ def test_first_step_examples():
     # z = 0 leaves x untouched
     u0, exact0 = first_step(x, Fpn.zero(DOUBLE), CS_PI)
     assert exact0 and u0 == x
+    # the flag is r == d at the call site: True exactly when u equals
+    # x - z*C1.  A z that extraction does not give makes the fma round, so
+    # both outcomes occur
+    rng = random.Random(23)
+    seen = set()
+    for cs in (CS_PI, CS_LN2):
+        for _ in range(400):
+            x = _random_in_range_x(rng, DOUBLE, cs.r, 0)
+            z, _ = extract_z(x, cs)
+            for zz in (z, Fpn(1, rng.randrange(1, 1 << 20), rng.randrange(-30, 0), DOUBLE)):
+                u, exact = first_step(x, zz, cs)
+                assert exact == (u.value == x.value - zz.value * cs.c1.value), (x, zz)
+                seen.add(exact)
+    assert seen == {True, False}
 
 
 def test_second_step_example():
@@ -582,6 +596,45 @@ def test_second_step_lane_matches_the_public_ops_on_p8_sets(ties):
                         for out, _ in _assert_lane_matches_reference(x, cs, n, ties):
                             raised.add(out[0] if isinstance(out[0], type) else None)
     assert cases > 5_000 and raised == {None, TheoremViolation}
+
+
+@pytest.mark.parametrize("op", [1, 2, 3], ids=["d1", "d2", "v2"])
+def test_second_step_checks_each_last_line_rounding(monkeypatch, op):
+    # the last line's three roundings are checked one by one.  In order,
+    # the second step's own roundings are v1, d1, d2 and v2 (Fast2Mult and
+    # Fast2Sum round in softfp): move the op-th result by its lowest set
+    # bit, and wherever that leaves it the only inexact rounding of the
+    # last line, second_step must raise.  d1 = t1 - v1 is mostly zero, left
+    # as it is, so d1 alone is rare: about one case in a hundred
+    rng = random.Random(24)
+    cases = []
+    for cs in (CS_PI, CS_LN2, gen_constants(PI, SINGLE, n=5)):
+        for _ in range(800):
+            x = _random_in_range_x(rng, cs.fmt, cs.r, cs.n)
+            z, _ = extract_z(x, cs)
+            cases.append((x, z, first_step(x, z, cs)[0], cs))
+    inexact = []
+
+    def nudged(n, e, digits, fmt, ties, real=reduction._round_int):
+        r = real(n, e, digits, fmt, ties)
+        if len(inexact) == op and r:
+            r += r & -r
+        inexact.append(r != n)
+        return r
+
+    monkeypatch.setattr(reduction, "_round_int", nudged)
+    alone = 0
+    for x, z, u, cs in cases:
+        inexact.clear()
+        try:
+            second_step(x, z, u, cs)
+            raised = None
+        except TheoremViolation as exc:
+            raised = str(exc)
+        if inexact[1:] == [i == op for i in (1, 2, 3)]:
+            alone += 1
+            assert raised and raised.startswith("second-step last line rounded"), (x, z, op)
+    assert alone >= 10, alone
 
 
 def test_second_step_maps_a_fast2mult_underflow_to_a_theorem_violation():

@@ -13,6 +13,7 @@ import pytest
 
 from argred.softfp import (
     DOUBLE,
+    DOUBLE_EXTENDED,
     QUAD,
     SINGLE,
     TIES_AWAY,
@@ -34,7 +35,7 @@ from argred.softfp import (
     ulp,
     ulp2,
 )
-from argred.softfp import _fast2sum_scaled, _round_int, _round_scaled, _rounded
+from argred.softfp import _fast2sum_scaled, _round_int, _rounded
 from argred.realnum import round_rational
 
 P4 = Format(p=4, e_min_q=-20, e_max=40)
@@ -210,8 +211,7 @@ def test_rounding_results_match_checked_construction():
                 for e in (P5.e_min_q - 3, -5, 0):
                     want = round_rational(n, 1 << -e, P5, digits, ties)
                     assert round_nearest(Fraction(n, 1 << -e), P5, digits, ties) == want
-                    got, _ = _round_scaled(n, e, digits, P5, ties)
-                    assert got == want
+                    assert _rounded(_round_int(n, e, digits, P5, ties), e, P5) == want
 
 
 def test_round_int_overflows_exactly_when_fpn_does():
@@ -232,7 +232,7 @@ def test_round_int_overflows_exactly_when_fpn_does():
                     except OverflowError:
                         fpn_raises = True
                     try:
-                        r, _ = _round_int(n, e, digits, P5, ties)
+                        r = _round_int(n, e, digits, P5, ties)
                         assert not fpn_raises and r * Fraction(2) ** e == want.value, (n, e, digits, ties)
                     except OverflowError:
                         assert fpn_raises, (n, e, digits, ties)
@@ -278,8 +278,8 @@ def test_round_int_matches_the_oracle_property():
             assert str(got.value) == str(exc)
             seen.add(("overflow", want.value == v))
             return
-        r, exact = _round_int(n, e, digits, fmt, ties)
-        assert r * Fraction(2) ** e == want.value and exact == (want.value == v) == (r == n)
+        r = _round_int(n, e, digits, fmt, ties)
+        assert r * Fraction(2) ** e == want.value and (r == n) == (want.value == v)
         derived = max(abs(n).bit_length() - digits, fmt.e_min_q - e)
         if e + abs(n).bit_length() - digits < fmt.e_min_q:  # the quantum is clamped to e_min_q
             seen.add("subnormal")
@@ -296,11 +296,14 @@ def test_round_int_matches_the_oracle_property():
 def test_round_int_zero_keeps_its_scale():
     # an exact zero is 0 at its operands' scale e, so a case on that scale
     # shifts nothing toward e_min_q; the Fpn built from it is still the
-    # canonical zero
-    for e in (P5.e_min_q + 7, P5.e_min_q - 7):
-        for ties in (TIES_EVEN, TIES_AWAY):
-            assert _round_int(0, e, P5.p, P5, ties) == (0, True)
-            for z in (_rounded(0, e, P5), _round_scaled(0, e, P5.p, P5, ties).value):
+    # canonical zero.  Scales far below e_min_q and at or past e_max too:
+    # a zero neither clamps nor overflows
+    for e in (P5.e_min_q - 40, P5.e_min_q - 7, P5.e_min_q + 7, P5.e_max - P5.p, P5.e_max, P5.e_max + 9):
+        for digits in (2, P5.p):
+            for ties in (TIES_EVEN, TIES_AWAY):
+                r = _round_int(0, e, digits, P5, ties)
+                assert r == 0 and type(r) is int
+                z = _rounded(r, e, P5)
                 assert (z.sign, z.m, z.e) == (1, 0, P5.e_min_q) and z == Fpn.zero(P5)
 
 
@@ -398,6 +401,24 @@ def test_add_sub_mul_flags():
 
     z, exact = mul(Fpn.pow2(12, DOUBLE), x)
     assert exact and z.value == 3 * (1 << 12)
+
+    # each op's flag is r == n at the call site: it must read True exactly
+    # when the rounded result equals the exact value, and both outcomes
+    # must occur for every op, fma too (p = 5, normal, subnormal and zero
+    # operands)
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(3000):
+        a, b, c = (rand_fpn(rng, P5, P5.e_min_q, P5.e_min_q + 12, allow_zero=True) for _ in range(3))
+        for name, out, v in (
+            ("add", add(a, b), a.value + b.value),
+            ("sub", sub(a, b), a.value - b.value),
+            ("mul", mul(a, b), a.value * b.value),
+            ("fma", fma(a, b, c), a.value * b.value + c.value),
+        ):
+            assert out.exact == (out.value.value == v), (name, a, b, c)
+            seen.add((name, out.exact))
+    assert seen == {(name, flag) for name in ("add", "sub", "mul", "fma") for flag in (True, False)}
 
 
 def test_sterbenz_subtraction_exact_exhaustive():
@@ -671,6 +692,80 @@ def test_canonical_construction():
         Fpn(1, 3, P4.e_min_q - 1, P4)
     z = Fpn(-1, 0, 5, P4)
     assert z.sign == 1 and z.e == P4.e_min_q
+
+
+def _is_canonical(x, fmt):
+    """The canonical form: zero as (1, 0, e_min_q); else sign +-1, m in
+    [2^(p-1), 2^p) or e == e_min_q with m below that, and x within range."""
+    if x.fmt != fmt or x.e < fmt.e_min_q:
+        return False
+    if x.m == 0:
+        return (x.sign, x.e) == (1, fmt.e_min_q)
+    top = x.m.bit_length()
+    return x.sign in (1, -1) and top <= fmt.p and (top == fmt.p or x.e == fmt.e_min_q) and top - 1 + x.e <= fmt.e_max
+
+
+def _fpn_fields(st):
+    """(fmt, sign, m, e) over the four presets and a p = 8 format: a
+    significand of up to p bits shifted left by up to 60 places, at an
+    exponent from that many places below e_min_q to past e_max, so every
+    field tuple has an exact value in the format or lies above its range."""
+    @st.composite
+    def fields(draw):
+        fmt = draw(st.sampled_from([SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD, SWEEP_P8]))
+        t = draw(st.integers(0, 60))
+        m = draw(st.integers(0, (1 << fmt.p) - 1) | st.sampled_from([0, 1, (1 << fmt.p) - 1, 1 << fmt.p - 1])) << t
+        e = draw(st.integers(fmt.e_min_q - t, fmt.e_min_q + 2 * fmt.p) | st.integers(fmt.e_min_q - t, fmt.e_max + 2))
+        return fmt, draw(st.sampled_from([1, -1])), m, e
+
+    return fields()
+
+
+def test_fpn_forms_are_canonical_property():
+    # Fpn(...), _rounded on the signed pair (at its own scale and up to 40
+    # places lower), -x and abs(x) all give the canonical form of the
+    # same value; a value above the range raises OverflowError
+    hyp = pytest.importorskip("hypothesis")
+    seen = set()
+
+    @hyp.settings(max_examples=1000, deadline=None, derandomize=True)
+    @hyp.given(fields=_fpn_fields(hyp.strategies), k=hyp.strategies.integers(0, 40))
+    def canonical(fields, k):
+        fmt, sign, m, e = fields
+        v = sign * Fraction(m) * Fraction(2) ** e
+        try:
+            x = Fpn(sign, m, e, fmt)
+        except OverflowError:
+            assert abs(v) >= Fraction(2) ** (fmt.e_max + 1)
+            seen.add("overflow")
+            return
+        assert x.value == v and _is_canonical(x, fmt), (x, fields)
+        assert _rounded(sign * m, e, fmt) == x == _rounded(sign * m << k, e - k, fmt)
+        for y, want in ((-x, -v), (abs(x), abs(v)), (-(-x), v)):
+            assert y.value == want and _is_canonical(y, fmt), (y, fields)
+        seen.add("zero" if not m else "normal" if x.is_normal() else "subnormal")
+
+    canonical()
+    assert seen == {"overflow", "zero", "normal", "subnormal"}, seen
+
+
+def test_fpn_text_round_trip_property():
+    # Fpn.from_text(x.to_text(h), fmt) == x, decimal and hex, over the
+    # four presets and a p = 8 format, zeros and subnormals included
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=1000, deadline=None, derandomize=True)
+    @hyp.given(fields=_fpn_fields(hyp.strategies))
+    def round_trip(fields):
+        fmt, sign, m, e = fields
+        try:
+            x = Fpn(sign, m, e, fmt)
+        except OverflowError:
+            return
+        for h in (False, True):
+            assert Fpn.from_text(x.to_text(h), fmt) == x, (x, h)
+
+    round_trip()
 
 
 def test_next_up_down_adjacent_exhaustive():
