@@ -141,7 +141,7 @@ class ZExtractInfo(NamedTuple):
     @property
     def s(self) -> Fraction:
         """x*R - z as an exact Fraction."""
-        return _over(self.s_num, 1, self.s_exp)
+        return _dyadic(self.s_num, self.s_exp)
 
 
 def extract_z(
@@ -213,7 +213,7 @@ def _extract_pairs(
         if ell > p - 2:
             raise TheoremViolation(f"ell={ell} outside [2, p-2] for z={_rounded(k, -n, fmt).to_text()}")
         if not s_within_half(s, e0, n):
-            raise TheoremViolation(f"|x*R - z| = {abs(_over(s, 1, e0))} > 2^-(N+1)")
+            raise TheoremViolation(f"|x*R - z| = {abs(_dyadic(s, e0))} > 2^-(N+1)")
     return k, -n, k, ell, s, e0, in_range
 
 
@@ -372,14 +372,17 @@ def residual_interval(
 def _residual_pairs(
     xn: int, xe: int, zn: int, ze: int, v1n: int, v1e: int, wn: int, we: int, cs: ConstantSet, bits: int | None
 ) -> tuple[Fraction, Fraction]:
-    """residual_interval on signed pairs."""
+    """residual_interval on signed pairs: one product with C's lower bound, and
+    the other end as that plus z times the narrow width (they swap for z < 0)."""
     if cs.constant is None:
         raise ValueError("synthetic constant sets have no underlying C")
-    c_lo, c_hi, den = cs.constant.scaled_enclosure(bits or 6 * cs.fmt.p)
+    c_lo, c_hi, den = cs.constant.scaled_enclosure(6 * cs.fmt.p if bits is None else bits)
     e0 = min(xe, ze, v1e, we)
-    base = den * ((v1n << (v1e - e0)) + (wn << (we - e0)) - (xn << (xe - e0)))
     zn <<= ze - e0
-    lo, hi = sorted((base + zn * c_lo, base + zn * c_hi))
+    lo = den * ((v1n << (v1e - e0)) + (wn << (we - e0)) - (xn << (xe - e0))) + zn * c_lo
+    hi = lo + zn * (c_hi - c_lo)
+    if hi < lo:
+        lo, hi = hi, lo
     if lo <= 0 <= hi:
         lo, hi = 0, max(-lo, hi)
     elif hi < 0:
@@ -388,8 +391,8 @@ def _residual_pairs(
 
 
 def _over(n: int, den: int, e0: int) -> Fraction:
-    """n * 2^e0 / den, exactly: built by softfp._dyadic with no gcd when den
-    is a power of two (s's 1, the named constants', a --const file's); any
+    """A residual end n * 2^e0 / den, exactly: softfp._dyadic with no gcd
+    when den is a power of two (the named constants', a --const file's); any
     other den (a non-dyadic Constant.from_enclosure) goes through Fraction."""
     if den & (den - 1):
         return _dyadic(n, e0) / den
@@ -418,19 +421,18 @@ class ReductionOutput(NamedTuple):
 def reduce(x: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, measure_residual: bool = True) -> ReductionOutput:
     """Run the full pipeline at N = cs.n: extract z, first, second, and
     third steps, with every runtime theorem check on: those of the four
-    stage wrappers, in their order, in one pass over the pair core."""
+    stage wrappers, in their order, in one pass over the pair core, after
+    extraction's own checks and one format check of C1, C2 and C3."""
     zn, ze, _, ell, s_num, s_exp, in_range = _extract(x, cs.r, cs.n, ties, None, True)
     fmt, xn, xe = x.fmt, x.sign * x.m, x.e
+    _check_fmt(fmt, cs.c1, cs.c2, cs.c3)
     _, _, c1n, c1e, c2n, c2e, c3n, c3e = cs.pairs
-    _check_fmt(fmt, cs.c1)
     ue, d, un, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
-    _check_fmt(fmt, cs.c2)
     e, v1n, v2n, exact2, ops = _second_step_pairs(xn, xe, zn, ze, ue, d, un, c2n, c2e, cs, fmt, ties)
-    _check_fmt(fmt, cs.c3)
     we, _, wn, _ = _minus_zc_pairs(v2n, e, zn, ze, c3n, c3e, fmt, ties)
     measured = measure_residual and cs.constant is not None
     res = _residual_pairs(xn, xe, zn, ze, v1n, e, wn, we, cs, None) if measured else (None, None)
     return tuple.__new__(ReductionOutput, (
         _rounded(zn, ze, fmt), _rounded(un, ue, fmt), _rounded(v1n, e, fmt), _rounded(v2n, e, fmt),
-        _rounded(wn, we, fmt), ell, _over(s_num, 1, s_exp), exact1, exact2, ops, in_range, *res,
+        _rounded(wn, we, fmt), ell, _dyadic(s_num, s_exp), exact1, exact2, ops, in_range, *res,
     ))

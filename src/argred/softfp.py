@@ -19,14 +19,15 @@ e_min_q and checked for overflow), zeros, and the fields of FPNs (``-x``,
 ``abs(x)``, operands named in error messages).  Everything else,
 ``round_rational`` (the oracle) included, goes through ``Fpn(...)``.
 
-The lane.  ``_round_int`` rounds the exact n * 2**e and returns only the
-rounded integer r, at the same scale: any rounding of an integer at scale
-2**e is again one, as its quantum is at or above 2**e unless the result is
-n itself (the e_min_q clamp keeps this so).  The EFT cores here and the
-reduction's pair core put a case's terms on one common scale once and round
-plain integer expressions there: a caller that needs exactness compares
-r == n itself, and a recomposition is an integer equality.  The public ops
-and stages build an ``Fpn`` only for what they return.
+The lane.  ``_round_int`` rounds the exact n * 2**e of a signed n from its
+floor n >> s, with no |n|, and returns only the rounded integer r, at the
+same scale: any rounding of an integer at scale 2**e is again one, as its
+quantum is at or above 2**e unless the result is n itself (the e_min_q
+clamp keeps this so).  The EFT cores here and the reduction's pair core
+put a case's terms on one common scale once and round plain integer
+expressions there: a caller that needs exactness compares r == n itself,
+and a recomposition is an integer equality.  The public ops and stages
+build an ``Fpn`` only for what they return.
 """
 
 from __future__ import annotations
@@ -111,15 +112,19 @@ FORMATS = {"single": SINGLE, "double": DOUBLE, "double-extended": DOUBLE_EXTENDE
 
 
 def _dyadic(n: int, e: int) -> Fraction:
-    """The exact n * 2**e, with no gcd: taking out the power of two n shares
-    with 2**-e (all of it for n = 0) leaves the lowest terms, stored straight
+    """The exact n * 2**e, with no gcd: shifting out n's trailing zeros, at
+    most -e of them (a zero is 0/1), leaves the lowest terms, stored straight
     into Fraction.__slots__, ('_numerator', '_denominator') on CPython 3.10-3.13."""
     v = object.__new__(Fraction)
     if e >= 0:
         v._numerator, v._denominator = n << e, 1
-    else:
-        t = _trailing_zeros(n | 1 << -e)
+    elif n:
+        t = _trailing_zeros(n)
+        if t > -e:
+            t = -e
         v._numerator, v._denominator = n >> t, 1 << (-e - t)
+    else:
+        v._numerator, v._denominator = 0, 1
     return v
 
 
@@ -312,29 +317,27 @@ def _round_int(n: int, e: int, digits: int, fmt: Format, ties: str) -> int:
     """Round the exact value n * 2**e to a digits-bit FPN of fmt.
 
     Returns r, the rounded value r * 2**e at n's own scale, so the rounding
-    was exact iff r == n; a zero n comes back at once.  The kernel's only
-    tie rule.  A result above fmt's range raises OverflowError, exact or
-    not, as Fpn() does.
+    was exact iff r == n; a zero n comes back at once.  n keeps its sign:
+    n >> s is the floor, and the kernel's only tie rule rounds a tie up from
+    it when it is odd (ties-even) or n > 0 (ties-away).  A result above
+    fmt's range raises OverflowError, exact or not, as Fpn() does.
     """
     if not n:
         return n
-    a = n if n > 0 else -n
-    s = a.bit_length() - digits  # the low bits of n below the result's quantum
+    s = n.bit_length() - digits  # the low bits of n below the result's quantum
     if e + s < fmt.e_min_q:
         s = fmt.e_min_q - e
     r = n
     if s > 0:
-        m = a >> s
-        rem = a - (m << s)
+        m = n >> s  # the floor, for either sign
+        rem = n - (m << s)
         if rem:
             half = 1 << (s - 1)
-            if rem > half or (rem == half and (ties == TIES_AWAY or m & 1)):
+            if rem > half or (rem == half and (n > 0 if ties == TIES_AWAY else m & 1)):
                 m += 1
-            r = m << s if n > 0 else -m << s
-    if e + s + digits > fmt.e_max:  # the result's top bit can pass e_max
-        m = (r if r > 0 else -r) >> s if s > 0 else a << -s
-        if m.bit_length() - 1 + e + s > fmt.e_max:
-            Fpn(1, m, e + s, fmt)  # raises Fpn()'s OverflowError
+            r = m << s
+    if e + s + digits > fmt.e_max and r.bit_length() - 1 + e > fmt.e_max:  # the top bit passes e_max
+        Fpn(1, abs(r), e, fmt)  # raises Fpn()'s OverflowError
     return r
 
 

@@ -419,6 +419,15 @@ def test_residual_interval_requires_constant():
         )
 
 
+@pytest.mark.parametrize("bits", [0, -3])
+def test_residual_interval_refuses_bits_below_one(bits):
+    # 0 is a width like any other, not a request for the 6p default
+    x = Fpn.from_int(10, DOUBLE)
+    out = reduce(x, CS_PI, measure_residual=False)
+    with pytest.raises(ValueError, match=r"^bits must be >= 1$"):
+        residual_interval(x, out.z, out.v1, out.w, CS_PI, bits=bits)
+
+
 def residual_reference(x, z, v1, w, constant, bits):
     """|v1 + w - (x - z*C)| bounds in plain Fractions from enclosure(bits)."""
     enc = constant.enclosure(bits)
