@@ -55,7 +55,7 @@ def parse_x(text: str, fmt: Format, ties: str) -> Fpn:
 
 
 def _parse_dyadic(text: str) -> Fraction:
-    m = re.match(r"^\s*([+-]?\d+)\s*\*\s*2\^([+-]?\d+)\s*$", text)
+    m = isinstance(text, str) and re.match(r"^\s*([+-]?\d+)\s*\*\s*2\^([+-]?\d+)\s*$", text)
     if not m:
         raise ValueError(f"cannot parse dyadic bound {text!r}")
     sig, e = int(m.group(1)), int(m.group(2))
@@ -70,6 +70,8 @@ def load_constant(selector: str) -> Constant:
     if not path.is_file():
         raise ValueError(f"unknown constant {selector!r} (not a preset or a file)")
     data = json.loads(path.read_text())
+    if not isinstance(data, dict) or "lo" not in data or "hi" not in data:
+        raise ValueError(f"constant file {selector!r} is not a JSON object with \"lo\" and \"hi\"")
     lo, hi = _parse_dyadic(data["lo"]), _parse_dyadic(data["hi"])
     bits = int(data.get("bits", 64))
     enc = RealEnclosure(lo, hi, bits, None)

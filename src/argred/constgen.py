@@ -11,7 +11,7 @@ on C1 of their own C1.
 
 Generation rounds R, C2 and C3 from the integers of
 ``Constant.scaled_enclosure(3p)``; audit's "R is nearest(1/C)" entry
-rounds the same enclosure by the independent ``Fraction`` route.
+refines the same bounds, rounding them by the independent round_rational.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
-from .realnum import Constant, RealEnclosure, _int_nearest, _refined_scaled, round_rational, safe_round
+from .realnum import Constant, RealEnclosure, _int_nearest, _refined_scaled, round_rational
 from .softfp import FORMATS, TIES_EVEN, Format, Fpn, _round_ratio, ulp2_exp
 
 __all__ = [
@@ -224,7 +224,9 @@ HYPOTHESES = (
     Hypothesis("second-step", "|C2| <= 4 ulp(C1)", _c2_within_4_ulp, TERMS, Q2),
     Hypothesis(
         "c1-distance", "R is nearest(1/C) at p bits",
-        lambda cs, n: cs.r == safe_round(cs.constant.memo_enclosure(3 * cs.fmt.p).recip(), cs.fmt),
+        lambda cs, n: cs.r == _refined_scaled(
+            cs.constant, 3 * cs.fmt.p, lambda b, den: round_rational(den, b, cs.fmt), RealEnclosure.recip
+        ),
         BUILT, Q2_REAL,
     ),
     _c1_at_least("c1-distance", "C1 >= 2^(p-1) * lambda", lambda p, n, q: p - 1, Q2_REAL, "", False),

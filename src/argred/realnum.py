@@ -9,8 +9,8 @@ lo <= C <= hi of width at most 2^-bits.
 ``safe_round`` turns an enclosure into a correctly rounded FPN by
 refining until both endpoints round identically, which terminates for
 any constant that is not itself representable or a tie.  Generation
-refines the same way on ``Constant.scaled_enclosure`` integers, and
-``safe_round`` stays the ``Fraction`` reference audit checks R by.
+refines the same way on ``Constant.scaled_enclosure`` integers, and the
+audit decides R there too, with ``round_rational``.
 """
 
 from __future__ import annotations

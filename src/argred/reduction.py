@@ -13,17 +13,18 @@ Four stages, all driven by one fma-capable kernel:
 Every stage reports exactness flags computed against the exact value,
 and the second step counts its rounded operations (always 9).  The
 arithmetic and checks are written once, in a core on signed integers
-(_extract_pairs, _minus_zc_pairs, _second_step_pairs, _residual_pairs)
-that rounds with softfp._round_int, the kernel's one rounding and tie
-rule.  Each stage puts its terms on one common scale 2^e once and rounds
-plain integer expressions there, so exactness is r == n and the second
-step's recompositions are integer equalities.  Extraction rounds and
-checks at e0 = min(x.e + R.e, sigma.e) and hands z on as the pair
-(k, -N); the first step runs at min(x.e, C1.e - N), lowered to
-C2.e - N for the second.  reduce runs
-the core once per x and builds an Fpn, on the trusted path, only for the
-five values it returns; the four public stages are thin Fpn wrappers
-over it, and the thm6 campaign and the sweeps call it directly.
+(_extract_pairs, softfp._fma_pairs as fma(-z, C, x) for the first and
+third steps, _second_step_pairs, _residual_pairs) that rounds with
+softfp._round_int, the kernel's one rounding and tie rule.  Each stage
+puts its terms on one common scale 2^e once and rounds plain integer
+expressions there, so exactness is r == n and the second step's
+recompositions are integer equalities.  Extraction rounds and checks at
+e0 = min(x.e + R.e, sigma.e) and hands z on as the pair (k, -N); the
+first step runs at min(x.e, C1.e - N), lowered to C2.e - N for the
+second.  reduce runs the core once per x and builds an Fpn, on the
+trusted path, only for the five values it returns; the four public
+stages are thin Fpn wrappers over it (first_step and third_step call
+softfp.fma), and the thm6 campaign and the sweeps call it directly.
 """
 
 from __future__ import annotations
@@ -33,22 +34,22 @@ from typing import NamedTuple, Optional
 
 from .constgen import N_DEPENDENT, ConstantSet, HypothesisViolation, first_failure
 from .softfp import (
-    _FMT_MISMATCH,
     TIES_EVEN,
     Fpn,
     Format,
     OpCounter,
-    OpResult,
     PreconditionError,
     UnderflowError,
+    _check_fmt,
     _dyadic,
     _fast2mult_scaled,
     _fast2sum_scaled,
-    _op_result,
+    _fma_pairs,
     _pair,
     _round_int,
     _rounded,
     _trailing_zeros,
+    fma,
 )
 
 __all__ = [
@@ -115,13 +116,6 @@ def s_within_half(s_num: int, s_exp: int, n: int) -> bool:
     a = s_num if s_num >= 0 else -s_num
     d = s_exp + n + 1
     return (a << d) <= 1 if d >= 0 else a <= 1 << -d
-
-
-def _check_fmt(fmt: Format, *vals: Fpn) -> None:
-    """Raise ValueError unless every value is in fmt."""
-    for v in vals:
-        if v.fmt is not fmt and v.fmt != fmt:
-            raise ValueError(_FMT_MISMATCH)
 
 
 def _require_covered(cs: ConstantSet, n: int) -> None:
@@ -217,24 +211,6 @@ def _extract_pairs(
     return k, -n, k, ell, s, e0, in_range
 
 
-def _minus_zc_pairs(
-    xn: int, xe: int, zn: int, ze: int, cn: int, ce: int, fmt: Format, ties: str
-) -> tuple[int, int, int, bool]:
-    """o(x - z*c) in one rounding, the fma of the first and third steps,
-    on the scale e = min(xe, ze + ce), xe for z = 0: (e, d, r, exact) with
-    x - z*c = d * 2^e exactly and the result r * 2^e."""
-    if zn:
-        ep = ze + ce
-        if ep < xe:
-            e, d = ep, (xn << (xe - ep)) - zn * cn
-        else:
-            e, d = xe, xn - (zn * cn << (ep - xe))
-    else:
-        e, d = xe, xn
-    r = _round_int(d, e, fmt.p, fmt, ties)
-    return e, d, r, r == d
-
-
 _OFF_GRID = "%s is not a multiple of 2^(-N-1)*ulp2(C1): %s"
 
 
@@ -287,26 +263,15 @@ def _second_step_pairs(
     return e, v1n, v2n, exact, ops.rounded
 
 
-def _minus_zc(x: Fpn, z: Fpn, c: Fpn, ties: str, counter: OpCounter | None) -> OpResult:
-    """_minus_zc_pairs on Fpn values, for first_step and third_step."""
-    fmt = z.fmt
-    _check_fmt(fmt, c, x)
-    if counter is not None:
-        counter.rounded += 1
-    xn, xe = _pair(x, z.e + c.e)  # a zero x at the scale of z*c
-    e, _, r, exact = _minus_zc_pairs(xn, xe, z.sign * z.m, z.e, c.sign * c.m, c.e, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), exact))
-
-
 def first_step(
     x: Fpn, z: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, counter: OpCounter | None = None
 ) -> tuple[Fpn, bool]:
-    """u = fma(x - z*C1); exact is True when no rounding occurred.
+    """u = fma(-z, C1, x), the rounded x - z*C1; exact is True when no rounding occurred.
 
     Under the audited hypotheses exactness is a theorem, so an inexact
     flag here is a finding for the harness, not a runtime error.
     """
-    return _minus_zc(x, z, cs.c1, ties, counter)
+    return fma(-z, cs.c1, x, ties, counter)
 
 
 class SecondStepResult(NamedTuple):
@@ -352,7 +317,7 @@ def third_step(
     v1: Fpn, v2: Fpn, z: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, counter: OpCounter | None = None
 ) -> Fpn:
     """w = o(v2 - z*C3); (v1, w) is the 2p-bit unevaluated reduced argument."""
-    return _minus_zc(v2, z, cs.c3, ties, counter).value
+    return fma(-z, cs.c3, v2, ties, counter).value
 
 
 def residual_interval(
@@ -427,12 +392,13 @@ def reduce(x: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, measure_residual: boo
     fmt, xn, xe = x.fmt, x.sign * x.m, x.e
     _check_fmt(fmt, cs.c1, cs.c2, cs.c3)
     _, _, c1n, c1e, c2n, c2e, c3n, c3e = cs.pairs
-    ue, d, un, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+    mzn = -zn  # the first and third steps are fma(-z, C, x)
+    ue, d, un = _fma_pairs(mzn, ze, c1n, c1e, xn, xe, fmt, ties)
     e, v1n, v2n, exact2, ops = _second_step_pairs(xn, xe, zn, ze, ue, d, un, c2n, c2e, cs, fmt, ties)
-    we, _, wn, _ = _minus_zc_pairs(v2n, e, zn, ze, c3n, c3e, fmt, ties)
+    we, _, wn = _fma_pairs(mzn, ze, c3n, c3e, v2n, e, fmt, ties)
     measured = measure_residual and cs.constant is not None
     res = _residual_pairs(xn, xe, zn, ze, v1n, e, wn, we, cs, None) if measured else (None, None)
     return tuple.__new__(ReductionOutput, (
         _rounded(zn, ze, fmt), _rounded(un, ue, fmt), _rounded(v1n, e, fmt), _rounded(v2n, e, fmt),
-        _rounded(wn, we, fmt), ell, _dyadic(s_num, s_exp), exact1, exact2, ops, in_range, *res,
+        _rounded(wn, we, fmt), ell, _dyadic(s_num, s_exp), un == d, exact2, ops, in_range, *res,
     ))

@@ -23,11 +23,12 @@ The lane.  ``_round_int`` rounds the exact n * 2**e of a signed n from its
 floor n >> s, with no |n|, and returns only the rounded integer r, at the
 same scale: any rounding of an integer at scale 2**e is again one, as its
 quantum is at or above 2**e unless the result is n itself (the e_min_q
-clamp keeps this so).  The EFT cores here and the reduction's pair core
-put a case's terms on one common scale once and round plain integer
-expressions there: a caller that needs exactness compares r == n itself,
-and a recomposition is an integer equality.  The public ops and stages
-build an ``Fpn`` only for what they return.
+clamp keeps this so).  One core, ``_fma_pairs``, does every single
+rounding of a*b + c: add is a*1 + b, sub a*1 + (-b), mul a*b + 0, and the
+reduction's first and third steps fma(-z, C, x).  It, the EFT cores and
+the reduction's pair core put a case's terms on one common scale and round
+integer expressions there: exactness is r == n, and a recomposition an
+integer equality.  Ops and stages build an ``Fpn`` only for what they return.
 """
 
 from __future__ import annotations
@@ -304,10 +305,6 @@ class OpResult(NamedTuple):
     exact: bool
 
 
-# OpResult(value, exact) without the namedtuple's Python-level __new__
-_op_result = tuple.__new__
-
-
 # ---------------------------------------------------------------------------
 # Correct rounding
 # ---------------------------------------------------------------------------
@@ -417,7 +414,11 @@ def round_nearest(
 # ---------------------------------------------------------------------------
 
 
-_FMT_MISMATCH = "operands must share a format"
+def _check_fmt(fmt: Format, *vals: Fpn) -> None:
+    """Raise ValueError unless every value is in fmt."""
+    for v in vals:
+        if v.fmt is not fmt and v.fmt != fmt:
+            raise ValueError("operands must share a format")
 
 
 def _pair(v: Fpn, e: int) -> tuple[int, int]:
@@ -426,72 +427,58 @@ def _pair(v: Fpn, e: int) -> tuple[int, int]:
     return (v.sign * v.m, v.e) if v.m else (0, e)
 
 
-# The rounded ops below inline the format check and the counter bump, and
-# align the two addends by shifting only the one with the larger exponent,
-# a zero one at the other's scale (_pair): they run a dozen times per
-# reduction.
+def _fma_pairs(an: int, ae: int, bn: int, be: int, cn: int, ce: int, fmt: Format, ties: str) -> tuple[int, int, int]:
+    """The fused a*b + c of the signed pairs a = an * 2**ae, b = bn * 2**be
+    and c = cn * 2**ce: (e, n, r) with a*b + c = n * 2**e exactly, on the
+    lower of the product's scale and c's, a zero term at the other's, and
+    its one rounding r * 2**e, exact iff r == n."""
+    pn = an * bn
+    if pn and cn:
+        ep = ae + be
+        if ep < ce:
+            e, n = ep, pn + (cn << (ce - ep))
+        else:
+            e, n = ce, (pn << (ep - ce)) + cn
+    elif pn:
+        e, n = ae + be, pn
+    else:
+        e, n = ce, cn
+    return e, n, _round_int(n, e, fmt.p, fmt, ties)
+
+
+def _op(
+    an: int, ae: int, bn: int, be: int, cn: int, ce: int, fmt: Format, ties: str, counter: OpCounter | None
+) -> OpResult:
+    """A public op as the fused an*bn + cn: its count, and its rounding as an OpResult."""
+    if counter is not None:
+        counter.rounded += 1
+    e, n, r = _fma_pairs(an, ae, bn, be, cn, ce, fmt, ties)
+    return tuple.__new__(OpResult, (_rounded(r, e, fmt), r == n))  # without the namedtuple's Python __new__
 
 
 def add(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
     fmt = a.fmt
-    if b.fmt is not fmt and b.fmt != fmt:
-        raise ValueError(_FMT_MISMATCH)
-    if counter is not None:
-        counter.rounded += 1
-    an, ea = _pair(a, b.e)
-    bn, eb = _pair(b, ea)
-    n, e = ((an << (ea - eb)) + bn, eb) if ea >= eb else (an + (bn << (eb - ea)), ea)
-    r = _round_int(n, e, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), r == n))
+    _check_fmt(fmt, b)
+    return _op(a.sign * a.m, a.e, 1, 0, b.sign * b.m, b.e, fmt, ties, counter)
 
 
 def sub(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
     fmt = a.fmt
-    if b.fmt is not fmt and b.fmt != fmt:
-        raise ValueError(_FMT_MISMATCH)
-    if counter is not None:
-        counter.rounded += 1
-    an, ea = _pair(a, b.e)
-    bn, eb = _pair(b, ea)
-    n, e = ((an << (ea - eb)) - bn, eb) if ea >= eb else (an - (bn << (eb - ea)), ea)
-    r = _round_int(n, e, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), r == n))
+    _check_fmt(fmt, b)
+    return _op(a.sign * a.m, a.e, 1, 0, -b.sign * b.m, b.e, fmt, ties, counter)
 
 
 def mul(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
     fmt = a.fmt
-    if b.fmt is not fmt and b.fmt != fmt:
-        raise ValueError(_FMT_MISMATCH)
-    if counter is not None:
-        counter.rounded += 1
-    e = a.e + b.e
-    n = a.sign * b.sign * a.m * b.m
-    r = _round_int(n, e, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e, fmt), r == n))
+    _check_fmt(fmt, b)
+    return _op(a.sign * a.m, a.e, b.sign * b.m, b.e, 0, 0, fmt, ties, counter)
 
 
-def fma(
-    a: Fpn,
-    b: Fpn,
-    c: Fpn,
-    ties: str = TIES_EVEN,
-    counter: OpCounter | None = None,
-) -> OpResult:
+def fma(a: Fpn, b: Fpn, c: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = None) -> OpResult:
     """The exact a*b + c after only one rounding."""
     fmt = a.fmt
-    if (b.fmt is not fmt and b.fmt != fmt) or (c.fmt is not fmt and c.fmt != fmt):
-        raise ValueError(_FMT_MISMATCH)
-    if counter is not None:
-        counter.rounded += 1
-    pn = a.sign * b.sign * a.m * b.m
-    cn, ec = _pair(c, a.e + b.e)
-    ep = a.e + b.e if pn else ec  # a zero product at c's scale
-    if ep >= ec:
-        n, e0 = (pn << (ep - ec)) + cn, ec
-    else:
-        n, e0 = pn + (cn << (ec - ep)), ep
-    r = _round_int(n, e0, fmt.p, fmt, ties)
-    return _op_result(OpResult, (_rounded(r, e0, fmt), r == n))
+    _check_fmt(fmt, b, c)
+    return _op(a.sign * a.m, a.e, b.sign * b.m, b.e, c.sign * c.m, c.e, fmt, ties, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +589,7 @@ def fast2sum(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None = 
     rather than ever returning a wrong error term.
     """
     fmt = a.fmt
-    if b.fmt is not fmt and b.fmt != fmt:
-        raise ValueError(_FMT_MISMATCH)
+    _check_fmt(fmt, b)
     an, ae = _pair(a, b.e)
     bn, be = _pair(b, ae)
     e = ae if ae < be else be
@@ -619,8 +605,7 @@ def fast2mult(a: Fpn, b: Fpn, ties: str = TIES_EVEN, counter: OpCounter | None =
     error's quantum fell below 2**e_min_q).
     """
     fmt = a.fmt
-    if b.fmt is not fmt and b.fmt != fmt:
-        raise ValueError(_FMT_MISMATCH)
+    _check_fmt(fmt, b)
     e = a.e + b.e
     hn, ln = _fast2mult_scaled(a.sign * a.m, a.e, b.sign * b.m, b.e, e, fmt, ties, counter)
     return _rounded(hn, e, fmt), _rounded(ln, e, fmt)

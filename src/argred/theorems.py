@@ -23,9 +23,9 @@ from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, Consta
 from .constgen import first_failure, gen_constants, nearest_c1, synthetic_set
 from .realnum import NAMED_CONSTANTS, PI
 from .reduction import ReductionRangeError, TheoremViolation, extract_z, first_step, sigma_for
-from .reduction import _extract_pairs, _minus_zc_pairs, _require_covered, _second_step_pairs, _xr_fits
+from .reduction import _extract_pairs, _require_covered, _second_step_pairs, _xr_fits
 from .softfp import DOUBLE, FORMATS, TIES_EVEN, Fpn, Format, _rounded, fast2mult, fast2sum, fits_scaled, mul
-from .softfp import round_nearest, sub, ulp, ulp2
+from .softfp import _fma_pairs, round_nearest, sub, ulp, ulp2
 
 __all__ = [
     "CheckConfig",
@@ -310,7 +310,7 @@ def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int
     fmt, ties, rm, re = r.fmt, cfg.ties, r.m, r.e
     try:
         c1n, c1e = synthetic_set(r, n=max(cfg.n_values), q=q).pairs[2:4]
-        n_values = cfg.n_values
+        mc1n, n_values = -c1n, cfg.n_values  # the first step is fma(z, -C1, x)
     except HypothesisViolation:
         n_values = ()
     failures = []
@@ -335,8 +335,8 @@ def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int
                 if not want_first:
                     continue
                 # x - z*C1 = d * 2^e, built once: the kernel's rounding of it, and fits_scaled
-                e, d, _, exact = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
-                representable = fits_scaled(d, e, fmt.p, fmt)
+                e, d, un = _fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties)
+                exact, representable = un == d, fits_scaled(d, e, fmt.p, fmt)
                 if exact and representable:
                     continue
                 fail = {"exact_first": exact, "representable": representable}
@@ -510,12 +510,12 @@ def _random_xs(rng: random.Random, fmt: Format, rm: int, re: int, n: int):
 
 
 def _set_pairs(cs: ConstantSet, n: int) -> tuple:
-    """What a thm6 case reads of cs at N, once per set: (cs, fmt, N, and
-    R, sigma, C1, C2 as signed pairs).  An N above cs.n must be covered."""
+    """What a thm6 case reads of cs at N, once per set: (cs, fmt, N, and R, sigma, -C1, C2 as
+    signed pairs), -C1 for the first step's fma(z, -C1, x).  An N above cs.n must be covered."""
     if n > cs.n:
         _require_covered(cs, n)
     sigma = sigma_for(cs.fmt, n)
-    return (cs, cs.fmt, n, *cs.pairs[:2], sigma.m, sigma.e, *cs.pairs[2:6])
+    return (cs, cs.fmt, n, *cs.pairs[:2], sigma.m, sigma.e, -cs.pairs[2], *cs.pairs[3:6])
 
 
 def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
@@ -535,33 +535,33 @@ def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | 
     """One thm6 case on the pair core: x = xn * 2^xe, in range, against the set
     pairs sp of _set_pairs, from its _first_step_head if given; z goes on as
     extraction's (k, -N).  A failure record, or None."""
-    cs, fmt, n, rn, re, sn, se, c1n, c1e, c2n, c2e = sp
+    cs, fmt, n, rn, re, sn, se, mc1n, c1e, c2n, c2e = sp
     try:
         if head is None:  # inline for the campaign, where a _first_step_head call costs ~3% a case
             zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
-            e, d, un, exact1 = _minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties)
+            e, d, un = _fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties)
         elif isinstance(head, dict):
             return head
         else:
-            zn, ze, e, d, un, exact1 = head
+            zn, ze, e, d, un = head
         exact2, ops = _second_step_pairs(xn, xe, zn, ze, e, d, un, c2n, c2e, cs, fmt, ties)[3:]
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
-    if not exact1 or not exact2 or ops != 9:
+    if un != d or not exact2 or ops != 9:
         x = _rounded(xn, xe, fmt).to_text()
-        return {"x": x, "N": n, "exact_first": exact1, "exact_second": exact2, "ops": ops}
+        return {"x": x, "N": n, "exact_first": un == d, "exact_second": exact2, "ops": ops}
     return None
 
 
 def _first_step_head(xn: int, xe: int, sp: tuple, ties: str) -> tuple | dict:
-    """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, e, d, un, exact1) with
-    z = zn * 2^ze as the pair (k, -N), x - z*C1 = d * 2^e and u = un * 2^e, or an error record."""
-    _, fmt, n, rn, re, sn, se, c1n, c1e, _, _ = sp
+    """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, e, d, un) with z = zn * 2^ze
+    as the pair (k, -N), x - z*C1 = d * 2^e and u = un * 2^e, exact iff un == d, or an error record."""
+    _, fmt, n, rn, re, sn, se, mc1n, c1e, _, _ = sp
     try:
         zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
-    return (zn, ze, *_minus_zc_pairs(xn, xe, zn, ze, c1n, c1e, fmt, ties))
+    return (zn, ze, *_fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties))
 
 
 def check_thm6(cfg: CheckConfig) -> CheckResult:
@@ -581,7 +581,7 @@ def check_thm6(cfg: CheckConfig) -> CheckResult:
 
 def _check_at_least_1(cfg: CheckConfig, *names: str) -> None:
     # no trials, an empty x window or an R stride below 1 would pass
-    # without running a case
+    # without running a case; jobs below 1 would run as jobs = 1
     for name in names:
         value = getattr(cfg, name)
         if value < 1:
@@ -812,4 +812,5 @@ def run_check(cfg: CheckConfig) -> CheckResult:
         raise ValueError(
             f"unknown theorem {cfg.theorem!r}; pick one of {sorted(_CHECKS)}"
         ) from None
+    _check_at_least_1(cfg, "jobs")
     return fn(cfg)

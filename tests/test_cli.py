@@ -221,6 +221,26 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"name": "half", "lo": "3 * 2^0"}, ["3 * 2^0", "4 * 2^0"], {"lo": 3, "hi": "4 * 2^0"}],
+    ids=["no-hi", "list", "number-lo"],
+)
+def test_constant_files_without_bounds_exit_2_with_one_line(tmp_path, capsys, data):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    for cmd in ("constants", "reduce"):
+        code, out, err = run(capsys, cmd, "--const", str(f), *(("--x", "1") if cmd == "reduce" else ()))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_refuses_jobs_below_1(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--theorem", "eft", "--trials", "10", "--jobs", jobs)
+    assert (code, out, err) == (2, "", f"error: jobs must be at least 1, got {jobs}\n")
+
+
 def test_far_out_of_range_decimals_are_decided_before_the_power(capsys):
     # 10^(10^9) would take hours to build; in a fresh process with a
     # timeout, so a regression fails instead of hanging

@@ -232,6 +232,25 @@ def test_audit_catches_a_c1_the_kernel_rounded_wrong(monkeypatch):
     assert audit(good).passed
 
 
+def test_audit_catches_an_r_the_kernel_rounded_wrong(monkeypatch):
+    # every p-bit kernel rounding of a ratio one ulp up, in generation and
+    # in round_nearest alike: R comes out one ulp high, and the audit's R
+    # entry, decided by round_rational, must not agree with it
+    import argred.softfp as softfp
+
+    kernel = softfp._round_ratio
+
+    def one_ulp_up(num, den, digits, fmt, ties):
+        got = kernel(num, den, digits, fmt, ties)
+        return got.next_up() if digits == fmt.p else got
+
+    monkeypatch.setattr(softfp, "_round_ratio", one_ulp_up)
+    monkeypatch.setattr(constgen, "_round_ratio", one_ulp_up)
+    bad = gen_constants(PI, DOUBLE)
+    assert bad.r == Fpn.from_text("5734161139222660 * 2^-54", DOUBLE)
+    assert "R is nearest(1/C) at p bits" in [c.hypothesis for c in audit(bad).failed_checks()]
+
+
 def test_bound_entries_agree_with_the_inequality_they_cite():
     # the Fraction inequality C1 >= 2^k * lambda, k read from the entry's
     # own text, is the oracle for its integer predicate and its exponent

@@ -31,7 +31,7 @@ from argred.softfp import (
     ulp2,
     ulp2_exp,
 )
-from argred.softfp import _canonical, _dyadic, _fast2mult_scaled, _fast2sum_scaled, _rounded
+from argred.softfp import _canonical, _dyadic, _fast2mult_scaled, _fast2sum_scaled, _fma_pairs, _rounded
 from argred.realnum import LN2, PI, Constant, RealEnclosure
 from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
 from argred.theorems import CheckConfig, _random_xs, _sweep_space
@@ -860,7 +860,8 @@ def _pair_chain(x, cs, n, ties, nudge):
     zn, ze, k, ell, s, s_exp, in_range = reduction._extract_pairs(
         xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True
     )
-    e, d, un, exact1 = reduction._minus_zc_pairs(xn, xe, zn, ze, c1.sign * c1.m, c1.e, fmt, ties)
+    e, d, un = _fma_pairs(-zn, ze, c1.sign * c1.m, c1.e, xn, xe, fmt, ties)
+    exact1 = un == d
     if nudge:
         e, d, un = _one_ulp_up(e, d, un, fmt)
     u = _rounded(un, e, fmt)
@@ -921,12 +922,13 @@ def _lower(n, e, j):
 
 
 def _steps_outcome(x, z, cs, ties, nudge, jc, jd):
-    """_minus_zc_pairs and _second_step_pairs on the pairs x and z, with C1
-    and C2 jc bits and the step's terms jd bits lower: every result as a
-    value, the flags, the count, or the raise."""
+    """The first step's _fma_pairs and _second_step_pairs on the pairs x and
+    z, with C1 and C2 jc bits and the step's terms jd bits lower: every
+    result as a value, the flags, the count, or the raise."""
     fmt = cs.fmt
     c1n, c1e, c2n, c2e = cs.pairs[2:6]
-    e, d, un, exact1 = reduction._minus_zc_pairs(*x, *z, *_lower(c1n, c1e, jc), fmt, ties)
+    e, d, un = _fma_pairs(-z[0], z[1], *_lower(c1n, c1e, jc), *x, fmt, ties)
+    exact1 = un == d
     if nudge:
         e, d, un = _one_ulp_up(e, d, un, fmt)
     d, e = _lower(d, e, jd)

@@ -374,7 +374,10 @@ def test_fma_spec_examples():
 
 @pytest.mark.slow
 def test_fma_against_exact_oracle_random_campaign():
-    # spec invariant: fma = round(exact(a*b + c)), 10^6 random triples
+    # spec invariant: fma = round(exact(a*b + c)), 10^6 random triples,
+    # against round_rational, the oracle that shares no code with the
+    # kernel's rounding; the same fused core runs the reduction's first
+    # and third steps
     rng = random.Random(20240817)
     trials = 1_000_000
     fmt = DOUBLE
@@ -385,7 +388,7 @@ def test_fma_against_exact_oracle_random_campaign():
         c = Fpn(rng.choice((1, -1)), rng.randrange(lo_m, hi_m), rng.randrange(-40, 40), fmt)
         got, exact = fma(a, b, c)
         v = a.value * b.value + c.value
-        assert got == round_nearest(v, fmt), (a, b, c)
+        assert got == round_rational(v.numerator, v.denominator, fmt), (a, b, c)
         assert exact == (got.value == v)
 
 

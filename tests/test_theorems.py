@@ -454,7 +454,7 @@ def test_sweeps_refuse_oversized_spaces_before_running(monkeypatch, fields):
 
     for name in (
         "_sweep_format", "_sweep_xs", "_sweep_rs", "synthetic_set", "extract_z", "_run_second_step_case",
-        "_extract_pairs", "_minus_zc_pairs", "_second_step_pairs", "_set_pairs", "_first_step_head",
+        "_extract_pairs", "_fma_pairs", "_second_step_pairs", "_set_pairs", "_first_step_head",
     ):
         monkeypatch.setattr(theorems, name, never)
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
@@ -868,24 +868,25 @@ def _forged_extraction(real):
 
 
 def _first_step_one_ulp_up(real):
-    """_minus_zc_pairs one ulp above, and flagged inexact, for a z whose
-    canonical signed significand is 2 mod 5: the second step then runs on a
-    wrong u.  The ulp is that of u's quantum, 2^max(e + bits(d) - p, e_min_q),
-    or, for a zero u, of max(min(xe, ze + ce), e_min_q) with z's canonical
-    exponent ze; the case's scale e drops to it if needed.  (C1 itself one
-    ulp off leaves every first step of this window exact: z has at most 5
-    bits, so x - z*C1 still fits 8.)"""
+    """The first step's fma(z, -C1, x) through _fma_pairs one ulp above, so
+    flagged inexact, for a z whose canonical signed significand is 2 mod 5:
+    the second step then runs on a wrong u.  The ulp is that of u's quantum,
+    2^max(e + bits(d) - p, e_min_q), or, for a zero u, of
+    max(min(xe, ze + ce), e_min_q) with z's canonical exponent ze; the
+    case's scale e drops to it if needed.  (C1 itself one ulp off leaves
+    every first step of this window exact: z has at most 5 bits, so
+    x - z*C1 still fits 8.)"""
     from argred.softfp import _canonical
 
-    def make(xn, xe, zn, ze, cn, ce, fmt, ties):
-        e, d, un, exact = real(xn, xe, zn, ze, cn, ce, fmt, ties)
+    def make(zn, ze, mcn, ce, xn, xe, fmt, ties):
+        e, d, un = real(zn, ze, mcn, ce, xn, xe, fmt, ties)
         zn, ze = _canonical(zn, ze, fmt)
         if zn % 5 != 2:
-            return e, d, un, exact
+            return e, d, un
         q = max(e + d.bit_length() - fmt.p if d else min(xe, ze + ce), fmt.e_min_q)
         if q < e:
             d, un, e = d << (e - q), un << (e - q), q
-        return e, d, un + (1 << (q - e)), False
+        return e, d, un + (1 << (q - e))
 
     return make
 
@@ -928,7 +929,7 @@ def test_thm6_exhaustive_failing_records_are_pinned(monkeypatch, fault, ties):
     if fault == "extraction":
         monkeypatch.setattr(theorems, "_extract_pairs", _forged_extraction(theorems._extract_pairs))
     elif fault == "first_step":
-        monkeypatch.setattr(theorems, "_minus_zc_pairs", _first_step_one_ulp_up(theorems._minus_zc_pairs))
+        monkeypatch.setattr(theorems, "_fma_pairs", _first_step_one_ulp_up(theorems._fma_pairs))
     else:
         monkeypatch.setattr(reduction, "_fast2mult_scaled", _miscounting_fast2mult(reduction._fast2mult_scaled))
     cfg = CheckConfig(theorem="thm6", mode="exhaustive", p=8, r_step=64, n_values=(0, 2), window=4, ties=ties)
@@ -955,7 +956,7 @@ def test_thm6_randomized_failing_records_are_pinned(monkeypatch, ties):
 
     import argred.theorems as theorems
 
-    monkeypatch.setattr(theorems, "_minus_zc_pairs", _first_step_one_ulp_up(theorems._minus_zc_pairs))
+    monkeypatch.setattr(theorems, "_fma_pairs", _first_step_one_ulp_up(theorems._fma_pairs))
     cfg = CheckConfig(
         theorem="thm6", mode="randomized", constant="pi", fmt="double", n_values=(0, 10), trials=200, seed=1, ties=ties
     )
