@@ -3,11 +3,12 @@
 A ConstantSet bundles, for one constant C and one format: R ~ 1/C at
 full precision, C1 ~ 1/R with its last q significand bits zeroed, C2 the
 rounded remainder of C - C1 on the 8*ulp2(C1) grid, and C3 mopping up
-C - C1 - C2.  The theorems' hypotheses are stated once, in HYPOTHESES:
-generation raises on the first one a set fails, ``extract_z`` and
-``second_step`` ask the N-dependent ones above a set's own N, ``audit``
-reports every one, and the general-q sweeps ask the first step's rules
-on C1 of their own C1.
+C - C1 - C2.  Its lane (``ConstantSet.lane``), built once per instance,
+holds what ``reduce`` and the thm6 harness read of it for each x.  The
+theorems' hypotheses are stated once, in HYPOTHESES: generation raises on
+the first one a set fails, ``extract_z`` and ``second_step`` ask the
+N-dependent ones above a set's own N, ``audit`` reports every one, and
+the general-q sweeps ask the first step's rules of their own C1.
 
 Generation rounds R, C2 and C3 from the integers of
 ``Constant.scaled_enclosure(3p)``; audit's "R is nearest(1/C)" entry
@@ -16,6 +17,7 @@ refines the same bounds, rounding them by the independent round_rational.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +37,7 @@ __all__ = [
     "HypothesisViolation",
     "N_DEPENDENT",
     "RC1_AT_MOST_1",
+    "SetLane",
     "audit",
     "first_failure",
     "format_label",
@@ -43,6 +46,7 @@ __all__ = [
     "nearest_c1",
     "recip_ratio",
     "set_to_record",
+    "sigma_for",
     "synthetic_set",
 ]
 
@@ -84,14 +88,35 @@ class ConstantSet:
         return self.r.value * self.c1.value - 1
 
     @cached_property
-    def pairs(self) -> tuple[int, ...]:
-        """R, C1, C2 and C3 as flat signed (n, e) pairs, read once per instance."""
-        return tuple(f for v in (self.r, self.c1, self.c2, self.c3) for f in (v.sign * v.m, v.e))
+    def lane(self) -> SetLane:
+        """What reduce and the harness read of the set, built on first use per instance."""
+        fmt, r, c1, c2, c3 = self.r.fmt, self.r, self.c1, self.c2, self.c3
+        sigma = sigma_for(fmt, self.n)
+        return SetLane(
+            fmt, self.n, r.sign * r.m, r.e, sigma.m, sigma.e, -c1.sign * c1.m, c1.e, c2.sign * c2.m, c2.e,
+            -c3.sign * c3.m, c3.e, ulp2_exp(c1), all(v.fmt is fmt or v.fmt == fmt for v in (c1, c2, c3)),
+            None if self.constant is None else _scaled_ends(self.constant, 6 * self.fmt.p),
+        )
 
-    @cached_property
-    def c1_ulp2_exp(self) -> int:
-        """ulp2_exp(C1), read once per instance: the second step's grid is 2^(-N-1) * ulp2(C1)."""
-        return ulp2_exp(self.c1)
+
+# R's format and N; R, sigma at N, -C1, C2 and -C3 as signed (n, e) pairs; ulp2_exp(C1); whether
+# C1, C2 and C3 share R's format; C's scaled_enclosure(6p) as _scaled_ends gives it, None if synthetic
+SetLane = namedtuple("SetLane", "fmt n rn re sn se mc1n c1e c2n c2e mc3n c3e c1_ulp2_exp same_fmt ends")
+
+
+def _scaled_ends(constant: Constant, bits: int) -> tuple[int, int, int, int | None]:
+    """constant.scaled_enclosure(bits) as (lo, hi - lo, den, log2(den) or None if den is no power of 2)."""
+    lo, hi, den = constant.scaled_enclosure(bits)
+    return lo, hi - lo, den, None if den & (den - 1) else den.bit_length() - 1
+
+
+def sigma_for(fmt: Format, n: int) -> Fpn:
+    """The shift constant 3 * 2^(p-N-2) that places z's last bit at 2^-N, built once per (fmt
+    instance, N) and held by fmt itself (Format._sigma): sigma.fmt is fmt, and goes with it."""
+    sigma = fmt._sigma.get(n)
+    if sigma is None:
+        sigma = fmt._sigma[n] = Fpn(1, 3, fmt.p - n - 2, fmt)
+    return sigma
 
 
 def recip_ratio(x: Fpn) -> tuple[int, int]:
@@ -99,10 +124,6 @@ def recip_ratio(x: Fpn) -> tuple[int, int]:
     if x.e < 0:
         return 1 << -x.e, x.m
     return 1, x.m << x.e
-
-
-def _is_pow2(m: int) -> bool:
-    return m & (m - 1) == 0
 
 
 def nearest_c1(r: Fpn, q: int, ties: str = TIES_EVEN) -> Fpn:
@@ -170,7 +191,7 @@ def _c1_is_nearest(cs: ConstantSet, n: int) -> bool:
 
 
 def _c1_not_pow2(cs: ConstantSet, n: int) -> bool:
-    return not _is_pow2(cs.c1.m)
+    return cs.c1.m & (cs.c1.m - 1) != 0
 
 
 def _c2_within_4_ulp(cs: ConstantSet, n: int) -> bool:

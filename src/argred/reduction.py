@@ -13,18 +13,13 @@ Four stages, all driven by one fma-capable kernel:
 Every stage reports exactness flags computed against the exact value,
 and the second step counts its rounded operations (always 9).  The
 arithmetic and checks are written once, in a core on signed integers
-(_extract_pairs, softfp._fma_pairs as fma(-z, C, x) for the first and
+(_extract_pairs, softfp._fma_pairs as fma(z, -C, x) for the first and
 third steps, _second_step_pairs, _residual_pairs) that rounds with
-softfp._round_int, the kernel's one rounding and tie rule.  Each stage
-puts its terms on one common scale 2^e once and rounds plain integer
-expressions there, so exactness is r == n and the second step's
-recompositions are integer equalities.  Extraction rounds and checks at
-e0 = min(x.e + R.e, sigma.e) and hands z on as the pair (k, -N); the
-first step runs at min(x.e, C1.e - N), lowered to C2.e - N for the
-second.  reduce runs the core once per x and builds an Fpn, on the
-trusted path, only for the five values it returns; the four public
-stages are thin Fpn wrappers over it (first_step and third_step call
-softfp.fma), and the thm6 campaign and the sweeps call it directly.
+softfp._round_int.  Each stage puts its terms on one common scale once,
+so exactness is r == n; z goes on as the pair (k, -N).  reduce and the
+thm6 harness read a set once, through its lane (ConstantSet.lane), run
+the core once per x, and build an Fpn only for what they return; the
+four public stages are thin Fpn wrappers over the same core.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .constgen import N_DEPENDENT, ConstantSet, HypothesisViolation, first_failure
+from .constgen import N_DEPENDENT, ConstantSet, HypothesisViolation, _scaled_ends, first_failure, sigma_for
 from .softfp import (
     TIES_EVEN,
     Fpn,
@@ -63,7 +58,6 @@ __all__ = [
     "residual_interval",
     "s_within_half",
     "second_step",
-    "sigma_for",
     "third_step",
     "xr_bound",
     "xr_in_bounds",
@@ -76,22 +70,6 @@ class ReductionRangeError(ValueError):
 
 class TheoremViolation(ArithmeticError):
     """A theorem conclusion failed at runtime (kernel or hypothesis bug)."""
-
-
-_SIGMA: dict[tuple[int, int], Fpn] = {}
-
-
-def sigma_for(fmt: Format, n: int) -> Fpn:
-    """The shift constant 3 * 2^(p-N-2) that places z's last bit at 2^-N.
-
-    Built on first use for each (fmt instance, N) and shared afterwards;
-    keyed by id, not Format equality, so sigma.fmt is the caller's fmt
-    (and, held by the entry, keeps that id from being reused).
-    """
-    sigma = _SIGMA.get((id(fmt), n))
-    if sigma is None:
-        sigma = _SIGMA[id(fmt), n] = Fpn(1, 3, fmt.p - n - 2, fmt)
-    return sigma
 
 
 def xr_bound(fmt: Format, n: int) -> Fraction:
@@ -157,25 +135,19 @@ def extract_z(
         n = cs.n
     elif n > cs.n:
         _require_covered(cs, n)
-    zn, ze, k, ell, s, e0, in_range = _extract(x, cs.r, n, ties, counter, check)
-    z = _rounded(zn, ze, x.fmt)
-    s_exp = min(z.e, x.e + cs.r.e)  # ZExtractInfo's s is over z's canonical exponent, or x*R's if lower
-    s = s << (e0 - s_exp) if e0 >= s_exp else s >> (s_exp - e0)
-    return z, tuple.__new__(ZExtractInfo, (k, ell, s, s_exp, in_range))
-
-
-def _extract(x: Fpn, r: Fpn, n: int, ties: str, counter: OpCounter | None, check: bool) -> tuple:
-    """extract_z's range test and format check, then _extract_pairs on x."""
-    fmt = x.fmt
+    fmt, r = x.fmt, cs.r
     if not _xr_fits(x.m * r.m, x.e + r.e + n, fmt.p):
-        raise ReductionRangeError(f"|x*R| exceeds 2^(p-N-2) - 2^-N for N={n}; x={x.to_text()}, R={r.to_text()}")
+        raise ReductionRangeError(_OUT_OF_RANGE % (n, x.to_text(), r.to_text()))
     sigma = sigma_for(fmt, n)  # sigma.fmt is fmt itself
     _check_fmt(fmt, r)
     if counter is not None:
         counter.rounded += 2
-    if not x.m:  # t = sigma, z = 0 exactly, and s = 0
-        return 0, -n, 0, 0, 0, 0, False
-    return _extract_pairs(x.sign * x.m, x.e, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check)
+    xn, xe = _pair(x, sigma.e - r.e)  # a zero x at sigma's scale, not e_min_q: t = sigma, z = 0, s = 0
+    zn, ze, k, ell, s, e0, in_range = _extract_pairs(xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check)
+    z = _rounded(zn, ze, fmt)
+    s_exp = min(z.e, x.e + r.e)  # ZExtractInfo's s is over z's canonical exponent, or x*R's if lower
+    s = s << (e0 - s_exp) if e0 >= s_exp else s >> (s_exp - e0)
+    return z, tuple.__new__(ZExtractInfo, (k, ell, s, s_exp, in_range))
 
 
 def _extract_pairs(
@@ -211,6 +183,7 @@ def _extract_pairs(
     return k, -n, k, ell, s, e0, in_range
 
 
+_OUT_OF_RANGE = "|x*R| exceeds 2^(p-N-2) - 2^-N for N=%d; x=%s, R=%s"
 _OFF_GRID = "%s is not a multiple of 2^(-N-1)*ulp2(C1): %s"
 
 
@@ -254,7 +227,7 @@ def _second_step_pairs(
             _require_covered(cs, n)
         else:
             n = cs.n
-        g = -n - 1 + cs.c1_ulp2_exp - e  # the grid is 2^g at scale e: the low g bits are zero
+        g = -n - 1 + cs.lane.c1_ulp2_exp - e  # the grid is 2^g at scale e: the low g bits are zero
         off = (1 << g) - 1 if g > 0 else 0
         if t1n & off:
             raise TheoremViolation(_OFF_GRID % ("t1", _rounded(t1n, e, fmt).to_text()))
@@ -298,16 +271,15 @@ def second_step(
     """
     fmt = z.fmt
     _check_fmt(fmt, cs.c2, u, x)
-    c1n, c1e, c2n, c2e = cs.pairs[2:6]
-    zn, ze = z.sign * z.m, z.e
-    un, ue = _pair(u, ze + c1e)  # a zero u at the scale of z*C1, a zero x at u's
+    lane, zn, ze = cs.lane, z.sign * z.m, z.e
+    un, ue = _pair(u, ze + lane.c1e)  # a zero u at the scale of z*C1, a zero x at u's
     xn, xe = _pair(x, ue)
-    zc1, e = zn * c1n, min(xe, ue)  # x - z*C1 = d * 2^e exactly, u = un * 2^e
-    if zc1:
-        e = min(e, ze + c1e)
-        zc1 <<= ze + c1e - e
-    d, un = (xn << (xe - e)) - zc1, un << (ue - e)
-    e, v1n, v2n, exact, ops = _second_step_pairs(xn, xe, zn, ze, e, d, un, c2n, c2e, cs, fmt, ties)
+    mzc1, e = zn * lane.mc1n, min(xe, ue)  # x - z*C1 = d * 2^e exactly, u = un * 2^e
+    if mzc1:
+        e = min(e, ze + lane.c1e)
+        mzc1 <<= ze + lane.c1e - e
+    d, un = (xn << (xe - e)) + mzc1, un << (ue - e)
+    e, v1n, v2n, exact, ops = _second_step_pairs(xn, xe, zn, ze, e, d, un, lane.c2n, lane.c2e, cs, fmt, ties)
     if counter is not None:
         counter.rounded += ops
     return SecondStepResult(_rounded(v1n, e, fmt), _rounded(v2n, e, fmt), exact, ops, True)
@@ -330,38 +302,40 @@ def residual_interval(
     default) comes from the constant's memo; both ends are computed as
     integers over den * 2^-e0.
     """
+    if cs.constant is None:
+        raise ValueError("synthetic constant sets have no underlying C")
+    ends = cs.lane.ends if bits is None else _scaled_ends(cs.constant, bits)
     top = max(x.e, z.e, v1.e, w.e)  # a zero at the top sets no alignment
-    return _residual_pairs(*_pair(x, top), *_pair(z, top), *_pair(v1, top), *_pair(w, top), cs, bits)
+    return _residual_pairs(*_pair(x, top), *_pair(z, top), *_pair(v1, top), *_pair(w, top), ends)
 
 
 def _residual_pairs(
-    xn: int, xe: int, zn: int, ze: int, v1n: int, v1e: int, wn: int, we: int, cs: ConstantSet, bits: int | None
+    xn: int, xe: int, zn: int, ze: int, v1n: int, v1e: int, wn: int, we: int, ends: tuple
 ) -> tuple[Fraction, Fraction]:
-    """residual_interval on signed pairs: one product with C's lower bound, and
-    the other end as that plus z times the narrow width (they swap for z < 0)."""
-    if cs.constant is None:
-        raise ValueError("synthetic constant sets have no underlying C")
-    c_lo, c_hi, den = cs.constant.scaled_enclosure(6 * cs.fmt.p if bits is None else bits)
+    """residual_interval on signed pairs and C's ends from constgen._scaled_ends:
+    one product with C's lower bound, the other end that plus z times the width
+    (they swap for z < 0); each n * 2^e0 / den by _dyadic, with no gcd, when den
+    is a power of two (the named constants', a --const file's)."""
+    c_lo, c_width, den, den_exp = ends
     e0 = min(xe, ze, v1e, we)
     zn <<= ze - e0
     lo = den * ((v1n << (v1e - e0)) + (wn << (we - e0)) - (xn << (xe - e0))) + zn * c_lo
-    hi = lo + zn * (c_hi - c_lo)
+    hi = lo + zn * c_width
     if hi < lo:
         lo, hi = hi, lo
     if lo <= 0 <= hi:
         lo, hi = 0, max(-lo, hi)
     elif hi < 0:
         lo, hi = -hi, -lo
-    return _over(lo, den, e0), _over(hi, den, e0)
+    if den_exp is None:
+        return _over(lo, den, e0), _over(hi, den, e0)
+    return _dyadic(lo, e0 - den_exp), _dyadic(hi, e0 - den_exp)
 
 
 def _over(n: int, den: int, e0: int) -> Fraction:
-    """A residual end n * 2^e0 / den, exactly: softfp._dyadic with no gcd
-    when den is a power of two (the named constants', a --const file's); any
-    other den (a non-dyadic Constant.from_enclosure) goes through Fraction."""
-    if den & (den - 1):
-        return _dyadic(n, e0) / den
-    return _dyadic(n, e0 - den.bit_length() + 1)
+    """A residual end n * 2^e0 / den, exactly, through Fraction: for a den
+    that is not a power of two (a non-dyadic Constant.from_enclosure)."""
+    return _dyadic(n, e0) / den
 
 
 class ReductionOutput(NamedTuple):
@@ -384,20 +358,23 @@ class ReductionOutput(NamedTuple):
 
 
 def reduce(x: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, measure_residual: bool = True) -> ReductionOutput:
-    """Run the full pipeline at N = cs.n: extract z, first, second, and
-    third steps, with every runtime theorem check on: those of the four
-    stage wrappers, in their order, in one pass over the pair core, after
-    extraction's own checks and one format check of C1, C2 and C3."""
-    zn, ze, _, ell, s_num, s_exp, in_range = _extract(x, cs.r, cs.n, ties, None, True)
-    fmt, xn, xe = x.fmt, x.sign * x.m, x.e
-    _check_fmt(fmt, cs.c1, cs.c2, cs.c3)
-    _, _, c1n, c1e, c2n, c2e, c3n, c3e = cs.pairs
-    mzn = -zn  # the first and third steps are fma(-z, C, x)
-    ue, d, un = _fma_pairs(mzn, ze, c1n, c1e, xn, xe, fmt, ties)
+    """Run the full pipeline at N = cs.n, with every runtime theorem check of
+    the four stage wrappers on, in their order, in one pass over the pair
+    core on the set's lane; x is checked against R's format only when x.fmt
+    is not the lane's, and C1, C2 and C3 only when the lane found them off it."""
+    lfmt, n, rn, re, sn, se, mc1n, c1e, c2n, c2e, mc3n, c3e, _, same_fmt, ends = cs.lane
+    fmt, (xn, xe) = x.fmt, _pair(x, se - re)  # a zero x at sigma's scale, as in extract_z
+    if not _xr_fits(x.m * (rn if rn > 0 else -rn), xe + re + n, fmt.p):
+        raise ReductionRangeError(_OUT_OF_RANGE % (n, x.to_text(), cs.r.to_text()))
+    if fmt is not lfmt:
+        _check_fmt(fmt, cs.r)
+    zn, ze, _, ell, s_num, s_exp, in_range = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)
+    if not same_fmt:
+        _check_fmt(fmt, cs.c1, cs.c2, cs.c3)
+    ue, d, un = _fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties)  # the first and third steps are fma(z, -C, x)
     e, v1n, v2n, exact2, ops = _second_step_pairs(xn, xe, zn, ze, ue, d, un, c2n, c2e, cs, fmt, ties)
-    we, _, wn = _fma_pairs(mzn, ze, c3n, c3e, v2n, e, fmt, ties)
-    measured = measure_residual and cs.constant is not None
-    res = _residual_pairs(xn, xe, zn, ze, v1n, e, wn, we, cs, None) if measured else (None, None)
+    we, _, wn = _fma_pairs(zn, ze, mc3n, c3e, v2n, e, fmt, ties)
+    res = _residual_pairs(xn, xe, zn, ze, v1n, e, wn, we, ends) if measure_residual and ends else (None, None)
     return tuple.__new__(ReductionOutput, (
         _rounded(zn, ze, fmt), _rounded(un, ue, fmt), _rounded(v1n, e, fmt), _rounded(v2n, e, fmt),
         _rounded(wn, we, fmt), ell, _dyadic(s_num, s_exp), un == d, exact2, ops, in_range, *res,

@@ -15,11 +15,11 @@ Trusted construction.  ``Fpn(...)`` checks and canonicalizes its fields;
 ``_rounded`` builds the canonical Fpn of a signed pair (n, e) without that
 work, shifting n to p bits or to the quantum 2**e_min_q.  It is given only
 pairs whose value is an FPN: ``_round_int`` results (rounded at or above
-e_min_q and checked for overflow), zeros, and the fields of FPNs (``-x``,
-``abs(x)``, operands named in error messages).  Everything else,
+e_min_q and checked for overflow), zeros, and the fields of FPNs named in
+error messages; ``-x`` and ``abs(x)`` copy x's fields.  Everything else,
 ``round_rational`` (the oracle) included, goes through ``Fpn(...)``.
 
-The lane.  ``_round_int`` rounds the exact n * 2**e of a signed n from its
+Pair core.  ``_round_int`` rounds the exact n * 2**e of a signed n from its
 floor n >> s, with no |n|, and returns only the rounded integer r, at the
 same scale: any rounding of an integer at scale 2**e is again one, as its
 quantum is at or above 2**e unless the result is n itself (the e_min_q
@@ -34,7 +34,7 @@ integer equality.  Ops and stages build an ``Fpn`` only for what they return.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -91,6 +91,7 @@ class Format:
     p: int
     e_min_q: int
     e_max: int = 16383
+    _sigma: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # sigma_for's, by N
 
     def __post_init__(self) -> None:
         if self.p <= 3:
@@ -242,10 +243,14 @@ class Fpn:
     # -- exact structural operations ----------------------------------
 
     def __neg__(self) -> "Fpn":
-        return _rounded(-self.sign * self.m, self.e, self.fmt) if self.m else self
+        if not self.m:
+            return self
+        x = object.__new__(Fpn)  # the canonical fields, copied with the sign flipped
+        x.sign, x.m, x.e, x.fmt = -self.sign, self.m, self.e, self.fmt
+        return x
 
     def __abs__(self) -> "Fpn":
-        return _rounded(self.m, self.e, self.fmt) if self.sign < 0 else self
+        return -self if self.sign < 0 else self
 
     def max_quantum(self) -> int:
         """Largest e' such that self = n * 2**e' for an integer n (self != 0)."""

@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
-from .constgen import first_failure, gen_constants, nearest_c1, synthetic_set
+from .constgen import first_failure, gen_constants, nearest_c1, sigma_for, synthetic_set
 from .realnum import NAMED_CONSTANTS, PI
-from .reduction import ReductionRangeError, TheoremViolation, extract_z, first_step, sigma_for
+from .reduction import ReductionRangeError, TheoremViolation, extract_z, first_step
 from .reduction import _extract_pairs, _require_covered, _second_step_pairs, _xr_fits
 from .softfp import DOUBLE, FORMATS, TIES_EVEN, Fpn, Format, _rounded, fast2mult, fast2sum, fits_scaled, mul
 from .softfp import _fma_pairs, round_nearest, sub, ulp, ulp2
@@ -49,10 +49,12 @@ EXHAUSTIVE_CAP = 10**8
 
 
 def default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("ARGRED_JOBS", "1")))
-    except ValueError:
-        return 1
+    """$ARGRED_JOBS, 1 when unset; a value that is not an integer of at least 1 raises ValueError."""
+    text = os.environ.get("ARGRED_JOBS", "1")
+    jobs = int(text) if text.strip().isdecimal() else 0
+    if jobs < 1:
+        raise ValueError(f"ARGRED_JOBS must be an integer of at least 1, got {text!r}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -309,8 +311,8 @@ def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int
     """thm3 at one (q, R), with correct3's first step when want_first."""
     fmt, ties, rm, re = r.fmt, cfg.ties, r.m, r.e
     try:
-        c1n, c1e = synthetic_set(r, n=max(cfg.n_values), q=q).pairs[2:4]
-        mc1n, n_values = -c1n, cfg.n_values  # the first step is fma(z, -C1, x)
+        lane = synthetic_set(r, n=max(cfg.n_values), q=q).lane
+        mc1n, c1e, n_values = lane.mc1n, lane.c1e, cfg.n_values  # the first step is fma(z, -C1, x)
     except HypothesisViolation:
         n_values = ()
     failures = []
@@ -509,33 +511,28 @@ def _random_xs(rng: random.Random, fmt: Format, rm: int, re: int, n: int):
             yield sign * m, e
 
 
-def _set_pairs(cs: ConstantSet, n: int) -> tuple:
-    """What a thm6 case reads of cs at N, once per set: (cs, fmt, N, and R, sigma, -C1, C2 as
-    signed pairs), -C1 for the first step's fma(z, -C1, x).  An N above cs.n must be covered."""
-    if n > cs.n:
-        _require_covered(cs, n)
-    sigma = sigma_for(cs.fmt, n)
-    return (cs, cs.fmt, n, *cs.pairs[:2], sigma.m, sigma.e, -cs.pairs[2], *cs.pairs[3:6])
-
-
 def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     constant, fmt_label, n, q, seed, trials, ties = args
     fmt = FORMATS[fmt_label]
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
-    sp, rm, re = _set_pairs(cs, n), cs.r.m, cs.r.e
-    failures = []
-    for xn, xe in islice(_random_xs(random.Random(seed), fmt, rm, re, n), trials):
-        entry = _run_second_step_case(xn, xe, sp, ties)
+    if n > cs.n:  # the lane runs at N = n, which the set must cover
+        _require_covered(cs, n)
+    sigma, failures = sigma_for(fmt, n), []
+    lane = tuple(cs.lane._replace(n=n, sn=sigma.m, se=sigma.e))  # exact: a namedtuple unpacks via its iterator
+    for xn, xe in islice(_random_xs(random.Random(seed), fmt, cs.r.m, cs.r.e, n), trials):
+        entry = _run_second_step_case(xn, xe, cs, lane, ties)
         if entry is not None:
             failures.append(entry)
     return trials, failures, {}
 
 
-def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | dict | None = None) -> dict | None:
-    """One thm6 case on the pair core: x = xn * 2^xe, in range, against the set
-    pairs sp of _set_pairs, from its _first_step_head if given; z goes on as
-    extraction's (k, -N).  A failure record, or None."""
-    cs, fmt, n, rn, re, sn, se, mc1n, c1e, c2n, c2e = sp
+def _run_second_step_case(
+    xn: int, xe: int, cs: ConstantSet, lane: tuple, ties: str, head: tuple | dict | None = None
+) -> dict | None:
+    """One thm6 case on the pair core: x = xn * 2^xe, in range, against cs's lane as a tuple (or
+    one run at another N), from its _first_step_head if given; z goes on as extraction's (k, -N).
+    A failure record, or None."""
+    fmt, n, rn, re, sn, se, mc1n, c1e, c2n, c2e, _, _, _, _, _ = lane
     try:
         if head is None:  # inline for the campaign, where a _first_step_head call costs ~3% a case
             zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
@@ -553,10 +550,10 @@ def _run_second_step_case(xn: int, xe: int, sp: tuple, ties: str, head: tuple | 
     return None
 
 
-def _first_step_head(xn: int, xe: int, sp: tuple, ties: str) -> tuple | dict:
+def _first_step_head(xn: int, xe: int, lane: tuple, ties: str) -> tuple | dict:
     """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, e, d, un) with z = zn * 2^ze
     as the pair (k, -N), x - z*C1 = d * 2^e and u = un * 2^e, exact iff un == d, or an error record."""
-    _, fmt, n, rn, re, sn, se, mc1n, c1e, _, _ = sp
+    fmt, n, rn, re, sn, se, mc1n, c1e, _, _, _, _, _, _, _ = lane
     try:
         zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
     except TheoremViolation as exc:
@@ -657,11 +654,11 @@ def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
             except (HypothesisViolation, ValueError):
                 skipped += 1
                 continue
-            sp = _set_pairs(cs, n)
-            heads = heads or [(xn, xe, _first_step_head(xn, xe, sp, cfg.ties)) for _, xn, xe, _ in xs]
+            lane = tuple(cs.lane)  # an exact tuple unpacks faster, as in _thm6_chunk
+            heads = heads or [(xn, xe, _first_step_head(xn, xe, lane, cfg.ties)) for _, xn, xe, _ in xs]
             cases += len(xs)
             for xn, xe, head in heads:
-                entry = _run_second_step_case(xn, xe, sp, cfg.ties, head)
+                entry = _run_second_step_case(xn, xe, cs, lane, cfg.ties, head)
                 if entry is not None:
                     failures.append({**entry, "R": r.to_text(), "C2": cs.c2.to_text()})
     return cases, failures, {"skipped": skipped}

@@ -347,6 +347,42 @@ def test_verify_jobs_default_follows_environment(monkeypatch, capsys):
     assert seen == [1, 2]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_verify_refuses_an_invalid_jobs_environment(monkeypatch, capsys, jobs):
+    # as --jobs 0 does: one error line and exit 2, not a silent serial run
+    monkeypatch.setenv("ARGRED_JOBS", jobs)
+    code, out, err = run(capsys, "verify", "--theorem", "thm7")
+    assert (code, out) == (2, "")
+    assert err == f"error: ARGRED_JOBS must be an integer of at least 1, got {jobs!r}\n"
+
+
+def test_verify_jobs_default_is_1_when_unset(monkeypatch, capsys):
+    import argred.theorems as theorems
+
+    seen = []
+    real = theorems.run_check
+    monkeypatch.setattr(theorems, "run_check", lambda cfg: seen.append(cfg.jobs) or real(cfg))
+    monkeypatch.delenv("ARGRED_JOBS", raising=False)
+    assert run(capsys, "verify", "--theorem", "thm7")[0] == 0
+    assert seen == [1]
+
+
+def test_reduce_on_fresh_formats_leaves_no_format_alive(capsys):
+    # each call builds its own Format; its sigmas must not keep it alive
+    import gc
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, Format) for o in gc.get_objects())
+
+    argv = ("reduce", "--x", "10", "--p", "30", "--e-min-q", "-200", "--json")
+    first = run(capsys, *argv)
+    before = live()
+    for _ in range(200):
+        assert run(capsys, *argv) == first
+    assert live() <= before
+
+
 def test_verify_refuses_an_oversized_exhaustive_thm6(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "thm6", "--exhaustive", "--p", "14", "--window", "60")
     assert code == 2 and out == ""

@@ -71,7 +71,7 @@ def test_sigma_and_bound():
 
 def test_sigma_memo_starts_empty():
     # filled on first use, never at import
-    code = "import argred.reduction as r, argred.cli; assert r._SIGMA == {}, r._SIGMA"
+    code = "import argred.reduction, argred.cli as c; assert not [f for f in c.FORMATS.values() if f._sigma]"
     import subprocess
     import sys
 
@@ -925,9 +925,8 @@ def _steps_outcome(x, z, cs, ties, nudge, jc, jd):
     """The first step's _fma_pairs and _second_step_pairs on the pairs x and
     z, with C1 and C2 jc bits and the step's terms jd bits lower: every
     result as a value, the flags, the count, or the raise."""
-    fmt = cs.fmt
-    c1n, c1e, c2n, c2e = cs.pairs[2:6]
-    e, d, un = _fma_pairs(-z[0], z[1], *_lower(c1n, c1e, jc), *x, fmt, ties)
+    fmt, lane = cs.fmt, cs.lane
+    e, d, un = _fma_pairs(z[0], z[1], *_lower(lane.mc1n, lane.c1e, jc), *x, fmt, ties)
     exact1 = un == d
     if nudge:
         e, d, un = _one_ulp_up(e, d, un, fmt)
@@ -935,7 +934,9 @@ def _steps_outcome(x, z, cs, ties, nudge, jc, jd):
     un <<= jd
     first = (_dyadic(d, e), _dyadic(un, e), exact1)
     try:
-        e, v1n, v2n, exact2, ops = reduction._second_step_pairs(*x, *z, e, d, un, *_lower(c2n, c2e, jc), cs, fmt, ties)
+        e, v1n, v2n, exact2, ops = reduction._second_step_pairs(
+            *x, *z, e, d, un, *_lower(lane.c2n, lane.c2e, jc), cs, fmt, ties
+        )
     except TheoremViolation as exc:
         return first + (type(exc), str(exc))
     return first + (_dyadic(v1n, e), _dyadic(v2n, e), exact2, ops)
@@ -1180,6 +1181,65 @@ def test_reduce_runs_the_core_once_and_builds_five_fpns(monkeypatch):
     assert reduction.ReductionOutput._field_defaults == {"residual_lo": None, "residual_hi": None}
     with pytest.raises(AttributeError):
         out.z = out.u
+
+
+def test_reduce_reads_the_set_once_through_its_lane(monkeypatch):
+    # C's enclosure, the format check of C1, C2 and C3, and sigma are read
+    # once per set, by its lane, not once per call: here C1, C2 and C3 sit
+    # in a Format equal to R's but not R's, so the check compares formats
+    import argred.constgen as constgen
+
+    counts = {"enclosure": 0, "eq": 0, "sigma": 0}
+
+    def counted(key, real):
+        def spy(*args):
+            counts[key] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(Constant, "scaled_enclosure", counted("enclosure", Constant.scaled_enclosure))
+    monkeypatch.setattr(Format, "__eq__", counted("eq", Format.__eq__))
+    monkeypatch.setattr(constgen, "sigma_for", counted("sigma", constgen.sigma_for))
+    monkeypatch.setattr(reduction, "_check_fmt", lambda *args: pytest.fail("reduce checked a format per call"))
+    twin = Format(DOUBLE.p, DOUBLE.e_min_q, DOUBLE.e_max)
+    cs = dataclasses.replace(CS_PI, **{k: _rounded(v.sign * v.m, v.e, twin) for k, v in
+                                       (("c1", CS_PI.c1), ("c2", CS_PI.c2), ("c3", CS_PI.c3))})
+    rng = random.Random(4)
+    xs = [_random_in_range_x(rng, DOUBLE, cs.r, 0) for _ in range(100)]
+    outs = [reduce(x, cs) for x in xs]
+    assert counts == {"enclosure": 1, "eq": 3, "sigma": 1}
+    assert outs == [reduce(x, CS_PI) for x in xs]
+
+
+def test_a_replaced_set_gets_its_own_lane():
+    cs = gen_constants(PI, DOUBLE)
+    lane = cs.lane
+    assert cs.lane is lane and lane.same_fmt and lane.n == 0 and lane.fmt is DOUBLE
+    c2, c3 = cs.c2, cs.c3
+    assert (lane.mc1n, lane.c1e, lane.c2n, lane.mc3n) == (-cs.c1.m, cs.c1.e, c2.sign * c2.m, -c3.sign * c3.m)
+    assert lane.ends[3] is not None and dataclasses.replace(cs, constant=PI_3_ADIC).lane.ends[3] is None
+    other = dataclasses.replace(cs, c3=-cs.c3)
+    assert other.lane is not lane and other.lane.mc3n == -lane.mc3n and other.lane[:10] == lane[:10]
+    x = Fpn.from_int(10, DOUBLE)
+    assert reduce(x, other).w != reduce(x, cs).w
+    assert synthetic_set(Fpn(1, 0b10100011, -8, Format(8, -40, 40)), n=1).lane.ends is None
+
+
+def test_reduce_checks_the_range_before_any_format():
+    # a forged C2 of another format: an x past the range raises the range
+    # error first, as a foreign x past the range does; a foreign x in range
+    # meets R's format check, and an x in range that of C1, C2 and C3
+    cs = dataclasses.replace(CS_PI, c2=round_nearest(CS_PI.c2.value, SINGLE))
+    past = _top_of_range(CS_PI, 0).next_up()
+    for x in (past, -past, Fpn(1, 1, 100, SINGLE)):
+        with pytest.raises(ReductionRangeError, match=r"^\|x\*R\| exceeds 2\^\(p-N-2\) - 2\^-N for N=0; "):
+            reduce(x, cs)
+    for x, s in ((Fpn.from_int(10, SINGLE), cs), (Fpn.from_int(10, SINGLE), CS_PI), (Fpn.from_int(10, DOUBLE), cs)):
+        with pytest.raises(ValueError, match="^operands must share a format$"):
+            reduce(x, s)
+    # an x of a Format equal to R's passes, and its results carry x's Format
+    twin = Format(DOUBLE.p, DOUBLE.e_min_q, DOUBLE.e_max)
+    assert all(v.fmt is twin for v in reduce(Fpn.from_int(10, twin), CS_PI)[:5])
 
 
 # ---------------------------------------------------------------------------

@@ -685,6 +685,24 @@ def test_trusted_construction_matches_checked(fmt):
     assert fields(-zero) == fields(abs(zero)) == fields(zero)
 
 
+def test_negation_and_abs_copy_the_fields(monkeypatch):
+    # -x and abs(x) of a canonical x are canonical already: they copy its
+    # fields with the sign flipped and never canonicalize again
+    import argred.softfp as softfp
+
+    def never(*args):
+        raise AssertionError("-x or abs(x) reached _canonical")
+
+    xs = [Fpn(s, m, e, fmt) for fmt in (SINGLE, QUAD, SWEEP_P8) for s in (1, -1)
+          for m, e in (((1 << (fmt.p - 1)) + 5, -fmt.p), (3, fmt.e_min_q))] + [Fpn.zero(DOUBLE)]
+    monkeypatch.setattr(softfp, "_canonical", never)
+    for x in xs:
+        for y, want in ((-x, -x.sign), (abs(x), 1), (-(-x), x.sign)):
+            assert type(y) is Fpn and (y.sign, y.m, y.e, y.fmt) == (want if x.m else 1, x.m, x.e, x.fmt)
+    zero = Fpn.zero(DOUBLE)
+    assert -zero is zero and abs(zero) is zero and abs(xs[0]) is xs[0]
+
+
 def test_canonical_construction():
     # non-canonical inputs canonicalize; inexact ones are rejected
     assert Fpn(1, 6, 0, P4) == Fpn(1, 12, -1, P4)

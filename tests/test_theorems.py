@@ -224,13 +224,13 @@ def test_thm6_case_records_a_fast2mult_underflow():
     # function both thm6 campaigns run records a failure, not a traceback
     from argred.constgen import ConstantSet
     from argred.softfp import Format, Fpn
-    from argred.theorems import _run_second_step_case, _set_pairs
+    from argred.theorems import _run_second_step_case
 
     fmt = Format(8, -12, 40)
     cs = ConstantSet(
         None, fmt, 1, 2, Fpn(1, 163, -8, fmt), Fpn(1, 160, -7, fmt), Fpn(1, 129, -12, fmt), Fpn.zero(fmt)
     )
-    entry = _run_second_step_case(202, -9, _set_pairs(cs, 1), "even")
+    entry = _run_second_step_case(202, -9, cs, cs.lane, "even")
     assert entry["x"] == "202 * 2^-9" and entry["N"] == 1
     assert entry["error"].startswith("error-free transformation failed: fast2mult error term")
 
@@ -423,9 +423,8 @@ def test_correct3_sweep_makes_no_format_comparisons(monkeypatch):
         calls.append((self, other))
         return real_eq(self, other)
 
-    # another caller's equal but separately built Format fills the sigma
-    # memo first; the sweep must still get a sigma of its own format
-    monkeypatch.setattr(reduction, "_SIGMA", {})
+    # another caller's equal but separately built Format gets its sigmas
+    # first; the sweep must still get a sigma of its own format
     other = Format(p=8, e_min_q=-40, e_max=96)
     cs = synthetic_set(Fpn(1, 0b10100011, -8, other), n=2)
     for n in (0, 2):
@@ -454,7 +453,7 @@ def test_sweeps_refuse_oversized_spaces_before_running(monkeypatch, fields):
 
     for name in (
         "_sweep_format", "_sweep_xs", "_sweep_rs", "synthetic_set", "extract_z", "_run_second_step_case",
-        "_extract_pairs", "_fma_pairs", "_second_step_pairs", "_set_pairs", "_first_step_head",
+        "_extract_pairs", "_fma_pairs", "_second_step_pairs", "_first_step_head",
     ):
         monkeypatch.setattr(theorems, name, never)
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
@@ -811,6 +810,27 @@ def test_thm6_chunk_matches_the_public_stages_on_injected_faults(monkeypatch):
         assert got == _outcome(_public_chunk, args)
         errors |= {f["error"].split(":")[0] for f in got[1] if "error" in f}
     assert errors == {"t1 is not a multiple of 2^(-N-1)*ulp2(C1)", "second-step last line rounded"}
+
+
+def test_thm6_chunk_runs_a_set_built_below_its_n_at_its_own_n(monkeypatch):
+    # a p = 8 set built at N = 0, C2 off its grid, in a campaign at N = 1:
+    # extraction takes sigma at N = 1, as extract_z(x, cs, 1) does, or the
+    # failure records, whose texts carry z, differ
+    import argred.theorems as theorems
+    from argred.constgen import synthetic_set
+    from argred.softfp import Fpn, ulp2
+    from argred.theorems import _thm6_chunk
+
+    fmt = theorems._sweep_format(8)
+    monkeypatch.setitem(theorems.FORMATS, "p8", fmt)
+    r = Fpn(1, 143, -7, fmt)
+    c2 = Fpn.from_fraction(8 * ulp2(synthetic_set(r).c1), fmt)
+    off = _c2_off_grid(synthetic_set)
+    monkeypatch.setattr(theorems, "gen_constants", lambda c, f, n, q: off(r, n=0, q=q, c2=c2))
+    args = ("pi", "p8", 1, 2, 9, 3000, "even")
+    got = _outcome(_thm6_chunk, args)
+    assert got == _outcome(_public_chunk, args)
+    assert got[0] == 3000 and got[1]
 
 
 @pytest.mark.parametrize("fault", ["none", "c2_off_grid", "set_below_n", "fast2mult_underflow"])
