@@ -79,11 +79,17 @@ def load_constant(selector: str) -> Constant:
 
 
 def resolve_format(args: argparse.Namespace) -> Format:
-    if args.p is not None:
-        if args.e_min_q is None:
-            raise ValueError("--p needs --e-min-q")
-        return Format(p=args.p, e_min_q=args.e_min_q, e_max=args.e_max)
-    return FORMATS[args.format]
+    """The --format preset (double by default), or the format --p, --e-min-q and
+    --e-max define; an option the chosen format would not read is refused."""
+    if args.p is None:
+        if (args.e_min_q, args.e_max) != (None, None):
+            raise ValueError("--e-min-q and --e-max need --p")
+        return FORMATS[args.format or "double"]
+    if args.format is not None:
+        raise ValueError("--p defines a format; it takes no --format")
+    if args.e_min_q is None:
+        raise ValueError("--p needs --e-min-q")
+    return Format(p=args.p, e_min_q=args.e_min_q, e_max=16383 if args.e_max is None else args.e_max)
 
 
 def frac_sci(f: Fraction, digits: int = 6) -> str:
@@ -115,6 +121,8 @@ def _emit_json(obj) -> None:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    if args.all and (args.format, args.p, args.e_min_q, args.e_max) != (None,) * 4:
+        raise ValueError("--all runs the four presets; it takes no --format, --p, --e-min-q or --e-max")
     jobs = [(c, f) for c in ("pi", "ln2") for f in FORMATS] if args.all else [(args.const, None)]
     grouped: dict[str, list] = {}
     for cname, flabel in jobs:
@@ -266,19 +274,20 @@ def cmd_demo_codywaite(args: argparse.Namespace) -> int:
 
 def _add_set_args(sp: argparse.ArgumentParser) -> None:
     """The options that pick a constant set: its format, N and q."""
-    sp.add_argument("--format", choices=sorted(FORMATS), default="double")
-    sp.add_argument("--p", type=int, default=None, help="explicit precision (with --e-min-q)")
-    sp.add_argument("--e-min-q", type=int, default=None)
-    sp.add_argument("--e-max", type=int, default=16383)
+    sp.add_argument("--format", choices=sorted(FORMATS))
+    sp.add_argument("--p", type=int, help="explicit precision (with --e-min-q)")
+    sp.add_argument("--e-min-q", type=int)
+    sp.add_argument("--e-max", type=int)
     sp.add_argument("--N", type=int, default=0)
     sp.add_argument("--q", type=int, default=2)
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argred parser with only `command`'s options added; every
-    subcommand's name and help stay, for --help and invalid-choice errors.
-    Parsing leaves a parser unchanged, so main() calls share one."""
+def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, argparse.ArgumentParser | None]:
+    """The nested argred parser with only `command`'s options added, and that
+    command's own parser (prog `argred <command>`) or None.  Every subcommand's
+    name and help stay, for --help and the usage errors.  Parsing leaves a
+    parser unchanged, so main() calls share them."""
     ap = argparse.ArgumentParser(
         prog="argred",
         description="fma-based argument reduction: constants, reductions, verification",
@@ -330,14 +339,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command == "demo-codywaite":
         d.add_argument("--json", action="store_true")
         d.set_defaults(fn=cmd_demo_codywaite)
-    return ap
+    return ap, sub.choices.get(command)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """`argred <argv>`: a command named first is parsed by its own parser; any other
+    argv, or leftovers, go to the nested parser, which prints help and usage errors."""
     argv = sys.argv[1:] if argv is None else argv
     # no top-level option takes a value: the first other argument is the subcommand
     command = next((a for a in argv if not a.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    nested, own = build_parser(command)
+    args, extra = own.parse_known_args(argv[1:]) if own and argv[0] == command else (None, None)
+    if args is None or extra:
+        args = nested.parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OverflowError, AmbiguousRoundingError) as exc:

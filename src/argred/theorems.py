@@ -601,13 +601,13 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
 
 
 def _run_campaign(fn, tasks: list, jobs: int) -> tuple[int, list[dict], dict]:
-    """fn over the tasks in order, on a process pool when jobs > 1; each
-    task gives (cases, failures, stats), and the sums come back: counts
-    add up, and a list stat (ell_values) is a sorted union."""
+    """fn over the tasks in order, on a pool of at most one process per task
+    when jobs > 1; each task gives (cases, failures, stats), and the sums
+    come back: counts add up, and a list stat (ell_values) is a sorted union."""
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             parts = list(pool.map(fn, tasks))
     else:
         parts = [fn(t) for t in tasks]

@@ -235,6 +235,52 @@ def test_constant_files_without_bounds_exit_2_with_one_line(tmp_path, capsys, da
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--x", "10", "--e-min-q", "-100"),
+        ("reduce", "--x", "10", "--e-max", "50"),
+        ("constants", "--e-max", "50", "--format", "single"),
+        ("reduce", "--x", "10", "--p", "30", "--e-min-q", "-200", "--format", "single"),
+        ("constants", "--p", "30", "--e-min-q", "-200", "--format", "double"),
+        ("constants", "--all", "--p", "30", "--e-min-q", "-200"),
+        ("constants", "--all", "--format", "double"),
+        ("constants", "--all", "--e-max", "1023"),
+    ],
+    ids=["reduce-e-min-q", "reduce-e-max", "constants-e-max", "reduce-p-format", "constants-p-format",
+         "all-p", "all-format", "all-e-max"],
+)
+def test_format_options_a_command_would_ignore_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--x", "10", "--json"),
+        ("verify", "--theorem", "thm6", "--N", "0", "--trials", "20", "--json"),
+    ],
+    ids=["reduce", "verify"],
+)
+def test_a_command_named_first_is_parsed_once(monkeypatch, capsys, argv):
+    # its own parser alone: not the nested parser and then its subparser
+    import argparse
+
+    assert run(capsys, *argv)[0] == 0  # warm: the parsers are built once per process
+    parses = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parses.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert run(capsys, *argv)[0] == 0
+    assert parses == [f"argred {argv[0]}"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_refuses_jobs_below_1(capsys, jobs):
     code, out, err = run(capsys, "verify", "--theorem", "eft", "--trials", "10", "--jobs", jobs)
@@ -510,13 +556,23 @@ def test_harness_names_resolve_on_first_use():
 
 _EMPTY = hashlib.sha256(b"").hexdigest()
 # (exit code, sha256 of stdout, sha256 of stderr) at COLUMNS=80, taken while
-# the parser still held every subcommand's options; on Python 3.10-3.12
+# the nested parser parsed every call (the first five while it still held
+# every subcommand's options); on Python 3.10-3.12
 _PINNED_TEXTS = {
     "--help": (0, "146033baad12697159e562302a49789f887584fc21a555e3f3931d44c5d7c140", _EMPTY),
     "verify --help": (0, "353e23ac9645692636eb411632c54befd945924878f0614effc14091e39d450d", _EMPTY),
     "reduce --help": (0, "8782f89f633ddd504d9bbe772f10b4973c5835f18c35d606c1610aaaf8211fd1", _EMPTY),
     "verify --theorem nosuch": (2, _EMPTY, "72c88a5b360bf52d9d48d09fd9e282e87714dbc3687fb1880a12a8b052bf4169"),
     "nosuch": (2, _EMPTY, "fd924adec3b33cf792d6179289466688390ed64f00ec726808ea11b565628214"),
+    "constants --help": (0, "37ea925259f49dfc1403b0ab202ad5227ab29b1725f913b58548d17ed1d9735d", _EMPTY),
+    "demo-codywaite --help": (0, "87f88c1566cf851625803f904a4a5d582e43be6a3e757f7d35c84741fb2a9b3f", _EMPTY),
+    "reduce": (2, _EMPTY, "ac2b7cc4492b1808047d419e638c16c111417250b9d68e3e1ff3eb54a5d15ef1"),
+    "reduce --x 1 --extra": (2, _EMPTY, "7ca292c1d73547de2062c90e813ebdca0245484f7b2862d621809509a0900de8"),
+    "reduce --x 1 --ties bogus": (2, _EMPTY, "0fbb2c455cf5e151c3d981c698bfbf2591072ca43fd50c38b1ae1f86c7190558"),
+    "--x 1 reduce": (2, _EMPTY, "f9cd4017b306e21a25f7f1f0842587b066d7f82efdac2ee3971b5970639ed65c"),
+    "": (2, _EMPTY, "ec5e51a4df7d64bf4231953d643ad5cdf6adffa9b5d14b8f2bc4bbc7c59f5742"),
+    # the command is not first, so the nested parser must parse it: --x takes no value
+    "--json --x reduce": (2, _EMPTY, "ac2b7cc4492b1808047d419e638c16c111417250b9d68e3e1ff3eb54a5d15ef1"),
 }
 
 

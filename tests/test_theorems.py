@@ -505,6 +505,34 @@ def test_sweeps_run_their_r_tasks_on_the_process_pool(monkeypatch):
     assert pools == [2] * len(SWEEPS)
 
 
+def test_campaign_pool_has_at_most_one_worker_per_task(monkeypatch):
+    # a fork pool starts all its workers at the first submit, so --jobs 64
+    # on a two-task thm6 campaign must ask for two; the stub maps in process
+    import concurrent.futures
+    import dataclasses
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = CheckConfig(theorem="thm6", mode="randomized", n_values=(0, 1), trials=200, seed=5)
+    one, wide = run_check(cfg), run_check(dataclasses.replace(cfg, jobs=64))
+    assert pools == [2] and wide.stats["chunks"] == 2
+    assert (one.cases, one.failures) == (wide.cases, wide.failures) == (400, [])
+
+
 def test_thm6_refuses_q_values_it_would_ignore():
     # randomized runs one q; exhaustive runs q = 2 only
     for mode, q_values in (("randomized", (2, 3)), ("exhaustive", (5,)), ("exhaustive", (2, 3))):
