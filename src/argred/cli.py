@@ -121,9 +121,9 @@ def _emit_json(obj) -> None:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    if args.all and (args.format, args.p, args.e_min_q, args.e_max) != (None,) * 4:
-        raise ValueError("--all runs the four presets; it takes no --format, --p, --e-min-q or --e-max")
-    jobs = [(c, f) for c in ("pi", "ln2") for f in FORMATS] if args.all else [(args.const, None)]
+    if args.all and (args.const, args.format, args.p, args.e_min_q, args.e_max) != (None,) * 5:
+        raise ValueError("--all runs the preset sets; it takes no --const, --format, --p, --e-min-q or --e-max")
+    jobs = [(c, f) for c in ("pi", "ln2") for f in FORMATS] if args.all else [(args.const or "pi", None)]
     grouped: dict[str, list] = {}
     for cname, flabel in jobs:
         constant = load_constant(cname)
@@ -282,6 +282,9 @@ def _add_set_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q", type=int, default=2)
 
 
+_COMMANDS = ("constants", "reduce", "verify", "demo-codywaite")
+
+
 @functools.cache
 def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, argparse.ArgumentParser | None]:
     """The nested argred parser with only `command`'s options added, and that
@@ -296,7 +299,7 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, a
 
     c = sub.add_parser("constants", help="generate and print constant sets")
     if command == "constants":
-        c.add_argument("--const", default="pi", help="pi, ln2, or a JSON enclosure file")
+        c.add_argument("--const", help="pi, ln2, or a JSON enclosure file")
         _add_set_args(c)
         c.add_argument("--all", action="store_true", help="both constants x all four presets")
         c.add_argument("--audit", action="store_true")
@@ -348,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # no top-level option takes a value: the first other argument is the subcommand
     command = next((a for a in argv if not a.startswith("-")), None)
-    nested, own = build_parser(command)
+    nested, own = build_parser(command if command in _COMMANDS else None)  # one cache entry per command
     args, extra = own.parse_known_args(argv[1:]) if own and argv[0] == command else (None, None)
     if args is None or extra:
         args = nested.parse_args(argv)

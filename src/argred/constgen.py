@@ -4,7 +4,8 @@ A ConstantSet bundles, for one constant C and one format: R ~ 1/C at
 full precision, C1 ~ 1/R with its last q significand bits zeroed, C2 the
 rounded remainder of C - C1 on the 8*ulp2(C1) grid, and C3 mopping up
 C - C1 - C2.  Its lane (``ConstantSet.lane``), built once per instance,
-holds what ``reduce`` and the thm6 harness read of it for each x.  The
+holds what ``reduce`` and the thm6 harness read of it for each x; none
+of it depends on N, so one lane serves the set at every N it covers.  The
 theorems' hypotheses are stated once, in HYPOTHESES: generation raises on
 the first one a set fails, ``extract_z`` and ``second_step`` ask the
 N-dependent ones above a set's own N, ``audit`` reports every one, and
@@ -46,7 +47,6 @@ __all__ = [
     "nearest_c1",
     "recip_ratio",
     "set_to_record",
-    "sigma_for",
     "synthetic_set",
 ]
 
@@ -91,32 +91,22 @@ class ConstantSet:
     def lane(self) -> SetLane:
         """What reduce and the harness read of the set, built on first use per instance."""
         fmt, r, c1, c2, c3 = self.r.fmt, self.r, self.c1, self.c2, self.c3
-        sigma = sigma_for(fmt, self.n)
         return SetLane(
-            fmt, self.n, r.sign * r.m, r.e, sigma.m, sigma.e, -c1.sign * c1.m, c1.e, c2.sign * c2.m, c2.e,
-            -c3.sign * c3.m, c3.e, ulp2_exp(c1), all(v.fmt is fmt or v.fmt == fmt for v in (c1, c2, c3)),
+            fmt, r.sign * r.m, r.e, -c1.sign * c1.m, c1.e, c2.sign * c2.m, c2.e, -c3.sign * c3.m, c3.e,
+            ulp2_exp(c1), all(v.fmt is fmt or v.fmt == fmt for v in (c1, c2, c3)),
             None if self.constant is None else _scaled_ends(self.constant, 6 * self.fmt.p),
         )
 
 
-# R's format and N; R, sigma at N, -C1, C2 and -C3 as signed (n, e) pairs; ulp2_exp(C1); whether
-# C1, C2 and C3 share R's format; C's scaled_enclosure(6p) as _scaled_ends gives it, None if synthetic
-SetLane = namedtuple("SetLane", "fmt n rn re sn se mc1n c1e c2n c2e mc3n c3e c1_ulp2_exp same_fmt ends")
+# R's format; R, -C1, C2 and -C3 as signed (n, e) pairs; ulp2_exp(C1); whether C1, C2 and C3 share R's
+# format; C's scaled_enclosure(6p) as _scaled_ends gives it, None if synthetic.  Nothing here depends on N.
+SetLane = namedtuple("SetLane", "fmt rn re mc1n c1e c2n c2e mc3n c3e c1_ulp2_exp same_fmt ends")
 
 
 def _scaled_ends(constant: Constant, bits: int) -> tuple[int, int, int, int | None]:
     """constant.scaled_enclosure(bits) as (lo, hi - lo, den, log2(den) or None if den is no power of 2)."""
     lo, hi, den = constant.scaled_enclosure(bits)
     return lo, hi - lo, den, None if den & (den - 1) else den.bit_length() - 1
-
-
-def sigma_for(fmt: Format, n: int) -> Fpn:
-    """The shift constant 3 * 2^(p-N-2) that places z's last bit at 2^-N, built once per (fmt
-    instance, N) and held by fmt itself (Format._sigma): sigma.fmt is fmt, and goes with it."""
-    sigma = fmt._sigma.get(n)
-    if sigma is None:
-        sigma = fmt._sigma[n] = Fpn(1, 3, fmt.p - n - 2, fmt)
-    return sigma
 
 
 def recip_ratio(x: Fpn) -> tuple[int, int]:

@@ -166,12 +166,11 @@ class Constant:
     """A named positive real constant given by an enclosure generator.
 
     Equality and hashing see the name only, so constants with one name
-    and different enclosures compare equal: memos live on the instance.
+    and different enclosures compare equal: the memo lives on the instance.
     """
 
     name: str
     enclosure: Callable[[int], RealEnclosure] = field(compare=False)
-    _encs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -179,19 +178,12 @@ class Constant:
         gen = enc.refine if enc.refine is not None else (lambda bits: enc)
         return cls(name, gen)
 
-    def memo_enclosure(self, bits: int) -> RealEnclosure:
-        """enclosure(bits), computed once per bits on this instance."""
-        enc = self._encs.get(bits)
-        if enc is None:
-            enc = self._encs[bits] = self.enclosure(bits)
-        return enc
-
     def scaled_enclosure(self, bits: int) -> tuple[int, int, int]:
         """(lo, hi, den) with lo/den <= C <= hi/den from enclosure(bits),
         computed once per bits on this instance."""
         got = self._scaled.get(bits)
         if got is None:
-            enc = self.memo_enclosure(bits)
+            enc = self.enclosure(bits)
             den = lcm(enc.lo.denominator, enc.hi.denominator)
             got = self._scaled[bits] = (enc.lo * den).numerator, (enc.hi * den).numerator, den
         return got
@@ -239,7 +231,7 @@ def _refined_scaled(constant: Constant, bits: int, rounded: Callable, derived: C
         a = rounded(hi, den)
         if a == rounded(lo, den):
             return a
-        enc = constant.memo_enclosure(bits)
+        enc = constant.enclosure(bits)
         if enc.refine is None:
             raise AmbiguousRoundingError(f"enclosure of width {derived(enc).width} cannot be refined further")
         bits *= 2

@@ -16,9 +16,10 @@ arithmetic and checks are written once, in a core on signed integers
 (_extract_pairs, softfp._fma_pairs as fma(z, -C, x) for the first and
 third steps, _second_step_pairs, _residual_pairs) that rounds with
 softfp._round_int.  Each stage puts its terms on one common scale once,
-so exactness is r == n; z goes on as the pair (k, -N).  reduce and the
-thm6 harness read a set once, through its lane (ConstantSet.lane), run
-the core once per x, and build an Fpn only for what they return; the
+so exactness is r == n; z goes on as the pair (k, -N).  _extract_pairs
+builds sigma from the N it is given, so nothing a set's lane holds
+depends on N.  reduce and the thm6 harness read a set once, through its
+lane (ConstantSet.lane), run the core once per x, and build an Fpn only for what they return; the
 four public stages are thin Fpn wrappers over the same core.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .constgen import N_DEPENDENT, ConstantSet, HypothesisViolation, _scaled_ends, first_failure, sigma_for
+from .constgen import N_DEPENDENT, ConstantSet, HypothesisViolation, _scaled_ends, first_failure
 from .softfp import (
     TIES_EVEN,
     Fpn,
@@ -58,6 +59,7 @@ __all__ = [
     "residual_interval",
     "s_within_half",
     "second_step",
+    "sigma_for",
     "third_step",
     "xr_bound",
     "xr_in_bounds",
@@ -87,6 +89,11 @@ def _xr_fits(a: int, shift: int, p: int) -> bool:
     the integer inequality a * 2^shift <= 2^(p-2) - 1."""
     top = (1 << (p - 2)) - 1
     return (a << shift) <= top if shift >= 0 else a <= top << -shift
+
+
+def sigma_for(fmt: Format, n: int) -> Fpn:
+    """The shift constant 3 * 2^(p-N-2) that places z's last bit at 2^-N; the core builds its own."""
+    return Fpn(1, 3, fmt.p - n - 2, fmt)
 
 
 def s_within_half(s_num: int, s_exp: int, n: int) -> bool:
@@ -138,12 +145,11 @@ def extract_z(
     fmt, r = x.fmt, cs.r
     if not _xr_fits(x.m * r.m, x.e + r.e + n, fmt.p):
         raise ReductionRangeError(_OUT_OF_RANGE % (n, x.to_text(), r.to_text()))
-    sigma = sigma_for(fmt, n)  # sigma.fmt is fmt itself
     _check_fmt(fmt, r)
     if counter is not None:
         counter.rounded += 2
-    xn, xe = _pair(x, sigma.e - r.e)  # a zero x at sigma's scale, not e_min_q: t = sigma, z = 0, s = 0
-    zn, ze, k, ell, s, e0, in_range = _extract_pairs(xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check)
+    xn, xe = _pair(x, -n - r.e)  # a zero x at sigma's scale, not e_min_q: t = sigma, z = 0, s = 0
+    zn, ze, k, ell, s, e0, in_range = _extract_pairs(xn, xe, r.sign * r.m, r.e, n, fmt, ties, check)
     z = _rounded(zn, ze, fmt)
     s_exp = min(z.e, x.e + r.e)  # ZExtractInfo's s is over z's canonical exponent, or x*R's if lower
     s = s << (e0 - s_exp) if e0 >= s_exp else s >> (s_exp - e0)
@@ -151,17 +157,16 @@ def extract_z(
 
 
 def _extract_pairs(
-    xn: int, xe: int, rn: int, re: int, sn: int, se: int, n: int, fmt: Format, ties: str, check: bool
+    xn: int, xe: int, rn: int, re: int, n: int, fmt: Format, ties: str, check: bool
 ) -> tuple[int, int, int, int, int, int, bool]:
-    """z = o(o(x*R + sigma) - sigma) for an in-range x and sigma > 0, and
-    its diagnostics, checked at the rounding's scale e0 = min(x.e + R.e,
-    sigma.e): (zn, ze, k, ell, s, e0, in_thm_range) with z = zn * 2^ze the
-    pair (k, -N), or at e0 when check=False lets a z off the 2^-N grid
-    through, and x*R - z = s * 2^e0 exactly."""
-    xr_exp = xe + re
-    e0 = xr_exp if xr_exp < se else se
-    xr, sn = xn * rn << (xr_exp - e0), sn << (se - e0)
-    p = fmt.p
+    """z = o(o(x*R + sigma) - sigma) for an in-range x, sigma = 3 * 2^(p-N-2) as the
+    pair (3 * 2^(p-2), -N), and its diagnostics, checked at the rounding's scale
+    e0 = min(x.e + R.e, -N): (zn, ze, k, ell, s, e0, in_thm_range) with z = zn * 2^ze
+    the pair (k, -N), or at e0 when check=False lets a z off the 2^-N grid through, and
+    x*R - z = s * 2^e0 exactly; a sigma above fmt's range raises OverflowError."""
+    xr_exp, p = xe + re, fmt.p
+    e0 = xr_exp if xr_exp < -n else -n
+    xr, sn = xn * rn << (xr_exp - e0), 3 << (p - 2 - n - e0)
     tn = _round_int(xr + sn, e0, p, fmt, ties)
     zn = _round_int(tn - sn, e0, p, fmt, ties)
     s, shift = xr - zn, e0 + n
@@ -362,13 +367,13 @@ def reduce(x: Fpn, cs: ConstantSet, ties: str = TIES_EVEN, measure_residual: boo
     the four stage wrappers on, in their order, in one pass over the pair
     core on the set's lane; x is checked against R's format only when x.fmt
     is not the lane's, and C1, C2 and C3 only when the lane found them off it."""
-    lfmt, n, rn, re, sn, se, mc1n, c1e, c2n, c2e, mc3n, c3e, _, same_fmt, ends = cs.lane
-    fmt, (xn, xe) = x.fmt, _pair(x, se - re)  # a zero x at sigma's scale, as in extract_z
+    lfmt, rn, re, mc1n, c1e, c2n, c2e, mc3n, c3e, _, same_fmt, ends = cs.lane
+    n, fmt, (xn, xe) = cs.n, x.fmt, _pair(x, -cs.n - re)  # a zero x at sigma's scale, as in extract_z
     if not _xr_fits(x.m * (rn if rn > 0 else -rn), xe + re + n, fmt.p):
         raise ReductionRangeError(_OUT_OF_RANGE % (n, x.to_text(), cs.r.to_text()))
     if fmt is not lfmt:
         _check_fmt(fmt, cs.r)
-    zn, ze, _, ell, s_num, s_exp, in_range = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)
+    zn, ze, _, ell, s_num, s_exp, in_range = _extract_pairs(xn, xe, rn, re, n, fmt, ties, True)
     if not same_fmt:
         _check_fmt(fmt, cs.c1, cs.c2, cs.c3)
     ue, d, un = _fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties)  # the first and third steps are fma(z, -C, x)

@@ -9,7 +9,7 @@ error-free transformations (Fast2Sum / Fast2Mult).
 
 There are no infinities and no NaNs: overflow raises, because every
 result we ever want to check is finite and a silent infinity would mask
-a violated precondition.
+a violated precondition.  A ``Format`` is a frozen value that holds no memo.
 
 Trusted construction.  ``Fpn(...)`` checks and canonicalizes its fields;
 ``_rounded`` builds the canonical Fpn of a signed pair (n, e) without that
@@ -34,7 +34,7 @@ integer equality.  Ops and stages build an ``Fpn`` only for what they return.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -91,18 +91,12 @@ class Format:
     p: int
     e_min_q: int
     e_max: int = 16383
-    _sigma: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # sigma_for's, by N
 
     def __post_init__(self) -> None:
         if self.p <= 3:
             raise ValueError(f"precision must exceed 3, got p={self.p}")
         if self.e_max <= self.e_min_q:
             raise ValueError("e_max must exceed e_min_q")
-
-    @property
-    def lam(self) -> Fraction:
-        """Smallest positive subnormal, 2**e_min_q."""
-        return _dyadic(1, self.e_min_q)
 
 
 SINGLE = Format(p=24, e_min_q=-149, e_max=127)
@@ -257,19 +251,6 @@ class Fpn:
         if self.m == 0:
             raise ValueError("zero has no maximal quantum")
         return self.e + _trailing_zeros(self.m)
-
-    def next_up(self) -> "Fpn":
-        """Smallest representable value strictly above self."""
-        fmt = self.fmt
-        if self.m == 0:
-            return Fpn(1, 1, fmt.e_min_q, fmt)
-        if self.sign > 0:
-            return Fpn(1, self.m + 1, self.e, fmt)
-        if self.m == 1 << (fmt.p - 1) and self.e > fmt.e_min_q:
-            return Fpn(-1, (1 << fmt.p) - 1, self.e - 1, fmt)
-        if self.m == 1:
-            return Fpn.zero(fmt)
-        return Fpn(-1, self.m - 1, self.e, fmt)
 
     # -- equality: structural, and so by value (canonical form) ------
 

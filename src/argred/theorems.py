@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 
 from .constgen import C1_BOUND_Q, C1_NOT_POW2, HYPOTHESES, RC1_AT_MOST_1, ConstantSet, HypothesisViolation
-from .constgen import first_failure, gen_constants, nearest_c1, sigma_for, synthetic_set
+from .constgen import first_failure, gen_constants, nearest_c1, synthetic_set
 from .realnum import NAMED_CONSTANTS, PI
 from .reduction import ReductionRangeError, TheoremViolation, extract_z, first_step
 from .reduction import _extract_pairs, _require_covered, _second_step_pairs, _xr_fits
@@ -229,7 +229,7 @@ def sorted_failures(failures: list[dict]) -> list[dict]:
 
 @functools.cache
 def _sweep_format(p: int) -> Format:
-    """One instance per p, shared by every sweep value, set and sigma."""
+    """One instance per p, shared by every sweep value and set."""
     return Format(p=p, e_min_q=-5 * p, e_max=12 * p)
 
 
@@ -293,7 +293,7 @@ def _sweep(cfg: CheckConfig, name: str, per_r, rs: list[Fpn], **space) -> CheckR
 
 def _sweep_task(args: tuple) -> tuple[int, list[dict], dict]:
     """One task of _sweep, R rebuilt from its ints on the process's own sweep
-    format: no Format crosses a pipe, and sigma_for keeps one per (format, N)."""
+    format: no Format crosses a pipe."""
     per_r, cfg, q, rm, re = args
     return per_r(cfg, q, Fpn(1, rm, re, _sweep_format(cfg.p or 8)))
 
@@ -319,12 +319,11 @@ def _pipeline_r(cfg: CheckConfig, q: int, r: Fpn, want_first: bool) -> tuple[int
     cases = zero_z = below_thm_range = 0
     ell_seen = set()
     for n in n_values:
-        sigma = sigma_for(fmt, n)
         xs = _in_range(r, cfg.window, n)
         cases += len(xs)
         for x, xn, xe, _ in xs:
             try:
-                zn, ze, _, ell, _, _, in_range = _extract_pairs(xn, xe, rm, re, sigma.m, sigma.e, n, fmt, ties, True)
+                zn, ze, _, ell, _, _, in_range = _extract_pairs(xn, xe, rm, re, n, fmt, ties, True)
             except TheoremViolation as exc:
                 fail = {"error": str(exc)}
             else:
@@ -453,12 +452,11 @@ def _correct2_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict
         if first_failure(cs, n, _CORRECT2_HYPOTHESES) is not None:
             skipped += 1
             continue
-        sigma = sigma_for(fmt, n)
         xs = _in_range(r, cfg.window, n)
         cases += len(xs)
         for x, xn, xe, _ in xs:
             try:
-                zn, ze = _extract_pairs(xn, xe, rm, re, sigma.m, sigma.e, n, fmt, ties, True)[:2]
+                zn, ze = _extract_pairs(xn, xe, rm, re, n, fmt, ties, True)[:2]
             except TheoremViolation as exc:
                 fail = {"error": str(exc)}
             else:
@@ -517,25 +515,24 @@ def _thm6_chunk(args: tuple) -> tuple[int, list[dict], dict]:
     cs = gen_constants(NAMED_CONSTANTS[constant], fmt, n=n, q=q)
     if n > cs.n:  # the lane runs at N = n, which the set must cover
         _require_covered(cs, n)
-    sigma, failures = sigma_for(fmt, n), []
-    lane = tuple(cs.lane._replace(n=n, sn=sigma.m, se=sigma.e))  # exact: a namedtuple unpacks via its iterator
+    lane, failures = tuple(cs.lane), []  # exact: a namedtuple unpacks via its iterator
     for xn, xe in islice(_random_xs(random.Random(seed), fmt, cs.r.m, cs.r.e, n), trials):
-        entry = _run_second_step_case(xn, xe, cs, lane, ties)
+        entry = _run_second_step_case(xn, xe, n, cs, lane, ties)
         if entry is not None:
             failures.append(entry)
     return trials, failures, {}
 
 
 def _run_second_step_case(
-    xn: int, xe: int, cs: ConstantSet, lane: tuple, ties: str, head: tuple | dict | None = None
+    xn: int, xe: int, n: int, cs: ConstantSet, lane: tuple, ties: str, head: tuple | dict | None = None
 ) -> dict | None:
-    """One thm6 case on the pair core: x = xn * 2^xe, in range, against cs's lane as a tuple (or
-    one run at another N), from its _first_step_head if given; z goes on as extraction's (k, -N).
+    """One thm6 case on the pair core at N = n: x = xn * 2^xe, in range, against cs's lane as a
+    tuple, from its _first_step_head if given; z goes on as extraction's (k, -N).
     A failure record, or None."""
-    fmt, n, rn, re, sn, se, mc1n, c1e, c2n, c2e, _, _, _, _, _ = lane
+    fmt, rn, re, mc1n, c1e, c2n, c2e, _, _, _, _, _ = lane
     try:
         if head is None:  # inline for the campaign, where a _first_step_head call costs ~3% a case
-            zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
+            zn, ze = _extract_pairs(xn, xe, rn, re, n, fmt, ties, True)[:2]
             e, d, un = _fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties)
         elif isinstance(head, dict):
             return head
@@ -550,12 +547,13 @@ def _run_second_step_case(
     return None
 
 
-def _first_step_head(xn: int, xe: int, lane: tuple, ties: str) -> tuple | dict:
-    """A thm6 case's z-extraction and first step, which read no C2: (zn, ze, e, d, un) with z = zn * 2^ze
-    as the pair (k, -N), x - z*C1 = d * 2^e and u = un * 2^e, exact iff un == d, or an error record."""
-    fmt, n, rn, re, sn, se, mc1n, c1e, _, _, _, _, _, _, _ = lane
+def _first_step_head(xn: int, xe: int, n: int, lane: tuple, ties: str) -> tuple | dict:
+    """A thm6 case's z-extraction at N = n and first step, which read only R and C1: (zn, ze, e, d, un)
+    with z = zn * 2^ze as the pair (k, -N), x - z*C1 = d * 2^e and u = un * 2^e, exact iff un == d, or
+    an error record."""
+    fmt, rn, re, mc1n, c1e, _, _, _, _, _, _, _ = lane
     try:
-        zn, ze = _extract_pairs(xn, xe, rn, re, sn, se, n, fmt, ties, True)[:2]
+        zn, ze = _extract_pairs(xn, xe, rn, re, n, fmt, ties, True)[:2]
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
     return (zn, ze, *_fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties))
@@ -636,7 +634,8 @@ def _check_thm6_randomized(cfg: CheckConfig) -> CheckResult:
 
 def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
     """Exhaustive thm6 at one R: each N, each C2 multiple on the 8*ulp2(C1) grid that the set
-    takes, and every in-range x, whose C2-free _first_step_head is taken once per N."""
+    takes, and every in-range x, whose _first_step_head is taken once per N from the base set's
+    lane: every multiple shares R and C1, and they are all a head reads."""
     failures = []
     cases = skipped = 0
     for n in cfg.n_values:
@@ -647,18 +646,18 @@ def _thm6_r(cfg: CheckConfig, q: int, r: Fpn) -> tuple[int, list[dict], dict]:
             continue
         grid = 8 * ulp2(base.c1)
         kmax = int((4 * ulp(base.c1)) / grid)
-        xs, heads = _in_range(r, cfg.window, n), None
+        lane, xs = tuple(base.lane), _in_range(r, cfg.window, n)  # an exact tuple unpacks faster, as in _thm6_chunk
+        heads = [(xn, xe, _first_step_head(xn, xe, n, lane, cfg.ties)) for _, xn, xe, _ in xs]
         for kk in sorted({0, 1, -1, 5, -5, kmax, -kmax, kmax - 1}):
             try:
                 cs = synthetic_set(r, n=n, q=q, c2=Fpn.from_fraction(kk * grid, r.fmt))
             except (HypothesisViolation, ValueError):
                 skipped += 1
                 continue
-            lane = tuple(cs.lane)  # an exact tuple unpacks faster, as in _thm6_chunk
-            heads = heads or [(xn, xe, _first_step_head(xn, xe, lane, cfg.ties)) for _, xn, xe, _ in xs]
+            lane = tuple(cs.lane)
             cases += len(xs)
             for xn, xe, head in heads:
-                entry = _run_second_step_case(xn, xe, cs, lane, cfg.ties, head)
+                entry = _run_second_step_case(xn, xe, n, cs, lane, cfg.ties, head)
                 if entry is not None:
                     failures.append({**entry, "R": r.to_text(), "C2": cs.c2.to_text()})
     return cases, failures, {"skipped": skipped}

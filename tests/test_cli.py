@@ -161,6 +161,13 @@ def test_reduce_range_error(capsys):
     assert "2^(p-N-2) - 2^-N" in err
 
 
+@pytest.mark.parametrize("x", ["10", "1e300"])
+def test_reduce_exits_2_when_sigma_overflows(capsys, x):
+    code, out, err = run(capsys, "reduce", "--x", x, "--N", "-972")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith("*2^972 exceeds the e_max=1023 range\n") and err.count("\n") == 1
+
+
 def test_reduce_explicit_format(capsys):
     code, out, _ = run(
         capsys, "reduce", "--x", "10.0", "--p", "8", "--e-min-q", "-40", "--json"
@@ -246,9 +253,11 @@ def test_constant_files_without_bounds_exit_2_with_one_line(tmp_path, capsys, da
         ("constants", "--all", "--p", "30", "--e-min-q", "-200"),
         ("constants", "--all", "--format", "double"),
         ("constants", "--all", "--e-max", "1023"),
+        ("constants", "--all", "--const", "nosuch.json", "--json"),
+        ("constants", "--all", "--const", "pi"),
     ],
     ids=["reduce-e-min-q", "reduce-e-max", "constants-e-max", "reduce-p-format", "constants-p-format",
-         "all-p", "all-format", "all-e-max"],
+         "all-p", "all-format", "all-e-max", "all-const-file", "all-const-pi"],
 )
 def test_format_options_a_command_would_ignore_exit_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -344,6 +353,19 @@ def test_verify_rejects_sweeps_and_q_lists_that_run_nothing_asked_for(capsys):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_malformed_argvs_share_one_parser_cache_entry(capsys):
+    # the parser cache is keyed by a command name, or None for any other word
+    from argred.cli import build_parser
+
+    main(["reduce", "--x", "10"])
+    before = build_parser.cache_info().currsize
+    for w in ("0", "1", "2", "nosuch"):
+        with pytest.raises(SystemExit):
+            main(["--x", w, "reduce"])
+    assert build_parser.cache_info().currsize <= before + 1
+    capsys.readouterr()
 
 
 def test_successive_main_calls_parse_independently(capsys):

@@ -35,6 +35,7 @@ from argred.softfp import _canonical, _dyadic, _fast2mult_scaled, _fast2sum_scal
 from argred.realnum import LN2, PI, Constant, RealEnclosure
 from argred.constgen import ConstantSet, HypothesisViolation, gen_constants, synthetic_set
 from argred.theorems import CheckConfig, _random_xs, _sweep_space
+from fpn_helpers import next_up
 import argred.reduction as reduction
 from argred.reduction import (
     ReductionRangeError,
@@ -63,19 +64,8 @@ def test_sigma_and_bound():
     assert sigma_for(DOUBLE, 0).value == 3 * 2**51
     assert xr_bound(DOUBLE, 0) == 2**51 - 1
     assert xr_bound(DOUBLE, 3) == 2**48 - Fraction(1, 8)
-    # built once per (format, N)
-    assert sigma_for(QUAD, 7) is sigma_for(QUAD, 7)
     assert sigma_for(QUAD, 7) == Fpn(1, 3, QUAD.p - 9, QUAD)
     assert sigma_for(SINGLE, 7) != sigma_for(QUAD, 7)
-
-
-def test_sigma_memo_starts_empty():
-    # filled on first use, never at import
-    code = "import argred.reduction, argred.cli as c; assert not [f for f in c.FORMATS.values() if f._sigma]"
-    import subprocess
-    import sys
-
-    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_xr_in_bounds_matches_exact_bound():
@@ -86,11 +76,11 @@ def test_xr_in_bounds_matches_exact_bound():
             bound = xr_bound(fmt, n)
             x = round_nearest(bound / r.value, fmt)
             for _ in range(4):
-                x = x.next_up()
+                x = next_up(x)
             for _ in range(9):
                 for v in (x, -x):
                     assert xr_in_bounds(v, r, n) == (abs(v.value * r.value) <= bound)
-                x = -((-x).next_up())
+                x = -next_up(-x)
             for _ in range(50):
                 v = Fpn(rng.choice((1, -1)), rng.randrange(1 << (fmt.p - 1), 1 << fmt.p),
                         rng.randrange(-fmt.p - 30, -n + 3), fmt)
@@ -115,15 +105,33 @@ def test_extract_z_s_is_exact(constant):
                 assert info.s == Fraction(info.s_num) * Fraction(2) ** info.s_exp
 
 
+def _sigma_scaled(real, n, shift):
+    """reduction._round_int for an extraction core at N = n that runs with
+    sigma * 2^shift, the sigma of N - shift: its two roundings, of x*R +
+    sigma and of t - sigma, each get the core's integer moved by the
+    difference at their scale e <= -N, where both sigmas are integers."""
+    if not shift:
+        return real
+    calls = []
+
+    def faulty(v, e, digits, fmt, ties):
+        sigma = 3 << (fmt.p - 2 - n - e)
+        delta = (sigma << shift if shift > 0 else sigma >> -shift) - sigma
+        calls.append(e)
+        return real(v + delta if len(calls) % 2 else v - delta, e, digits, fmt, ties)
+
+    return faulty
+
+
 def test_extract_z_s_violation_reports_the_fraction(monkeypatch):
-    # a shift constant for the 2^0 grid under N = 1 leaves |s| up to 1/2,
-    # above the 2^-2 the theorem allows
+    # extraction with the shift constant for the 2^0 grid under N = 1
+    # leaves |s| up to 1/2, above the 2^-2 the theorem allows
     cs = gen_constants(PI, DOUBLE, n=1)
     x = Fpn.from_int(11, DOUBLE)
     z0, _ = extract_z(x, cs, n=0)
     s = x.value * cs.r.value - z0.value
     assert abs(s) > Fraction(1, 4)
-    monkeypatch.setattr(reduction, "sigma_for", lambda fmt, n: Fpn(1, 3, fmt.p - 2, fmt))
+    monkeypatch.setattr(reduction, "_round_int", _sigma_scaled(reduction._round_int, 1, 1))
     with pytest.raises(TheoremViolation) as exc:
         extract_z(x, cs)
     assert f"|x*R - z| = {abs(s)} > 2^-(N+1)" in str(exc.value)
@@ -189,10 +197,10 @@ def test_range_boundary():
 
     x = round_nearest(bound / CS_PI.r.value, DOUBLE)
     while x.value * CS_PI.r.value > bound:
-        x = -((-x).next_up())
+        x = -next_up(-x)
     assert reduce(x, CS_PI, measure_residual=False).rounding_ops_second == 9
     with pytest.raises(ReductionRangeError):
-        extract_z(x.next_up(), CS_PI)
+        extract_z(next_up(x), CS_PI)
 
 
 def test_first_step_examples():
@@ -341,12 +349,12 @@ def test_boundary_x_near_half_quantum_times_r():
             center = round_nearest(cs.r.value * Fraction(1, 2 ** (n + 1)), DOUBLE)
             x = center
             for _ in range(40):
-                x = -((-x).next_up())
+                x = -next_up(-x)
             for _ in range(80):
                 out = reduce(x, cs, measure_residual=False)
                 assert out.exact_first, (cs.c_id, n, x)
                 assert out.exact_second, (cs.c_id, n, x)
-                x = x.next_up()
+                x = next_up(x)
 
 
 def test_randomized_double_campaign_both_modes():
@@ -548,7 +556,7 @@ def _assert_lane_matches_reference(x, cs, n, ties):
     assert u_out == _outcome(fma, -z, cs.c1, x, ties), (x, n, ties)
     u = u_out[0][0]
     outs = []
-    for uu in (u, u.next_up()):
+    for uu in (u, next_up(u)):
         got = _outcome(second_step, x, z, uu, cs, ties)
         assert got == _outcome(_reference_second_step, x, z, uu, cs, ties), (x, z, uu, n, ties)
         outs.append(got)
@@ -565,7 +573,7 @@ def test_second_step_lane_matches_the_public_ops(constant, ties):
             cs = gen_constants(constant, fmt, n=n)
             top = round_nearest(xr_bound(fmt, n) / cs.r.value, fmt)
             while not xr_in_bounds(top, cs.r, n):
-                top = -((-top).next_up())
+                top = -next_up(-top)
             xs = [Fpn.zero(fmt), top, -top]
             xs += [_random_in_range_x(rng, fmt, cs.r, n) for _ in range(40)]
             for x in xs:
@@ -722,7 +730,7 @@ def _assert_z_lane_matches_reference(x, cs, n, ties):
     if not isinstance(outs[0][0][0], type) and n <= cs.n:
         z = outs[0][0][0]
         ss = second_step(x, z, first_step(x, z, cs, ties)[0], cs, ties)
-        for v2 in (ss.v2, ss.v2.next_up(), x):
+        for v2 in (ss.v2, next_up(ss.v2), x):
             args = (ss.v1, v2, z, cs, ties)
             got = _outcome(lambda *a, counter: (third_step(*a, counter=counter),), *args)
             assert got == _outcome(lambda *a, counter: (_reference_third_step(*a, counter=counter),), *args)
@@ -739,9 +747,9 @@ def test_z_extraction_and_third_step_lane_match_the_public_ops(constant, ties):
             cs = gen_constants(constant, fmt, n=n)
             top = round_nearest(xr_bound(fmt, n) / cs.r.value, fmt)
             while not xr_in_bounds(top, cs.r, n):
-                top = -((-top).next_up())
+                top = -next_up(-top)
             # x = 0, the range edge and one ulp past it, both signs
-            xs = [Fpn.zero(fmt), top, -top, top.next_up(), -top.next_up()]
+            xs = [Fpn.zero(fmt), top, -top, next_up(top), -next_up(top)]
             xs += [_random_in_range_x(rng, fmt, cs.r, n) for _ in range(30)]
             # above the set's N: covered (n + 1) and not (1000)
             for x in xs:
@@ -779,43 +787,47 @@ def test_z_extraction_and_third_step_lane_match_the_public_ops_on_p8_sets(ties):
     assert cases > 2_000
 
 
-def _core_extraction(x, r, sigma, n, ties, check):
+def _core_extraction(x, r, n, ties, check):
     """_extract_pairs, the core the campaign calls, on Fpn operands: (z, k,
     ell, s, in_range) as _reference_extraction gives them."""
     fmt = x.fmt
     zn, ze, k, ell, s, e0, in_range = reduction._extract_pairs(
-        x.sign * x.m, x.e, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, check
+        x.sign * x.m, x.e, r.sign * r.m, r.e, n, fmt, ties, check
     )
     return _rounded(zn, ze, fmt), k, ell, reduction._over(s, 1, e0), in_range
 
 
 @pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
-def test_extraction_core_raises_each_check_with_its_text(constant):
+def test_extraction_core_raises_each_check_with_its_text(monkeypatch, constant):
     # a few ulps past the range, z = 2^(p-2-N): k is one bit over ell's
-    # bound; a sigma for N+1 leaves z off the 2^-N grid, one for N-1
-    # leaves |x*R - z| up to 2^-N: each check raises its own text, in its
-    # order
+    # bound; the core run with the sigma for N+1 leaves z off the 2^-N
+    # grid, with the one for N-1 |x*R - z| up to 2^-N: each check raises
+    # its own text, in its order
     rng = random.Random(5)
     texts = ("z*2^N is not an integer", "ell=", "|x*R - z| = ")
     raised = set()
+    real = reduction._round_int
     for fmt in (SINGLE, DOUBLE, QUAD):
         for n in (1, 5):
             cs = _preset_set(constant, fmt, n)
-            past, sigma = _top_of_range(cs, n).next_up(), sigma_for(fmt, n)
-            while _core_extraction(past, cs.r, sigma, n, TIES_EVEN, False)[2] < fmt.p - 1:
-                past = past.next_up()
+            past = next_up(_top_of_range(cs, n))
+            while _core_extraction(past, cs.r, n, TIES_EVEN, False)[2] < fmt.p - 1:
+                past = next_up(past)
             for x in (past, -past):
                 z = Fpn(x.sign, 1, fmt.p - 2 - n, fmt).to_text()
                 want = (TheoremViolation, f"ell={fmt.p - 1} outside [2, p-2] for z={z}")
-                assert _outcome_of(_core_extraction, x, cs.r, sigma, n, TIES_EVEN, True) == want
+                assert _outcome_of(_core_extraction, x, cs.r, n, TIES_EVEN, True) == want
             xs = [past, -past] + [_random_in_range_x(rng, fmt, cs.r, n) for _ in range(40)]
-            for sigma in (sigma, sigma_for(fmt, n + 1), sigma_for(fmt, n - 1)):
+            for shift in (0, -1, 1):  # the sigma of N, N + 1 and N - 1
+                sigma = sigma_for(fmt, n - shift)
                 for x in xs:
                     for ties in (TIES_EVEN, TIES_AWAY):
                         for check in (True, False):
-                            args = (x, cs.r, sigma, n, ties)
-                            got = _outcome_of(_core_extraction, *args, check)
-                            assert got == _outcome_of(_reference_extraction, *args, None, check), (x, sigma, check)
+                            with monkeypatch.context() as m:
+                                m.setattr(reduction, "_round_int", _sigma_scaled(real, n, shift))
+                                got = _outcome_of(_core_extraction, x, cs.r, n, ties, check)
+                            want = _outcome_of(_reference_extraction, x, cs.r, sigma, n, ties, None, check)
+                            assert got == want, (x, shift, check)
                             if isinstance(got[0], type):
                                 raised.update(t for t in texts if got[1].startswith(t))
     assert raised == set(texts)
@@ -837,7 +849,7 @@ def _public_chain(x, cs, n, ties, nudge):
     counter = OpCounter()
     z, info = extract_z(x, cs, n, ties, counter)
     u, exact1 = first_step(x, z, cs, ties, counter)
-    u = u.next_up() if nudge else u
+    u = next_up(u) if nudge else u
     ss = second_step(x, z, u, cs, ties, counter)
     assert ss.last_line_exact
     info = (info.k, info.ell, info.s, info.in_thm_range)
@@ -846,7 +858,7 @@ def _public_chain(x, cs, n, ties, nudge):
 
 def _one_ulp_up(e, d, un, fmt):
     """u = un * 2^e one ulp up, with x - z*C1 = d * 2^e, on a scale that holds it."""
-    u = _rounded(un, e, fmt).next_up()
+    u = next_up(_rounded(un, e, fmt))
     if u.m and u.e < e:
         d, e = d << (e - u.e), u.e
     return e, d, (u.sign * u.m << (u.e - e) if u.m else 0)
@@ -855,11 +867,9 @@ def _one_ulp_up(e, d, un, fmt):
 def _pair_chain(x, cs, n, ties, nudge):
     """The same on the pair core, its values read off the set once, as
     _thm6_chunk reads them; an Fpn, and s by value, only for the comparison."""
-    fmt, r, c1, c2, sigma = cs.fmt, cs.r, cs.c1, cs.c2, sigma_for(cs.fmt, n)
+    fmt, r, c1, c2 = cs.fmt, cs.r, cs.c1, cs.c2
     xn, xe = x.sign * x.m, x.e
-    zn, ze, k, ell, s, s_exp, in_range = reduction._extract_pairs(
-        xn, xe, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True
-    )
+    zn, ze, k, ell, s, s_exp, in_range = reduction._extract_pairs(xn, xe, r.sign * r.m, r.e, n, fmt, ties, True)
     e, d, un = _fma_pairs(-zn, ze, c1.sign * c1.m, c1.e, xn, xe, fmt, ties)
     exact1 = un == d
     if nudge:
@@ -899,8 +909,8 @@ def test_pair_core_matches_the_public_stages_property():
         else:
             x = round_nearest(xr_bound(fmt, n) / cs.r.value, fmt)
             while not xr_in_bounds(x, cs.r, n):
-                x = -((-x).next_up())
-            x = x.next_up() if edge == "past" else x
+                x = -next_up(-x)
+            x = next_up(x) if edge == "past" else x
             x = x if sign > 0 else -x
         public = _outcome_of(_public_chain, x, cs, n, ties, nudge)
         seen.add(public[0] if isinstance(public[0], type) else None)
@@ -981,8 +991,8 @@ def test_pair_core_does_not_depend_on_scale_property():
         x = Fpn(sign, (1 << (fmt.p - 1)) | frac % (1 << (fmt.p - 1)), -n - 2 - binade % (fmt.p + 26) + 1, fmt)
         if not xr_in_bounds(x, cs.r, n):
             return
-        r, sigma, xp = cs.r, sigma_for(fmt, n), (x.sign * x.m, x.e)
-        z = reduction._extract_pairs(*xp, r.sign * r.m, r.e, sigma.m, sigma.e, n, fmt, ties, True)[:2]
+        r, xp = cs.r, (x.sign * x.m, x.e)
+        z = reduction._extract_pairs(*xp, r.sign * r.m, r.e, n, fmt, ties, True)[:2]
         assert z[1] == -n
         base = _steps_outcome(xp, z, cs, ties, nudge, 0, 0)
         if canonical and z[0]:
@@ -1045,7 +1055,7 @@ def _top_of_range(cs, n):
     """The largest positive x of cs.fmt with |x*R| <= 2^(p-N-2) - 2^-N."""
     x = round_nearest(xr_bound(cs.fmt, n) / cs.r.value, cs.fmt)
     while not xr_in_bounds(x, cs.r, n):
-        x = -((-x).next_up())
+        x = -next_up(-x)
     return x
 
 
@@ -1097,7 +1107,7 @@ def test_reduce_matches_the_public_chain_property():
             x = Fpn(sign, 1, 100, other)
         else:
             x = _top_of_range(cs, n)
-            x = x.next_up() if edge == "past" else x
+            x = next_up(x) if edge == "past" else x
             x = x if sign > 0 else -x
         got = _outcome_of(reduce, x, cs, ties, measure)
         assert got == _outcome_of(_reduce_by_hand, x, cs, ties, measure)
@@ -1166,7 +1176,7 @@ def test_reduce_runs_the_core_once_and_builds_five_fpns(monkeypatch):
     for x, cs in (
         (Fpn.from_int(10, DOUBLE), CS_PI), (Fpn.from_int(-700, DOUBLE), CS_LN2), (Fpn.zero(QUAD), _preset_set(PI, QUAD, 5))
     ):
-        reduce(x, cs)  # sigma_for builds its Fpn once per (format, N)
+        reduce(x, cs)  # the lane is built on first use
         built.clear()
         # the five results are built on the trusted path, not by Fpn.__init__
         monkeypatch.setattr(Fpn, "__init__", lambda self, *a: checked.append(a) or init(self, *a))
@@ -1184,12 +1194,11 @@ def test_reduce_runs_the_core_once_and_builds_five_fpns(monkeypatch):
 
 
 def test_reduce_reads_the_set_once_through_its_lane(monkeypatch):
-    # C's enclosure, the format check of C1, C2 and C3, and sigma are read
-    # once per set, by its lane, not once per call: here C1, C2 and C3 sit
-    # in a Format equal to R's but not R's, so the check compares formats
-    import argred.constgen as constgen
-
-    counts = {"enclosure": 0, "eq": 0, "sigma": 0}
+    # C's enclosure and the format check of C1, C2 and C3 are read once
+    # per set, by its lane, not once per call: here C1, C2 and C3 sit in a
+    # Format equal to R's but not R's, so the check compares formats; the
+    # core builds sigma itself, with no Fpn
+    counts = {"enclosure": 0, "eq": 0}
 
     def counted(key, real):
         def spy(*args):
@@ -1199,7 +1208,7 @@ def test_reduce_reads_the_set_once_through_its_lane(monkeypatch):
 
     monkeypatch.setattr(Constant, "scaled_enclosure", counted("enclosure", Constant.scaled_enclosure))
     monkeypatch.setattr(Format, "__eq__", counted("eq", Format.__eq__))
-    monkeypatch.setattr(constgen, "sigma_for", counted("sigma", constgen.sigma_for))
+    monkeypatch.setattr(reduction, "sigma_for", lambda *args: pytest.fail("reduce built a sigma Fpn"))
     monkeypatch.setattr(reduction, "_check_fmt", lambda *args: pytest.fail("reduce checked a format per call"))
     twin = Format(DOUBLE.p, DOUBLE.e_min_q, DOUBLE.e_max)
     cs = dataclasses.replace(CS_PI, **{k: _rounded(v.sign * v.m, v.e, twin) for k, v in
@@ -1207,19 +1216,37 @@ def test_reduce_reads_the_set_once_through_its_lane(monkeypatch):
     rng = random.Random(4)
     xs = [_random_in_range_x(rng, DOUBLE, cs.r, 0) for _ in range(100)]
     outs = [reduce(x, cs) for x in xs]
-    assert counts == {"enclosure": 1, "eq": 3, "sigma": 1}
+    assert counts == {"enclosure": 1, "eq": 3}
     assert outs == [reduce(x, CS_PI) for x in xs]
+
+
+@pytest.mark.parametrize("constant", [PI, LN2], ids=["pi", "ln2"])
+@pytest.mark.parametrize("fmt", [SINGLE, DOUBLE, DOUBLE_EXTENDED, QUAD], ids=["single", "double", "ext", "quad"])
+def test_the_lane_does_not_depend_on_n(constant, fmt):
+    # one lane serves a set at every N it covers: sigma comes from N
+    assert gen_constants(constant, fmt, n=0).lane == gen_constants(constant, fmt, n=10).lane
+
+
+@pytest.mark.parametrize("x, t", [(10, "6755399441055744"), (10**300, "6755399449030077")])
+def test_a_sigma_above_the_format_raises_overflow(x, t):
+    # at N = -972 sigma = 3 * 2^1023 overflows double: extraction rounds
+    # t = o(x*R + sigma), which names it (sigma itself for a small x)
+    cs = gen_constants(PI, DOUBLE, n=-972)
+    v = round_nearest(x, DOUBLE)
+    for run in (lambda: extract_z(v, CS_PI, n=-972), lambda: reduce(v, cs)):
+        with pytest.raises(OverflowError, match=rf"^{t}\*2\^972 exceeds the e_max=1023 range$"):
+            run()
 
 
 def test_a_replaced_set_gets_its_own_lane():
     cs = gen_constants(PI, DOUBLE)
     lane = cs.lane
-    assert cs.lane is lane and lane.same_fmt and lane.n == 0 and lane.fmt is DOUBLE
+    assert cs.lane is lane and lane.same_fmt and lane.fmt is DOUBLE
     c2, c3 = cs.c2, cs.c3
     assert (lane.mc1n, lane.c1e, lane.c2n, lane.mc3n) == (-cs.c1.m, cs.c1.e, c2.sign * c2.m, -c3.sign * c3.m)
     assert lane.ends[3] is not None and dataclasses.replace(cs, constant=PI_3_ADIC).lane.ends[3] is None
     other = dataclasses.replace(cs, c3=-cs.c3)
-    assert other.lane is not lane and other.lane.mc3n == -lane.mc3n and other.lane[:10] == lane[:10]
+    assert other.lane is not lane and other.lane.mc3n == -lane.mc3n and other.lane[:7] == lane[:7]
     x = Fpn.from_int(10, DOUBLE)
     assert reduce(x, other).w != reduce(x, cs).w
     assert synthetic_set(Fpn(1, 0b10100011, -8, Format(8, -40, 40)), n=1).lane.ends is None
@@ -1230,7 +1257,7 @@ def test_reduce_checks_the_range_before_any_format():
     # error first, as a foreign x past the range does; a foreign x in range
     # meets R's format check, and an x in range that of C1, C2 and C3
     cs = dataclasses.replace(CS_PI, c2=round_nearest(CS_PI.c2.value, SINGLE))
-    past = _top_of_range(CS_PI, 0).next_up()
+    past = next_up(_top_of_range(CS_PI, 0))
     for x in (past, -past, Fpn(1, 1, 100, SINGLE)):
         with pytest.raises(ReductionRangeError, match=r"^\|x\*R\| exceeds 2\^\(p-N-2\) - 2\^-N for N=0; "):
             reduce(x, cs)

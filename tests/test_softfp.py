@@ -37,6 +37,7 @@ from argred.softfp import (
 )
 from argred.softfp import _fast2sum_scaled, _round_int, _rounded
 from argred.realnum import round_rational
+from fpn_helpers import next_up
 
 P4 = Format(p=4, e_min_q=-20, e_max=40)
 P5 = Format(p=5, e_min_q=-20, e_max=40)
@@ -794,6 +795,6 @@ def test_next_up_down_adjacent_exhaustive():
     vals = [Fpn.zero(fmt)] + all_values(fmt, fmt.e_min_q, fmt.e_min_q + 6, subnormals_at=fmt.e_min_q)
     ordered = sorted(set(vals), key=lambda v: v.value)
     for a, b in zip(ordered, ordered[1:]):
-        assert a.next_up() == b
-        assert -((-b).next_up()) == a
-        assert (-b).next_up() == -a
+        assert next_up(a) == b
+        assert -next_up(-b) == a
+        assert next_up(-b) == -a

@@ -17,6 +17,7 @@ from argred.theorems import (
     demo_codywaite,
     run_check,
 )
+from fpn_helpers import next_up
 
 
 def test_sterbenz_exhaustive_small():
@@ -99,10 +100,10 @@ def _fpns_in_interval(lo, hi, fmt):
 
     x = round_nearest(lo, fmt)  # a neighbour of lo
     if x.value < lo:
-        x = x.next_up()
+        x = next_up(x)
     while x.value <= hi:
         yield x
-        x = x.next_up()
+        x = next_up(x)
 
 
 @pytest.mark.parametrize("p", [6, pytest.param(7, marks=pytest.mark.slow), pytest.param(8, marks=pytest.mark.slow)])
@@ -173,8 +174,8 @@ def test_sweeps_bisect_the_range_and_extract_each_x_once(monkeypatch):
         probes.clear()
         assert theorems._in_range(r, 12, 1) and len(probes) <= 12
     monkeypatch.setattr(
-        theorems, "_extract_pairs", lambda xn, xe, rn, re, sn, se, n, *rest: extracted.append((xn, xe, rn, re, n))
-        or real_extract(xn, xe, rn, re, sn, se, n, *rest)
+        theorems, "_extract_pairs", lambda xn, xe, rn, re, n, *rest: extracted.append((xn, xe, rn, re, n))
+        or real_extract(xn, xe, rn, re, n, *rest)
     )
     res = run_check(CheckConfig(theorem="thm6", mode="exhaustive", p=8, r_step=64, n_values=(0, 2), window=4))
     assert res.passed and len(set(extracted)) == len(extracted) and res.cases > 4 * len(extracted)
@@ -230,7 +231,7 @@ def test_thm6_case_records_a_fast2mult_underflow():
     cs = ConstantSet(
         None, fmt, 1, 2, Fpn(1, 163, -8, fmt), Fpn(1, 160, -7, fmt), Fpn(1, 129, -12, fmt), Fpn.zero(fmt)
     )
-    entry = _run_second_step_case(202, -9, cs, cs.lane, "even")
+    entry = _run_second_step_case(202, -9, 1, cs, cs.lane, "even")
     assert entry["x"] == "202 * 2^-9" and entry["N"] == 1
     assert entry["error"].startswith("error-free transformation failed: fast2mult error term")
 
@@ -356,7 +357,7 @@ def test_sterbenz_counts_a_wrong_kernel_result(monkeypatch):
 
     def off_by_one_ulp_away(v, fmt, target_p=None, ties="even"):
         out = real_round(v, fmt, target_p, ties)
-        return out.next_up() if ties == "away" and v else out
+        return next_up(out) if ties == "away" and v else out
 
     monkeypatch.setattr(theorems, "sub", inexact_away)
     monkeypatch.setattr(theorems, "round_nearest", off_by_one_ulp_away)
@@ -423,8 +424,8 @@ def test_correct3_sweep_makes_no_format_comparisons(monkeypatch):
         calls.append((self, other))
         return real_eq(self, other)
 
-    # another caller's equal but separately built Format gets its sigmas
-    # first; the sweep must still get a sigma of its own format
+    # another caller's equal but separately built Format runs extraction
+    # first; the sweep must still compare no formats
     other = Format(p=8, e_min_q=-40, e_max=96)
     cs = synthetic_set(Fpn(1, 0b10100011, -8, other), n=2)
     for n in (0, 2):
@@ -776,8 +777,8 @@ def test_thm6_chunk_skips_an_x_one_ulp_past_the_range_as_the_public_draw_does(mo
     cs = gen_constants(LN2, DOUBLE, n=n)
     top = round_nearest(xr_bound(DOUBLE, n) / cs.r.value, DOUBLE)
     while not xr_in_bounds(top, cs.r, n):
-        top = -((-top).next_up())
-    past = top.next_up()
+        top = -next_up(-top)
+    past = next_up(top)
     assert not xr_in_bounds(past, cs.r, n) and past.e == top.e == -n - 2
 
     # randrange's raw draws: the significand above 2^(p-1), the exponent
