@@ -213,13 +213,16 @@ def _second_step_pairs(
         t1n, t2n = _fast2sum_scaled(un, -p1n, e, fmt, ties, ops)
     except (PreconditionError, UnderflowError) as exc:
         raise TheoremViolation(f"error-free transformation failed: {exc}") from exc
-    d1n = _round_int(t1n - v1n, e, p, fmt, ties)
-    d2n = _round_int(d1n + t2n, e, p, fmt, ties)
-    v2n = _round_int(d2n - p2n, e, p, fmt, ties)
+    a = t1n - v1n  # each exact operand of the last line, rounded and then checked
+    d1n = _round_int(a, e, p, fmt, ties)
+    b = d1n + t2n
+    d2n = _round_int(b, e, p, fmt, ties)
+    c = d2n - p2n
+    v2n = _round_int(c, e, p, fmt, ties)
     ops.rounded += 4  # v1 and the last line
     exact = v1n + v2n == d - zc2  # v1 + v2 == x - z*C1 - z*C2
 
-    if d1n != t1n - v1n or d2n != d1n + t2n or v2n != d2n - p2n:
+    if d1n != a or d2n != b or v2n != c:
         x, z = _rounded(xn, xe, fmt).to_text(), _rounded(zn, ze, fmt).to_text()
         raise TheoremViolation(f"second-step last line rounded: x={x}, z={z}")
     # proof facts: for z != 0, t1 and v1 sit on the 2^(-N-1) * ulp2(C1)

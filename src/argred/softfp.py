@@ -160,8 +160,8 @@ class Fpn:
                 m <<= k
                 e -= k
             elif e < fmt.e_min_q:
-                d = fmt.e_min_q - e
-                if m & ((1 << d) - 1):
+                d = fmt.e_min_q - e  # an m below 2^d is refused before its d-bit mask is built
+                if d >= bl or m & ((1 << d) - 1):
                     raise ValueError(f"{m}*2^{e} is below the quantum 2^{fmt.e_min_q}")
                 m >>= d
                 e = fmt.e_min_q
@@ -278,12 +278,10 @@ def _trailing_zeros(n: int) -> int:
 
 
 class OpCounter:
-    """Counts rounded operations; one instance per pipeline call."""
+    """Counts rounded operations; one instance per pipeline call.  The count
+    starts at the class's 0, so OpCounter() runs no Python-level __init__."""
 
-    __slots__ = ("rounded",)
-
-    def __init__(self) -> None:
-        self.rounded = 0
+    rounded = 0
 
 
 class OpResult(NamedTuple):
@@ -522,7 +520,8 @@ def is_representable(v: Union[Fraction, int], digits: int, fmt: Format) -> bool:
 def _fast2sum_scaled(an: int, bn: int, e: int, fmt: Format, ties: str, counter: OpCounter | None) -> tuple[int, int]:
     """Fast2Sum of a = an * 2**e and b = bn * 2**e on their common scale:
     (sn, en) with s = o(a + b) and err = b - o(o(a + b) - a), exact, both
-    at the same scale; see fast2sum."""
+    at the same scale; see fast2sum.  The exact a + b is formed once, rounded,
+    and checked against s + err; the three roundings bump counter by 3."""
     p = fmt.p
     if an and bn:
         # |a| >= |b|, or a's widest exponent, e + tz(a), reaches b's
@@ -533,13 +532,14 @@ def _fast2sum_scaled(an: int, bn: int, e: int, fmt: Format, ties: str, counter: 
                 f"fast2sum precondition fails for {_rounded(an, e, fmt)!r}, "
                 f"{_rounded(bn, e, fmt)!r}: no representations with e_a >= e_b and |a| < |b|"
             )
-    sn = _round_int(an + bn, e, p, fmt, ties)
+    s = an + bn
+    sn = _round_int(s, e, p, fmt, ties)
     zn = _round_int(sn - an, e, p, fmt, ties)
     en = _round_int(bn - zn, e, p, fmt, ties)
     if counter is not None:
         counter.rounded += 3
     # The three-op sequence is exact under the precondition; verify anyway.
-    if sn + en != an + bn:
+    if sn + en != s:
         raise PreconditionError(
             f"fast2sum produced a wrong error term for {_rounded(an, e, fmt)!r}, {_rounded(bn, e, fmt)!r}"
         )
@@ -551,15 +551,17 @@ def _fast2mult_scaled(
 ) -> tuple[int, int]:
     """Fast2Mult of the pairs (an, ae), (bn, be) at a scale e <= ae + be
     (any e for a zero product): (hn, ln) with h = o(a*b) and low =
-    fma(a, b, -h), exact, both at scale e; see fast2mult."""
+    fma(a, b, -h), exact, both at scale e; see fast2mult.  The exact a*b - h
+    is formed once, rounded, and checked; the two roundings bump counter by 2."""
     prod = an * bn
     if prod:
         prod <<= ae + be - e
     hn = _round_int(prod, e, fmt.p, fmt, ties)
-    ln = _round_int(prod - hn, e, fmt.p, fmt, ties)
+    low = prod - hn
+    ln = _round_int(low, e, fmt.p, fmt, ties)
     if counter is not None:
         counter.rounded += 2
-    if ln != prod - hn:
+    if ln != low:
         raise UnderflowError(
             f"fast2mult error term of {_rounded(an, ae, fmt)!r}*{_rounded(bn, be, fmt)!r}"
             " is not representable"

@@ -532,13 +532,13 @@ def _run_second_step_case(
     fmt, rn, re, mc1n, c1e, c2n, c2e, _, _, _, _, _ = lane
     try:
         if head is None:  # inline for the campaign, where a _first_step_head call costs ~3% a case
-            zn, ze = _extract_pairs(xn, xe, rn, re, n, fmt, ties, True)[:2]
+            zn, ze, _, _, _, _, _ = _extract_pairs(xn, xe, rn, re, n, fmt, ties, True)
             e, d, un = _fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties)
         elif isinstance(head, dict):
             return head
         else:
             zn, ze, e, d, un = head
-        exact2, ops = _second_step_pairs(xn, xe, zn, ze, e, d, un, c2n, c2e, cs, fmt, ties)[3:]
+        _, _, _, exact2, ops = _second_step_pairs(xn, xe, zn, ze, e, d, un, c2n, c2e, cs, fmt, ties)
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
     if un != d or not exact2 or ops != 9:
@@ -553,7 +553,7 @@ def _first_step_head(xn: int, xe: int, n: int, lane: tuple, ties: str) -> tuple 
     an error record."""
     fmt, rn, re, mc1n, c1e, _, _, _, _, _, _, _ = lane
     try:
-        zn, ze = _extract_pairs(xn, xe, rn, re, n, fmt, ties, True)[:2]
+        zn, ze, _, _, _, _, _ = _extract_pairs(xn, xe, rn, re, n, fmt, ties, True)
     except TheoremViolation as exc:
         return {"x": _rounded(xn, xe, fmt).to_text(), "N": n, "error": str(exc)}
     return (zn, ze, *_fma_pairs(zn, ze, mc1n, c1e, xn, xe, fmt, ties))

@@ -228,6 +228,11 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_reduce_exits_2_on_an_x_far_below_the_quantum(capsys):
+    code, out, err = run(capsys, "reduce", "--x", "1 * 2^-100000000")
+    assert (code, out, err) == (2, "", "error: 1*2^-100000000 is below the quantum 2^-1074\n")
+
+
 @pytest.mark.parametrize(
     "data",
     [{"name": "half", "lo": "3 * 2^0"}, ["3 * 2^0", "4 * 2^0"], {"lo": 3, "hi": "4 * 2^0"}],

@@ -596,6 +596,23 @@ def test_fast2sum_core_reads_the_narrowest_exponent_from_the_value():
             _fast2sum_scaled(a << shift, b << shift, e - shift, P5, TIES_EVEN, None)
 
 
+def test_fast2sum_core_checks_its_error_term_against_the_exact_sum(monkeypatch):
+    # exact under the precondition, and checked anyway: an error term one
+    # unit off (the third rounding nudged) must raise, not come back
+    import argred.softfp as softfp
+
+    calls = []
+
+    def nudged(n, e, digits, fmt, ties, real=softfp._round_int):
+        calls.append(n)
+        return real(n, e, digits, fmt, ties) + (len(calls) == 3)
+
+    monkeypatch.setattr(softfp, "_round_int", nudged)
+    with pytest.raises(PreconditionError, match="wrong error term"):
+        _fast2sum_scaled(1 << 10, 1, 0, DOUBLE, TIES_EVEN, None)
+    assert len(calls) == 3
+
+
 def test_fast2mult_random_recomposition():
     rng = random.Random(100)
     fmt = DOUBLE
@@ -769,6 +786,25 @@ def test_fpn_forms_are_canonical_property():
 
     canonical()
     assert seen == {"overflow", "zero", "normal", "subnormal"}, seen
+
+
+def test_fpn_refuses_a_value_far_below_the_quantum_without_a_mask_of_its_width():
+    # an m narrower than the e_min_q - e bits to shift out is refused from
+    # its bit length: two integers of that width would take 25 MB at e = -10^8
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^1\*2\^-100000000 is below the quantum 2\^-1074$"):
+            Fpn.from_text("1 * 2^-100000000", DOUBLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # at the boundary: m = 4 has one more bit than the two shifted out, m = 3 none
+    assert Fpn(1, 4, DOUBLE.e_min_q - 2, DOUBLE) == Fpn(1, 1, DOUBLE.e_min_q, DOUBLE)
+    with pytest.raises(ValueError, match="below the quantum"):
+        Fpn(1, 3, DOUBLE.e_min_q - 2, DOUBLE)
 
 
 def test_fpn_text_round_trip_property():

@@ -599,6 +599,13 @@ def test_thm6_flop_count_is_live(monkeypatch):
     assert {f["ops"] for f in res.failures} == {6}
     assert all(f["exact_first"] and f["exact_second"] for f in res.failures)
     assert res.stats["ops_always_9"] is False
+    # and one x through reduce and the public second step, which count on the same core
+    from argred import DOUBLE, PI, Fpn, extract_z, first_step, gen_constants, reduce, second_step
+
+    cs, x = gen_constants(PI, DOUBLE), Fpn.from_int(10, DOUBLE)
+    z, _ = extract_z(x, cs)
+    assert reduce(x, cs).rounding_ops_second == 6
+    assert second_step(x, z, first_step(x, z, cs)[0], cs).ops == 6
 
 
 def test_a_check_that_ran_no_case_does_not_pass():
